@@ -13,7 +13,10 @@ checked; the stdout digests are compared across rounds, with the
 stored references in ``reference/`` and, in a traced run, between
 traced and untraced rounds.
 
-``--trace 0`` reports the end-to-end metrics with tracing off.
+``--trace 0`` reports the end-to-end metrics with tracing off: each
+command's median latency over the run's rounds and the median round,
+scaled by each round's host speed (see ``CAL_MATRIX``), and the set-up
+time.
 ``--trace 1`` alternates untraced and traced rounds and reports the
 per-layer metrics of the traced ones (see ``tracer.py``), per round.
 
@@ -39,27 +42,43 @@ import subprocess
 import sys
 import time
 import traceback
+from fractions import Fraction
 
 from tracer import LAYERS, Tracer
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORK = os.path.join(ROOT, ".perfbench_work")
-WORKLOADS = ("rank_sweep", "classify_mix", "probe_flow")
 
 # Reference digests are stored for this seed; every other seed only
 # records its digests, so that two commits can be compared.
 DEFAULT_SEED = 0
 
 # Set-up is timed this many times per run and reported as the median.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 
 # The tail percentile leaves this many distinct commands beyond it.
 TAIL_BEYOND = 10
 
-def parse_args(argv):
+# The host is shared, and its speed drifts by up to a third for seconds
+# to minutes at a time, for ttlab and for any other Python code alike.
+# So a run also times a fixed slice of stdlib work, exact Fraction
+# elimination like ttlab's own, after every CAL_EVERY_S of command time
+# and at the end of each round.  A round's times are scaled by
+# CAL_REFERENCE_S over the median of its slices: they read as on a host
+# that runs the slice in CAL_REFERENCE_S.  The slice never calls ttlab,
+# so a change to ttlab moves the scaled times by the same share as the
+# raw ones.  Set-up is not scaled: slices timed right after a set-up
+# process follow its times less well than the raw times follow each
+# other.
+CAL_MATRIX = [[(3 * i + 5 * j) % 11 - 5 for j in range(12)] for i in range(12)]
+CAL_EVERY_S = 0.05
+CAL_REFERENCE_S = 0.004
+
+
+def parse_args(argv, workloads):
     parser = argparse.ArgumentParser(description="ttlab CLI benchmark")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=workloads, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
@@ -81,6 +100,24 @@ def machine_facts():
         "nproc": os.cpu_count(),
         "cpu_model": model or platform.processor() or "unknown",
     }
+
+
+def calibration_slice():
+    """Time one fixed slice of Fraction elimination on CAL_MATRIX."""
+    start = time.perf_counter()
+    m = [[Fraction(x) for x in row] for row in CAL_MATRIX]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return time.perf_counter() - start
 
 
 def time_setup(workload, seed, work):
@@ -182,93 +219,82 @@ class Player:
             return "no reference digest for this command"
         return None
 
-    def play(self, best):
-        """Play one round; return its wall time and its command time.
+    def play(self, latencies):
+        """Play one round; return its wall time, command time and scale.
 
-        best maps each distinct argv to its lowest latency so far.
+        latencies maps each distinct argv to its (latency, scale) pairs
+        so far.  The round's scale is CAL_REFERENCE_S over the median of
+        the calibration slices timed between its commands; the slices
+        are not part of the round's wall time.
         """
         start = time.perf_counter()
-        busy = 0.0
+        busy = since_slice = outside = 0.0
+        played, slices = [], []
         for index, command in enumerate(self.commands):
             if self.identity[index] is None:
                 # taken before the first run: the inputs of later
                 # commands may be written by earlier ones
                 self.identity[index] = self._identity(command)
             elapsed, code, stdout, stderr = self._call(command["argv"])
-            key = tuple(command["argv"])
-            best[key] = min(elapsed, best.get(key, elapsed))
+            played.append((tuple(command["argv"]), elapsed))
             busy += elapsed
+            since_slice += elapsed
             self.attempted += 1
             problem = self._problem(command, index, code, stdout, stderr)
             if problem is not None:
                 self.failures.append((" ".join(command["argv"]), problem))
-        return time.perf_counter() - start, busy
+            if since_slice >= CAL_EVERY_S or index == len(self.commands) - 1:
+                slice_start = time.perf_counter()
+                slices.append(calibration_slice())
+                outside += time.perf_counter() - slice_start
+                since_slice = 0.0
+        wall = time.perf_counter() - start - outside
+        scale = CAL_REFERENCE_S / statistics.median(slices)
+        for key, elapsed in played:
+            latencies.setdefault(key, []).append((elapsed, scale))
+        return wall, busy, scale
+
+
+def per_layer_units():
+    """BENCHMARK.json's per-layer metrics, name -> unit: the one list."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        return {m["name"]: m["unit"] for m in json.load(handle)["per_layer"]}
 
 
 def layer_metrics(tracer, traced, untraced):
-    """Per-round means of the traced rounds, named as in BENCHMARK.json.
+    """Per-round means of the traced rounds, for every per-layer metric
+    that BENCHMARK.json names.
 
-    traced and untraced hold (wall, command time) per round.
+    traced and untraced hold (wall, command time, scale) per round.
     """
     n = len(traced)
-    wall = sum(w for w, _ in traced) / n
-    calls, self_s, counters = tracer.calls, tracer.self_s, tracer.counters
+    wall = sum(w for w, _, _ in traced) / n
     # command time outside every span: argparse, formatting, file I/O
-    busy = sum(b for _, b in traced)
-    m = {"cli.self_s": ((busy - tracer.covered_s) / n, "s")}
+    busy = sum(b for _, b, _ in traced)
+    totals = {"cli.self_s": busy - tracer.covered_s}
     for layer in LAYERS:
-        total = sum(v for k, v in self_s.items() if k.split(".")[0] == layer)
-        m[f"{layer}.self_s"] = (total / n, "s")
-    for name in ("specfile.parse_spec", "specfile.write_spec",
-                 "topology.enumerate_pants_configs",
-                 "topology.is_pants_decomposition",
-                 "ribbon.validate_assignment", "ribbon.jointly_orientable",
-                 "surface.build_surface", "cover.holonomy_double_cover",
-                 "cover.rank_lower_bound", "cover.h1_anti_invariant",
-                 "linalg.rank", "linalg.nullspace",
-                 "classify.classify_orbit_closure", "classify.identify_stratum",
-                 "classify.hyperelliptic_involution_search", "spin.winding_form"):
-        m[f"{name}.calls"] = (calls[name] / n, "count")
-    for name in ("specfile.parse_spec", "specfile.write_spec",
-                 "specfile.validate_spec", "topology.enumerate_pants_configs",
-                 "topology.is_pants_decomposition", "ribbon.validate_assignment",
-                 "ribbon.jointly_orientable", "ribbon.pants_assignment",
-                 "surface.build_surface", "surface.geodesic_flow",
-                 "cover.holonomy_double_cover", "cover.rank_lower_bound",
-                 "cover.h1_anti_invariant", "cover.relations_formula",
-                 "cover.cover_genus", "linalg.rank", "linalg.nullspace",
-                 "classify.classify_orbit_closure", "classify.classify_pants_torus",
-                 "classify.identify_stratum",
-                 "classify.hyperelliptic_involution_search",
-                 "spin.winding_form", "spin.arf_invariant", "probe.run_probe"):
-        m[f"{name}.self_s"] = (self_s[name] / n, "s")
-    for name, unit in (("specfile.parse_spec.bytes", "bytes"),
-                       ("specfile.write_spec.bytes", "bytes"),
-                       ("topology.configs", "count"), ("cover.cover_edges", "count"),
-                       ("linalg.rank.cells", "count"), ("linalg.nullspace.cells", "count"),
-                       ("spin.loops", "count"), ("spin.refused", "count"),
-                       ("saddle.placements", "count"), ("saddle.connections", "count"),
-                       ("saddle.cap_exceeded", "count"),
-                       ("saddle.radius_too_small", "count"),
-                       ("probe.samples", "count"), ("probe.dropped", "count")):
-        m[name] = (counters[name] / n, unit)
-    m["saddle.searches"] = (calls["saddle.saddle_connections_up_to"] / n, "count")
-    placements = counters["saddle.placements"]
-    m["saddle.connections_per_placement"] = (
-        counters["saddle.connections"] / placements if placements else 0.0, "ratio")
+        totals[f"{layer}.self_s"] = sum(
+            v for k, v in tracer.self_s.items() if k.split(".")[0] == layer)
+    totals.update((f"{k}.calls", v) for k, v in tracer.calls.items())
+    totals.update((f"{k}.self_s", v) for k, v in tracer.self_s.items())
+    totals.update(tracer.counters)
+    totals["saddle.searches"] = tracer.calls["saddle.saddle_connections_up_to"]
+    values = {k: v / n for k, v in totals.items()}
+    placements = tracer.counters["saddle.placements"]
+    values["saddle.connections_per_placement"] = (
+        tracer.counters["saddle.connections"] / placements if placements else 0.0)
     # cli.self_s and the layer totals against the round's wall time,
     # which also holds the benchmark's own checks between commands
-    attributed = sum(v for k, (v, _) in m.items()
-                     if k.endswith(".self_s") and k.count(".") == 1)
-    m["trace.wall_s"] = (wall, "s")
-    m["trace.attributed_frac"] = (attributed / wall, "ratio")
-    untraced = sum(w for w, _ in untraced) / len(untraced)
-    m["trace.overhead_frac"] = ((wall - untraced) / untraced, "ratio")
-    return m
+    attributed = values["cli.self_s"] + sum(values[f"{layer}.self_s"] for layer in LAYERS)
+    values["trace.wall_s"] = wall
+    values["trace.attributed_frac"] = attributed / wall
+    untraced_wall = sum(w for w, _, _ in untraced) / len(untraced)
+    values["trace.overhead_frac"] = (wall - untraced_wall) / untraced_wall
+    # a name the tracer does not know raises KeyError here
+    return {name: (values[name], unit) for name, unit in per_layer_units().items()}
 
 
 def run(args):
-    import inputs  # noqa: F401  (puts src/ on sys.path)
     from ttlab import cli
 
     facts = machine_facts()
@@ -294,7 +320,7 @@ def run(args):
         player = Player(cli, commands, reference, args.seed == DEFAULT_SEED)
 
         tracer = Tracer()
-        best, untraced, traced = {}, [], []
+        latencies, untraced, traced = {}, [], []
         min_rounds = 2 if args.trace else 1
         start = time.perf_counter()
         while True:
@@ -305,7 +331,7 @@ def run(args):
                 finally:
                     tracer.uninstall()
             else:
-                untraced.append(player.play(best))
+                untraced.append(player.play(latencies))
             rounds = len(untraced) + len(traced)
             elapsed = time.perf_counter() - start
             if rounds >= min_rounds and elapsed + elapsed / rounds > args.seconds:
@@ -314,17 +340,26 @@ def run(args):
         os.chdir(ROOT)
         shutil.rmtree(work, ignore_errors=True)
 
-    distinct = len(best)
+    distinct = len(latencies)
     if args.trace:
         metrics = layer_metrics(tracer, traced, untraced)
     else:
-        # each distinct command at its best over the run's repetitions:
-        # the host is shared, and contention only ever adds time
-        latencies = list(best.values())
+        # each distinct command at its median over the run's rounds, and
+        # the median untraced round, scaled by each round's host speed
+        # (raw: unscaled, printed beside them)
+        def medians(scaled):
+            typical = [statistics.median(e * k if scaled else e for e, k in v)
+                       for v in latencies.values()]
+            wall = statistics.median(w * k if scaled else w for w, _, k in untraced)
+            return {
+                "wall_s": (wall, "s"),
+                "op_p50_ms": (1000.0 * statistics.median(typical), "ms"),
+                "op_tail_ms": (1000.0 * percentile(typical, tail_percentile(distinct)), "ms"),
+            }
+        facts["host_scale"] = statistics.median(k for _, _, k in untraced)
+        facts["raw"] = {name: value for name, (value, _) in medians(False).items()}
         metrics = {
-            "wall_s": (sum(latencies), "s"),
-            "op_p50_ms": (1000.0 * statistics.median(latencies), "ms"),
-            "op_tail_ms": (1000.0 * percentile(latencies, tail_percentile(distinct)), "ms"),
+            **medians(True),
             "setup_s": (setup_s, "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
@@ -371,11 +406,12 @@ def run(args):
 
 
 def main(argv=None):
-    args = parse_args(argv)
     if not os.path.isdir(os.path.join(ROOT, "src", "ttlab")):
         print("error: no ttlab sources under src/ in this checkout", file=sys.stderr)
         return 2
-    return run(args)
+    import inputs  # puts src/ on sys.path
+
+    return run(parse_args(argv, inputs.WORKLOADS))
 
 
 if __name__ == "__main__":

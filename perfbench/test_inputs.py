@@ -11,6 +11,7 @@ import random
 import pytest
 
 import inputs
+import run
 from tracer import Tracer
 from ttlab import cli, cover
 from ttlab.topology import is_pants_decomposition
@@ -55,7 +56,7 @@ def _play(argv):
 def test_malformed_inputs_exit_2_with_error_type(tmp_path, monkeypatch):
     r = inputs.build("classify_mix", 7)
     broken = [c for c in r.commands if c["expect"] == 2]
-    assert len(broken) == 4
+    assert len(broken) == 12
     monkeypatch.chdir(tmp_path)
     for command in broken:
         (tmp_path / command["reads"][0]).write_text(r.files[command["reads"][0]])
@@ -79,3 +80,18 @@ def test_tracer_only_observes(tmp_path, monkeypatch):
     assert tracer.calls["linalg.rank"] > 0
     assert sum(tracer.self_s.values()) == pytest.approx(tracer.covered_s)
     assert not hasattr(cover.h1_anti_invariant, "__wrapped__")
+
+
+def test_layer_metrics_are_the_ones_benchmark_json_names(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g2.spec").write_text(_play(["pants", "2", "--lengths", "3,4,9"])[1])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _play(["rank", "g2.spec"])
+    finally:
+        tracer.uninstall()
+    metrics = run.layer_metrics(tracer, [(1.0, 0.9, 1.0)], [(1.0, 0.9, 1.0)])
+    assert list(metrics) == list(run.per_layer_units())
+    assert metrics["cover.h1_anti_invariant.calls"] == (1, "count")
+    assert metrics["saddle.searches"] == (0, "count")

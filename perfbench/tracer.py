@@ -17,10 +17,19 @@ import importlib
 import inspect
 import sys
 import time
-from collections import defaultdict
 
+PACKAGE = "ttlab"
 LAYERS = ("specfile", "topology", "ribbon", "surface", "cover",
           "linalg", "classify", "spin", "saddle", "probe")
+
+
+# Work counters read at the span boundaries, by name.
+COUNTERS = ("specfile.parse_spec.bytes", "specfile.write_spec.bytes",
+            "topology.configs", "cover.cover_edges",
+            "linalg.rank.cells", "linalg.nullspace.cells",
+            "spin.loops", "spin.refused",
+            "saddle.placements", "saddle.connections", "saddle.cap_exceeded",
+            "saddle.radius_too_small", "probe.samples", "probe.dropped")
 
 
 def _cells(matrix):
@@ -62,9 +71,9 @@ class Tracer:
     """Span and counter store for one traced stretch of commands."""
 
     def __init__(self):
-        self.calls = defaultdict(int)      # "layer.func" -> calls
-        self.self_s = defaultdict(float)   # "layer.func" -> self seconds
-        self.counters = defaultdict(int)
+        self.calls = {}                    # "layer.func" -> calls
+        self.self_s = {}                   # "layer.func" -> self seconds
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self.covered_s = 0.0               # time inside outermost spans
         self._open = []                    # child time of each open span
         self._patched = []
@@ -98,17 +107,21 @@ class Tracer:
         span.__name__ = fn.__name__
         return span
 
-    def install(self, package="ttlab"):
+    def install(self):
         """Wrap every public layer function under every name bound to it."""
         wrappers = {}
         for layer in LAYERS:
-            module = importlib.import_module(f"{package}.{layer}")
+            module = importlib.import_module(f"{PACKAGE}.{layer}")
             for attr, value in vars(module).items():
                 if (inspect.isfunction(value) and not attr.startswith("_")
                         and value.__module__ == module.__name__):
-                    wrappers[id(value)] = (value, self._wrap(f"{layer}.{attr}", value))
+                    name = f"{layer}.{attr}"
+                    wrappers[id(value)] = (value, self._wrap(name, value))
+                    # every wrapped function reports, called or not
+                    self.calls.setdefault(name, 0)
+                    self.self_s.setdefault(name, 0.0)
         for mod_name, module in list(sys.modules.items()):
-            if mod_name != package and not mod_name.startswith(package + "."):
+            if mod_name != PACKAGE and not mod_name.startswith(PACKAGE + "."):
                 continue
             for attr, value in list(vars(module).items()):
                 entry = wrappers.get(id(value))
