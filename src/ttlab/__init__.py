@@ -3,7 +3,7 @@
 from .errors import (
     BadIndex,
     BadPartition,
-    DisconnectedCover,
+    CrossCheckFailed,
     InvalidAssignment,
     InvalidConfig,
     InvalidSurface,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import BadPartition, NonLiftable
-from .ribbon import co_orientable, jointly_orientable
+from .errors import BadPartition, CrossCheckFailed, NonLiftable
+from .ribbon import ParityUnionFind, co_orientable, jointly_orientable
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,13 @@ class BranchedDoubleCover:
         ]
 
         # -- connectivity ----------------------------------------------------
-        parent = list(range(len(self.cover_vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in range(e_base):
+        uf = ParityUnionFind(len(self.cover_vertices))
+        for key in self.base_edges:
             for s in (0, 1):
-                tail, head = self._lift_endpoints(self.base_edges[k], s)
-                parent[find(tail)] = find(head)
-        self.component_of = [find(v) for v in range(len(self.cover_vertices))]
+                uf.union(*self._lift_endpoints(key, s), 0)
+        self.component_of = [
+            uf.find(v)[0] for v in range(len(self.cover_vertices))
+        ]
         self.components = sorted(set(self.component_of))
         self.connected = len(self.components) == 1
 
@@ -261,7 +255,11 @@ def cover_genus(cover):
     genera = cover.genus_of_components()
     if cover.connected:
         g = cover.surface.cfg.genus
-        assert genera[0] == 2 * g + len(cover.branch_set) // 2 - 1
+        expected = 2 * g + len(cover.branch_set) // 2 - 1
+        if genera[0] != expected:
+            raise CrossCheckFailed(
+                f"cover genus {genera[0]} from cells, {expected} from branching"
+            )
         return genera[0]
     return genera
 
@@ -299,75 +297,61 @@ def lifted_curve_classes(cover, cfg):
                 boundary[tail] -= coeff
         if any(boundary):
             raise NonLiftable(f"core circle of curve {i} does not lift closed")
-        hat = [
+        classes.append(tuple(
             b - c for b, c in zip(bar, cover.involution_on_edges(bar))
-        ]
-        classes.append(tuple(Fraction(x) for x in hat))
+        ))
     return classes
 
 
 def _boundary_columns(cover):
-    d2 = cover.boundary_2()
-    return [
-        [Fraction(d2[row][col]) for row in range(cover.n_cover_edges)]
-        for col in range(cover.n_cover_faces)
-    ]
+    return [list(col) for col in zip(*cover._d2)]
 
 
 def rank_lower_bound(cover, cfg):
     """dim of the span of the lifted classes in cover homology, exactly."""
-    classes = lifted_curve_classes(cover, cfg)
     return linalg.span_dimension_mod(
-        [list(c) for c in classes], _boundary_columns(cover)
+        lifted_curve_classes(cover, cfg), _boundary_columns(cover)
     )
 
 
 def h1_anti_invariant(cover):
-    """The (-1)-eigenspace of the deck involution on H_1 of the cover."""
+    """The (-1)-eigenspace of the deck involution on H_1 of the cover.
+
+    Over Q, (1 - iota)/2 projects H_1 onto this eigenspace, so the basis
+    is read off from one reduction: the classes (1 - iota) z, for z in a
+    basis of the cycles ker d1, are added one by one to an echelon basis
+    of the boundaries im d2, and those that raise its rank are kept.
+
+    Two cross-checks raise CrossCheckFailed when they disagree: the
+    dimension must equal nz - rank([(1 + iota) Z | B]), the solutions of
+    (1 + iota) z in im d2 counted modulo boundaries; and, for a connected
+    cover, Riemann-Hurwitz 2 g_hat - 2 g.
+    """
     kernel = linalg.nullspace(cover.boundary_1())
     boundaries = _boundary_columns(cover)
-    n_edges = cover.n_cover_edges
-
-    # chains z in the cycle space with (iota + 1) z a boundary
-    plus = [
-        [zi + ii for zi, ii in zip(z, cover.involution_on_edges(z))]
-        for z in kernel
-    ]
-    # solve (iota+1) Z x = B y; the x parts span the eligible coordinates
-    stacked = []
-    for row in range(n_edges):
-        stacked.append(
-            [p[row] for p in plus] + [b[row] for b in boundaries]
-        )
-    solutions = linalg.nullspace(stacked)
-    candidates = []
-    for sol in solutions:
-        x = sol[: len(kernel)]
-        vec = [
-            sum(xk * kernel[k][row] for k, xk in enumerate(x))
-            for row in range(n_edges)
-        ]
-        candidates.append(vec)
-
+    reduced = linalg.Echelon(boundaries)
     basis = []
-    kept = list(boundaries)
-    rank = linalg.rank_of_stack(kept)
-    for vec in candidates:
-        new_rank = linalg.rank_of_stack(kept + [vec])
-        if new_rank > rank:
-            basis.append(tuple(vec))
-            kept.append(vec)
-            rank = new_rank
+    plus = []
+    for z in kernel:
+        flipped = cover.involution_on_edges(z)
+        minus = tuple(a - b for a, b in zip(z, flipped))
+        if reduced.add(minus):
+            basis.append(minus)
+        plus.append([a + b for a, b in zip(z, flipped)])
 
     lifted = tuple(lifted_curve_classes(cover, cover.surface.cfg))
     dim = len(basis)
-    # dimension corroborated by the rank identity dim = nz - rank([M|B])
-    nz = len(kernel)
-    check = nz - linalg.rank_of_stack(plus, boundaries)
-    assert dim == check
+    check = len(kernel) - linalg.rank_of_stack(plus, boundaries)
+    if dim != check:
+        raise CrossCheckFailed(
+            f"anti-invariant dimension {dim}, rank identity gives {check}"
+        )
     if cover.connected:
-        g_hat = cover_genus(cover)
-        assert dim == 2 * g_hat - 2 * cover.surface.cfg.genus
+        expected = 2 * cover_genus(cover) - 2 * cover.surface.cfg.genus
+        if dim != expected:
+            raise CrossCheckFailed(
+                f"anti-invariant dimension {dim}, Riemann-Hurwitz gives {expected}"
+            )
     return AntiInvariantH1(dimension=dim, basis=tuple(basis), lifted=lifted)
 
 
@@ -406,19 +390,11 @@ def piece_preimage_connected(cover, p):
         for h in range(graph.n_half_edges)
         for s in (0, 1)
     }
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = ParityUnionFind(len(cover.cover_vertices))
     for h, _ in graph.edges():
         for s in (0, 1):
-            tail, head = cover._lift_endpoints(("e", p, h), s)
-            parent[find(tail)] = find(head)
-    return len({find(v) for v in vertices}) == 1
+            uf.union(*cover._lift_endpoints(("e", p, h), s), 0)
+    return len({uf.find(v)[0] for v in vertices}) == 1
 
 
 # -- intersection pairing -------------------------------------------------
@@ -439,18 +415,8 @@ def _cup_value(word_letters, row_of, alpha, beta):
 
 def homology_cycle_basis(cover):
     """Cycles whose classes form a basis of H_1 of the cover."""
-    boundaries = _boundary_columns(cover)
-    kernel = linalg.nullspace(cover.boundary_1())
-    h_basis = []
-    kept = list(boundaries)
-    rank = linalg.rank_of_stack(kept)
-    for z in kernel:
-        r = linalg.rank_of_stack(kept + [z])
-        if r > rank:
-            h_basis.append(z)
-            kept.append(z)
-            rank = r
-    return h_basis
+    reduced = linalg.Echelon(_boundary_columns(cover))
+    return [z for z in linalg.nullspace(cover.boundary_1()) if reduced.add(z)]
 
 
 def intersection_matrix(cover, cycles):
@@ -465,25 +431,12 @@ def intersection_matrix(cover, cycles):
     dim = len(h_basis)
 
     # cocycle basis: kernel of transposed d2, independent mod im(d1^T)
-    d2t = [
-        [cover._d2[row][col] for row in range(n_edges)]
-        for col in range(cover.n_cover_faces)
-    ]
-    cocycles = linalg.nullspace(d2t)
-    d1t_cols = [
-        [Fraction(cover._d1[v][row]) for row in range(n_edges)]
-        for v in range(len(cover.cover_vertices))
-    ]
-    c_basis = []
-    kept = list(d1t_cols)
-    rank = linalg.rank_of_stack(kept)
-    for a in cocycles:
-        r = linalg.rank_of_stack(kept + [a])
-        if r > rank:
-            c_basis.append(a)
-            kept.append(a)
-            rank = r
-    assert len(c_basis) == dim
+    coboundaries = linalg.Echelon(cover._d1)
+    c_basis = [a for a in linalg.nullspace(boundaries) if coboundaries.add(a)]
+    if len(c_basis) != dim:
+        raise CrossCheckFailed(
+            f"{len(c_basis)} cohomology classes against {dim} homology classes"
+        )
 
     def row_of(letter, s):
         return 2 * cover._edge_index[letter.key] + (s ^ letter.sheet_bit)
@@ -534,7 +487,8 @@ def intersection_matrix(cover, cycles):
             if vec[-1] != 0:
                 pick = [-v / vec[-1] for v in vec[:dim]]
                 break
-        assert pick is not None, "cycle not in the homology lattice"
+        if pick is None:
+            raise CrossCheckFailed("cycle not in the homology lattice")
         coords.append(pick)
 
     return [

@@ -61,17 +61,6 @@ class NonLiftable(TTLabError):
     """A curve failed to lift to the double cover (cocycle bug guard)."""
 
 
-class DisconnectedCover(TTLabError):
-    """Raised where an operation needs a connected cover.
-
-    Carries the per-component genera so callers can still report them.
-    """
-
-    def __init__(self, genera):
-        super().__init__(f"cover is disconnected; component genera {genera}")
-        self.genera = list(genera)
-
-
 class BadPartition(TTLabError):
     """Cone-order multiset does not fit the genus."""
 
@@ -90,6 +79,10 @@ class NoSpinStructure(TTLabError):
 
 class RadiusTooSmall(TTLabError):
     """Search radius below the shortest edge; nothing can be found."""
+
+
+class CrossCheckFailed(TTLabError):
+    """Two independent routes to the same quantity disagree."""
 
 
 class SpanNotCertified(TTLabError):

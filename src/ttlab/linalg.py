@@ -1,58 +1,91 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ints or Fractions.  Everything here is
-plain Gaussian elimination with exact arithmetic; the matrices in this
-package are small (at most a few hundred rows), so clarity wins over
-asymptotics.
+Matrices are lists of lists of ints or Fractions.  One elimination
+engine, `Echelon`, serves every rank, span, kernel and solve question:
+an incremental row-echelon basis kept as primitive integer rows, so
+reduction is fraction-free (in the spirit of Bareiss, Math. Comp. 1968)
+and only back-substitution touches Fractions.  `feasible_nonneg` (a
+simplex) and `rank_gf2` (bitmask rows) are separate.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _echelon(rows, ncols):
-    """Reduce rows in place to row echelon form, returning pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find a pivot in column c at or below row r
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                factor = Fraction(rows[i][c], 1) / pv
-                row_i = rows[i]
-                row_r = rows[r]
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] - factor * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+class Echelon:
+    """Row space of a growing set of rational vectors, in echelon form.
+
+    `rows` maps each pivot column to one primitive integer row whose
+    leading (pivot) entry is positive and sits in that column.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        self.pivots = []  # the keys of rows, ascending
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, vec):
+        """Reduce vec against the stored rows and keep a nonzero remainder.
+
+        Returns True exactly when vec is independent of the rows so far.
+        """
+        den = lcm(*(x.denominator for x in vec))
+        row = [x.numerator * (den // x.denominator) for x in vec]
+        for c in self.pivots:
+            b = row[c]
+            if b:
+                pivot_row = self.rows[c]
+                a = pivot_row[c]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                if a != 1:
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            return False
+        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        self.rows[lead] = [x // g for x in row]
+        insort(self.pivots, lead)
+        return True
+
+    def back_substitute(self, x, rhs=None):
+        """Set the pivot entries of x so that each stored row r satisfies
+        r[:len(x)] . x == r[len(x) + rhs], or 0 when rhs is None.
+
+        The other entries of x are kept; pivots must lie below len(x).
+        """
+        width = len(x)
+        for pc in reversed(self.pivots):
+            row = self.rows[pc]
+            s = row[width + rhs] if rhs is not None else 0
+            for j in range(pc + 1, width):
+                if x[j] and row[j]:
+                    s -= row[j] * x[j]
+            x[pc] = Fraction(s) / row[pc]
+        return x
 
 
 def rank(matrix):
     """Rank of a matrix (list of rows) over the rationals."""
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rows = [list(row) for row in matrix]
-    return len(_echelon(rows, ncols))
+    return Echelon(matrix).rank
 
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel, as a list of length-ncols vectors.
 
-    `ncols` must be given when `matrix` has no rows.
+    Vector k has a 1 in the k-th free (non-pivot) column and 0 in the
+    other free columns.  `ncols` must be given when `matrix` has no rows.
     """
     if not matrix:
         if ncols is None:
@@ -60,20 +93,13 @@ def nullspace(matrix, ncols=None):
         return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
                 for i in range(ncols)]
     ncols = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots = _echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    echelon = Echelon(matrix)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        # back-substitute over pivot rows, bottom up
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(rows[r][j] * vec[j] for j in range(pc + 1, ncols))
-            vec[pc] = -s / rows[r][pc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in echelon.rows:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            basis.append(echelon.back_substitute(vec))
     return basis
 
 
@@ -83,13 +109,7 @@ def rank_of_stack(*blocks):
     Each block is a list of column vectors (all the same length).  Handy
     for span computations: rank_of_stack(A) and rank_of_stack(A, B)
     """
-    cols = []
-    for block in blocks:
-        cols.extend(block)
-    if not cols:
-        return 0
-    # transpose: elimination works on rows
-    return rank([list(col) for col in cols])
+    return rank([col for block in blocks for col in block])
 
 
 def span_dimension_mod(vectors, relations):
@@ -97,8 +117,8 @@ def span_dimension_mod(vectors, relations):
 
     Both arguments are lists of coordinate vectors of equal length.
     """
-    base = rank_of_stack(relations)
-    return rank_of_stack(vectors, relations) - base
+    echelon = Echelon(relations)
+    return sum(echelon.add(vec) for vec in vectors)
 
 
 def solve_square(matrix, rhs_columns):
@@ -108,19 +128,13 @@ def solve_square(matrix, rhs_columns):
     Raises ValueError if M is singular.
     """
     n = len(matrix)
-    k = len(rhs_columns)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(col[i]) for col in rhs_columns] for i in range(n)]
-    pivots = _echelon(aug, n + k)
-    if len(pivots) < n or pivots != list(range(n)):
+    echelon = Echelon(
+        list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)
+    )
+    if echelon.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    # back substitution
-    solutions = [[Fraction(0)] * n for _ in range(k)]
-    for r in range(n - 1, -1, -1):
-        for c in range(k):
-            s = sum(aug[r][j] * solutions[c][j] for j in range(r + 1, n))
-            solutions[c][r] = (aug[r][n + c] - s) / aug[r][r]
-    return solutions
+    return [echelon.back_substitute([Fraction(0)] * n, c)
+            for c in range(len(rhs_columns))]
 
 
 def feasible_nonneg(matrix, rhs, ncols=None):

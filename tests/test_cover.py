@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,7 @@ from ttlab.ribbon import co_orientable, jointly_orientable
 from ttlab.rng import CounterRandom
 from ttlab.surface import build_surface
 
+from test_linalg import ref_rank
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
 
@@ -131,6 +136,74 @@ def test_anti_invariant_dimension():
         assert linalg.rank_of_stack(boundaries, [list(vec)]) == base_rank + 1
         folded = [a + b for a, b in zip(vec, cover.involution_on_edges(vec))]
         assert linalg.rank_of_stack(boundaries, [folded]) == base_rank
+
+
+def greedy_anti_invariant_basis(cover):
+    """The nullspace route: solve (iota + 1) Z x = B y, then keep the
+    candidates Z x that raise the rank modulo boundaries."""
+    kernel = linalg.nullspace(cover.boundary_1())
+    boundaries = [list(col) for col in zip(*cover.boundary_2())]
+    plus = [
+        [zi + ii for zi, ii in zip(z, cover.involution_on_edges(z))]
+        for z in kernel
+    ]
+    stacked = [
+        [p[row] for p in plus] + [b[row] for b in boundaries]
+        for row in range(cover.n_cover_edges)
+    ]
+    basis = []
+    kept = list(boundaries)
+    for sol in linalg.nullspace(stacked):
+        vec = [
+            sum(xk * kernel[k][row] for k, xk in enumerate(sol[: len(kernel)]))
+            for row in range(cover.n_cover_edges)
+        ]
+        if ref_rank(kept + [vec]) > ref_rank(kept):
+            basis.append(vec)
+            kept.append(vec)
+    return basis
+
+
+def test_anti_invariant_basis_matches_nullspace_route():
+    for fixture in (theta_cover, orientable_cover, separating_nabla_cover):
+        _, cover = fixture()
+        boundaries = [list(col) for col in zip(*cover.boundary_2())]
+        ours = [list(v) for v in h1_anti_invariant(cover).basis]
+        theirs = greedy_anti_invariant_basis(cover)
+        assert len(ours) == len(theirs), fixture.__name__
+        # same span modulo boundaries
+        both = ref_rank(boundaries + ours + theirs)
+        assert both == ref_rank(boundaries + ours), fixture.__name__
+        assert both == ref_rank(boundaries + theirs), fixture.__name__
+
+
+def test_cross_checks_survive_optimize_mode():
+    # under -O every assert is gone; a broken genus must still be caught
+    script = textwrap.dedent("""
+        import sys
+        import ttlab.cover
+        from ttlab.errors import CrossCheckFailed
+        from test_cover import theta_cover
+
+        assert False, "asserts are on"
+        _, cover = theta_cover()
+        ttlab.cover.cover_genus = lambda c: 6
+        try:
+            ttlab.cover.h1_anti_invariant(cover)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "Riemann-Hurwitz" in out.stdout
 
 
 def test_anti_invariant_dimension_of_trivial_cover():
