@@ -147,6 +147,7 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
     if not radius > 0.0:
         raise OutOfRange(f"radius must be positive, got {radius}")
 
+    # validate and build once; every sample re-twists this surface
     base = build_surface(cfg, sa, heights, mode=NUMERIC)
     lengths = [float(l) for l in base.base_lengths]
     root = CounterRandom(int(seed), "probe")
@@ -160,8 +161,7 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
         for k in range(samples):
             rng = root.substream(f"time{ti}/sample{k}")
             twists = _draw_twists(rng, lengths)
-            q = build_surface(cfg, sa, heights, twists=twists, mode=NUMERIC)
-            flowed = geodesic_flow(q, t)
+            flowed = geodesic_flow(base._replace(twists=twists), t)
             try:
                 search = saddle_connections_up_to(flowed, radius, cap=cap)
             except RadiusTooSmall:

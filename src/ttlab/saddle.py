@@ -8,17 +8,19 @@ each corner.  Every gluing map of the surface has the shape z -> z + c
 or z -> -z + c, so a placement is a sign and an offset and the whole
 computation stays in plane geometry.
 
-The search handles numeric surfaces only.  Honouring a length cutoff
-needs square-root comparisons, which exact rational data cannot decide
-without leaving the rationals, so exact-mode callers are told to build
-a numeric twin first.
+The search handles numeric surfaces only, and exact-mode callers are
+told to build a numeric twin first.  Floats are a speed choice, not a
+necessity: the length cutoff compares x^2 + y^2 with r^2 and needs no
+square root, so on rational data every test here is a rational
+comparison.  An exact integer search to check this one against is an
+open step of ROADMAP item 3.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ModeMismatch, OutOfRange, RadiusTooSmall
+from .errors import CrossCheckFailed, ModeMismatch, OutOfRange, RadiusTooSmall
 from .surface import NUMERIC
 
 DEDUP_TOL = 1e-9
@@ -50,9 +52,10 @@ class SaddleSearch:
     """Search output: connections sorted by length plus budget status.
 
     cap_exceeded reports that the placement budget ran out, in which
-    case the list is a sample rather than a census.  The seed pass
-    records every triangulation edge before any unfolding happens, so
-    even a truncated search still holds the shortest edges.
+    case the list is a sample rather than a census.  Every corner
+    records its two triangulation edges before it unfolds anything, and
+    keeps doing so after the budget is spent, so even a truncated search
+    still holds the shortest edges.
     """
 
     connections: tuple
@@ -108,6 +111,14 @@ class _Complex:
         return best
 
 
+def _check_spacing(gap, arc, tol):
+    """Two successive corners of a circle must sit one arc length apart."""
+    if not abs(gap - arc.length) <= tol:
+        raise CrossCheckFailed(
+            f"corner spacing {gap!r} differs from the length {arc.length!r} "
+            f"of side {arc.half_edge} of piece {arc.piece}")
+
+
 def _triangulate_cylinder(cx, q, cyl, arc_slot):
     """Cut one cylinder into corner-to-corner triangles.
 
@@ -151,13 +162,13 @@ def _triangulate_cylinder(cx, q, cyl, arc_slot):
     prev = None
     for x, rank, _idx, vid, arc in events:
         if rank == 0:
-            assert abs((x - cb_x) - cb_arc.length) <= tol
+            _check_spacing(x - cb_x, cb_arc, tol)
             pts = ((cb_x, 0.0), (x, 0.0), (ct_x, height))
             vids = (cb_vid, vid, ct_vid)
             arc_side, arc_e, new_diag = cb_arc, 0, 1
             cb_x, cb_vid, cb_arc = x, vid, arc
         else:
-            assert abs((x - ct_x) - ct_arc.length) <= tol
+            _check_spacing(x - ct_x, ct_arc, tol)
             pts = ((cb_x, 0.0), (x, height), (ct_x, height))
             vids = (cb_vid, vid, ct_vid)
             arc_side, arc_e, new_diag = ct_arc, 1, 0
@@ -190,31 +201,49 @@ def _build_complex(q):
         else:
             cx.link(t1, e1, t2, e2, 1,
                     head1[0] - tail2[0], head1[1] - tail2[1])
-    for row in cx.nbrs:
-        assert None not in row
+    for t, row in enumerate(cx.nbrs):
+        if None in row:
+            raise CrossCheckFailed(
+                f"triangle {t} has an unglued edge: {row.index(None)}")
     return cx
 
 
-def _clipped_dist2(pa, pb, lo, hi):
+def _clipped_dist2(ax, ay, bx, by, lox, loy, hix, hiy):
     """Squared distance from the origin to the visible part of ab.
 
-    The segment is clipped to the closed cone between lo and hi before
-    measuring, so a corridor whose edge sweeps near the origin outside
-    its own window does not keep the search alive.  Returns None when
-    nothing of the segment lies in the cone.
+    The segment a -> b is clipped to the closed cone between the rays
+    through lo and hi before measuring, so a corridor whose edge sweeps
+    near the origin outside its own window does not keep the search
+    alive.  Returns None when nothing of the segment lies in the cone.
     """
-    ax, ay = pa
-    bx, by = pb
-    t0, t1 = 0.0, 1.0
-    for ux, uy, sgn in ((lo[0], lo[1], 1.0), (hi[0], hi[1], -1.0)):
-        c0 = sgn * (ux * ay - uy * ax)
-        c1 = sgn * (ux * by - uy * bx)
-        if c0 < 0.0 and c1 < 0.0:
+    t0 = 0.0
+    t1 = 1.0
+    # clip against the lo ray, then against the hi ray seen from the
+    # other side
+    c0 = lox * ay - loy * ax
+    c1 = lox * by - loy * bx
+    if c0 < 0.0:
+        if c1 < 0.0:
             return None
-        if c0 < 0.0:
-            t0 = max(t0, c0 / (c0 - c1))
-        elif c1 < 0.0:
-            t1 = min(t1, c0 / (c0 - c1))
+        t = c0 / (c0 - c1)
+        if t > t0:
+            t0 = t
+    elif c1 < 0.0:
+        t = c0 / (c0 - c1)
+        if t < t1:
+            t1 = t
+    c0 = -(hix * ay - hiy * ax)
+    c1 = -(hix * by - hiy * bx)
+    if c0 < 0.0:
+        if c1 < 0.0:
+            return None
+        t = c0 / (c0 - c1)
+        if t > t0:
+            t0 = t
+    elif c1 < 0.0:
+        t = c0 / (c0 - c1)
+        if t < t1:
+            t1 = t
     if t0 > t1:
         return None
     dx = bx - ax
@@ -222,12 +251,23 @@ def _clipped_dist2(pa, pb, lo, hi):
     dd = dx * dx + dy * dy
     if dd > 0.0:
         t = -(ax * dx + ay * dy) / dd
-        t = min(max(t, t0), t1)
+        if t0 > t:
+            t = t0
+        if t1 < t:
+            t = t1
     else:
         t = t0
     px = ax + t * dx
     py = ay + t * dy
     return px * px + py * py
+
+
+# Exit edges of a triangle entered through edge in_e, in increasing
+# edge order: edge in_e + 1 runs from the entry head b to the far
+# corner w, edge in_e + 2 from w back to the entry tail a.
+_EXITS = (((1, True), (2, False)),
+          ((0, False), (2, True)),
+          ((0, True), (1, False)))
 
 
 def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
@@ -241,6 +281,11 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     shortest triangulation edge).  A search that spends its placement
     budget returns what it has with cap_exceeded set instead of
     raising.
+
+    A queued placement carries a parent index into a per-corner trail
+    instead of a copy of its cell path: node i holds a triangle and the
+    node it was reached from, and the path is read back only when a
+    placement records a new connection.
     """
     if q.mode != NUMERIC:
         raise ModeMismatch("saddle search needs a numeric-mode surface")
@@ -255,12 +300,16 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     pts = cx.pts
     vids = cx.vids
     nbrs = cx.nbrs
+    # corner coordinates of each triangle as one flat 6-tuple
+    flat = [a + b + c for a, b, c in pts]
     r2 = radius * radius
     found = {}
+    trail_t = []
+    trail_up = []
     remaining = cap
     cap_exceeded = False
 
-    def record(origin, target, hx, hy, cells):
+    def record(origin, target, hx, hy, node):
         if hy < 0.0 or (hy == 0.0 and hx < 0.0):
             hx, hy = -hx, -hy
             ends = (target, origin)
@@ -273,88 +322,127 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
         key = (round(hx / DEDUP_TOL), round(hy / DEDUP_TOL),
                min(ends), max(ends))
         if key not in found:
-            found[key] = SaddleConnection((hx, hy), ends, cells)
+            cells = []
+            while node >= 0:
+                cells.append(trail_t[node])
+                node = trail_up[node]
+            cells.reverse()
+            found[key] = SaddleConnection((hx, hy), ends, tuple(cells))
 
     for t0 in range(len(pts)):
         for corner in range(3):
-            ax, ay = pts[t0][corner]
-            bx, by = pts[t0][(corner + 1) % 3]
-            cx_, cy = pts[t0][(corner + 2) % 3]
+            ox, oy = pts[t0][corner]
+            nx, ny = pts[t0][(corner + 1) % 3]
+            fx, fy = pts[t0][(corner + 2) % 3]
             origin = vids[t0][corner]
-            lox, loy = bx - ax, by - ay
-            hix, hiy = cx_ - ax, cy - ay
+            lox, loy = nx - ox, ny - oy
+            hix, hiy = fx - ox, fy - oy
+            # a fresh trail per starting corner, so it never holds more
+            # than two nodes per placement of one corner's sweep
+            trail_t[:] = (t0,)
+            trail_up[:] = (-1,)
             # the two triangle edges at this corner are themselves
             # saddle connections, and the open window below excludes
             # exactly their directions, so record them as seeds
             if lox * lox + loy * loy <= r2:
-                record(origin, vids[t0][(corner + 1) % 3], lox, loy, (t0,))
+                record(origin, vids[t0][(corner + 1) % 3], lox, loy, 0)
             if hix * hix + hiy * hiy <= r2:
-                record(origin, vids[t0][(corner + 2) % 3], hix, hiy, (t0,))
-            d2 = _clipped_dist2((lox, loy), (hix, hiy),
-                                (lox, loy), (hix, hiy))
+                record(origin, vids[t0][(corner + 2) % 3], hix, hiy, 0)
+            d2 = _clipped_dist2(lox, loy, hix, hiy, lox, loy, hix, hiy)
             if d2 is None or d2 > r2:
                 continue
             e0 = (corner + 1) % 3
             t1, e1, s1, tx1, ty1 = nbrs[t0][e0]
+            trail_t.append(t1)
+            trail_up.append(0)
             queue = deque()
-            queue.append((t1, e1, s1, tx1 - ax, ty1 - ay,
-                          (lox, loy), (hix, hiy), (t0, t1)))
+            queue.append((t1, e1, s1, tx1 - ox, ty1 - oy,
+                          lox, loy, hix, hiy, 1))
             while queue:
                 if remaining <= 0:
                     cap_exceeded = True
                     break
                 remaining -= 1
-                t, in_e, ms, mx, my, lo, hi, path = queue.popleft()
-                lx, ly = lo
-                hx, hy = hi
-                placed = []
-                for k in range(3):
-                    px, py = pts[t][k]
-                    placed.append((ms * px + mx, ms * py + my))
+                t, in_e, ms, mx, my, lx, ly, hx, hy, node = queue.popleft()
+                p0x, p0y, p1x, p1y, p2x, p2y = flat[t]
+                x0 = ms * p0x + mx
+                y0 = ms * p0y + my
+                x1 = ms * p1x + mx
+                y1 = ms * p1y + my
+                x2 = ms * p2x + mx
+                y2 = ms * p2y + my
+                if in_e == 0:
+                    ax, ay = x0, y0
+                    bx, by = x1, y1
+                    wx, wy = x2, y2
+                elif in_e == 1:
+                    ax, ay = x1, y1
+                    bx, by = x2, y2
+                    wx, wy = x0, y0
+                else:
+                    ax, ay = x2, y2
+                    bx, by = x0, y0
+                    wx, wy = x1, y1
                 # rays must cross the entry edge going away from the
                 # origin, so the triangle has to sit on the far side of
                 # that edge's line.  Direction cones alone cannot see
                 # this: a corridor that wraps a cone point of angle
                 # 2 pi or more keeps every directional test happy
                 # forever while its crossing parameters run backwards.
-                pa = placed[in_e]
-                pb = placed[(in_e + 1) % 3]
-                pw = placed[(in_e + 2) % 3]
-                side_o = pa[0] * pb[1] - pa[1] * pb[0]
-                side_w = ((pb[0] - pa[0]) * (pw[1] - pa[1])
-                          - (pb[1] - pa[1]) * (pw[0] - pa[0]))
+                side_o = ax * by - ay * bx
+                side_w = (bx - ax) * (wy - ay) - (by - ay) * (wx - ax)
                 if side_o * side_w >= 0.0:
                     continue
-                for k in range(3):
-                    px, py = placed[k]
-                    if (lx * py - ly * px > 0.0
-                            and px * hy - py * hx > 0.0
-                            and px * px + py * py <= r2):
-                        record(origin, vids[t][k], px, py, path)
-                for e in range(3):
-                    if e == in_e:
-                        continue
-                    pa = placed[e]
-                    pb = placed[(e + 1) % 3]
-                    c = pa[0] * pb[1] - pa[1] * pb[0]
+                if (lx * y0 - ly * x0 > 0.0
+                        and x0 * hy - y0 * hx > 0.0
+                        and x0 * x0 + y0 * y0 <= r2):
+                    record(origin, vids[t][0], x0, y0, node)
+                if (lx * y1 - ly * x1 > 0.0
+                        and x1 * hy - y1 * hx > 0.0
+                        and x1 * x1 + y1 * y1 <= r2):
+                    record(origin, vids[t][1], x1, y1, node)
+                if (lx * y2 - ly * x2 > 0.0
+                        and x2 * hy - y2 * hx > 0.0
+                        and x2 * x2 + y2 * y2 <= r2):
+                    record(origin, vids[t][2], x2, y2, node)
+                for e, from_b in _EXITS[in_e]:
+                    if from_b:
+                        pax, pay = bx, by
+                        pbx, pby = wx, wy
+                    else:
+                        pax, pay = wx, wy
+                        pbx, pby = ax, ay
+                    c = pax * pby - pay * pbx
                     if c > 0.0:
-                        ca, cb = pa, pb
+                        cax, cay = pax, pay
+                        cbx, cby = pbx, pby
                     elif c < 0.0:
-                        ca, cb = pb, pa
+                        cax, cay = pbx, pby
+                        cbx, cby = pax, pay
                     else:
                         # edge collinear with the origin: nothing is
                         # visible through its open cone
                         continue
-                    nlo = ca if lx * ca[1] - ly * ca[0] > 0.0 else lo
-                    nhi = cb if cb[0] * hy - cb[1] * hx > 0.0 else hi
-                    if nlo[0] * nhi[1] - nlo[1] * nhi[0] <= 0.0:
+                    if lx * cay - ly * cax > 0.0:
+                        nlx, nly = cax, cay
+                    else:
+                        nlx, nly = lx, ly
+                    if cbx * hy - cby * hx > 0.0:
+                        nhx, nhy = cbx, cby
+                    else:
+                        nhx, nhy = hx, hy
+                    if nlx * nhy - nly * nhx <= 0.0:
                         continue
-                    d2 = _clipped_dist2(pa, pb, nlo, nhi)
+                    d2 = _clipped_dist2(pax, pay, pbx, pby,
+                                        nlx, nly, nhx, nhy)
                     if d2 is None or d2 > r2:
                         continue
                     t2, e2, s2, tx2, ty2 = nbrs[t][e]
                     queue.append((t2, e2, ms * s2, ms * tx2 + mx,
-                                  ms * ty2 + my, nlo, nhi, path + (t2,)))
+                                  ms * ty2 + my, nlx, nly, nhx, nhy,
+                                  len(trail_t)))
+                    trail_t.append(t2)
+                    trail_up.append(node)
 
     conns = sorted(found.values(),
                    key=lambda c: (c.length, c.holonomy, c.endpoints))

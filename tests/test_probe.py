@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ttlab.errors import OutOfRange
@@ -12,7 +14,7 @@ from ttlab.probe import (
 from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
 from ttlab.topology import enumerate_pants_configs
 
-from test_classify import GENERIC6, plumbing_pair
+from test_classify import GENERIC6, plumbing_pair, plumbing_ring
 from test_saddle import ORIGAMI
 
 
@@ -88,6 +90,29 @@ def test_identical_inputs_identical_bytes():
     a = small_probe()
     b = small_probe()
     assert a.text() == b.text()
+
+
+def probe_digest(cfg, sa, **kw):
+    text = run_probe(cfg, sa, [1] * cfg.n_curves, **kw).text()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pants_probe_golden_bytes():
+    # the digests were taken with the path-copying search loop that
+    # test_saddle keeps as _reference_search; a change to any float of
+    # the search or to the probe's surface build shows up here
+    cfg = enumerate_pants_configs(3)[0]
+    sa = pants_assignment(cfg, GENERIC6)
+    assert probe_digest(cfg, sa, times=(0.0, 1.0, 2.0, 3.0), samples=6,
+                        seed=11, radius=1.0) == (
+        "d3efcd5b016184fcbc6f57c0f180e2430c27f7fcc4f3cd90fc06cf0db59cdd8d")
+
+
+def test_ring_probe_golden_bytes():
+    cfg, sa = plumbing_ring(4)
+    assert probe_digest(cfg, sa, times=(0.0, 2.0, 4.0), samples=3,
+                        seed=5, radius=1.5) == (
+        "6db2606c90af4213da0bf23beef243d5111202039cce04bdb7abc162ca4f6b56")
 
 
 def test_seed_changes_the_bytes():

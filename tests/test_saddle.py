@@ -8,21 +8,47 @@ an integral translation, so saddle connection holonomies are integer
 vectors and short ones can be enumerated on paper.
 """
 
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import deque
 
 import pytest
 
-from ttlab.errors import ModeMismatch, OutOfRange, RadiusTooSmall
-from ttlab.ribbon import SpineAssignment, single_vertex_graph
-from ttlab.saddle import _build_complex, saddle_connections_up_to
-from ttlab.surface import EXACT, NUMERIC, build_surface
+from ttlab.errors import (
+    CrossCheckFailed,
+    ModeMismatch,
+    OutOfRange,
+    RadiusTooSmall,
+)
+from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
+from ttlab.saddle import (
+    DEDUP_TOL,
+    DEFAULT_CAP,
+    _build_complex,
+    saddle_connections_up_to,
+)
+from ttlab.surface import EXACT, NUMERIC, build_surface, geodesic_flow
 from ttlab.topology import make_config
 
+from test_classify import GENERIC6, plumbing_ring
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
 
 ORIGAMI = make_config(2, [(1, 2)], [((0, 0), (0, 1))])
+GENUS3 = make_config(3, [(0, 3)] * 4, [
+    ((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (2, 0)),
+    ((1, 2), (3, 0)), ((2, 1), (3, 1)), ((2, 2), (3, 2))])
+GENUS5 = make_config(5, [(0, 3)] * 8, [
+    ((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (3, 0)),
+    ((1, 1), (4, 0)), ((1, 2), (5, 0)), ((2, 1), (6, 0)),
+    ((2, 2), (7, 0)), ((3, 1), (4, 1)), ((3, 2), (5, 1)),
+    ((4, 2), (6, 1)), ((5, 2), (7, 1)), ((6, 2), (7, 2))])
+GENERIC12 = GENERIC6 + (49, 61, 85, 101, 113, 131)
 
 
 def origami_surface(twist=0.0, mode=NUMERIC):
@@ -204,3 +230,242 @@ def test_complex_gluing_is_involutive(make):
             eb = cx.pts[t][(e + 1) % 3]
             assert math.dist(qa, eb) < 1e-9
             assert math.dist(qb, ea) < 1e-9
+
+
+def misspaced_origami():
+    """The origami with one bottom side longer than its circle leaves
+    room for, so the corner spacing check must fire."""
+    q = origami_surface(twist=0.25)
+    cyl = q.layout()[0]
+    side = cyl.bottom[0]
+    bad = dataclasses.replace(side, length=side.length + 0.5)
+    q._layout = (dataclasses.replace(cyl, bottom=(bad,) + cyl.bottom[1:]),)
+    return q
+
+
+def test_spacing_check_raises():
+    with pytest.raises(CrossCheckFailed, match="corner spacing"):
+        _build_complex(misspaced_origami())
+
+
+def test_triangulation_checks_survive_optimize_mode():
+    # under -O every assert is gone; the bad spacing must still be caught
+    script = textwrap.dedent("""
+        import sys
+        from ttlab.errors import CrossCheckFailed
+        from ttlab.saddle import _build_complex
+        from test_saddle import misspaced_origami
+
+        assert False, "asserts are on"
+        q = misspaced_origami()
+        try:
+            _build_complex(q)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "corner spacing" in out.stdout
+
+
+# --- the search loop against its path-copying reference ------------------
+
+
+def _reference_clipped_dist2(pa, pb, lo, hi):
+    ax, ay = pa
+    bx, by = pb
+    t0, t1 = 0.0, 1.0
+    for ux, uy, sgn in ((lo[0], lo[1], 1.0), (hi[0], hi[1], -1.0)):
+        c0 = sgn * (ux * ay - uy * ax)
+        c1 = sgn * (ux * by - uy * bx)
+        if c0 < 0.0 and c1 < 0.0:
+            return None
+        if c0 < 0.0:
+            t0 = max(t0, c0 / (c0 - c1))
+        elif c1 < 0.0:
+            t1 = min(t1, c0 / (c0 - c1))
+    if t0 > t1:
+        return None
+    dx = bx - ax
+    dy = by - ay
+    dd = dx * dx + dy * dy
+    if dd > 0.0:
+        t = -(ax * dx + ay * dy) / dd
+        t = min(max(t, t0), t1)
+    else:
+        t = t0
+    px = ax + t * dx
+    py = ay + t * dy
+    return px * px + py * py
+
+
+def _reference_search(q, radius, cap=DEFAULT_CAP):
+    """The search loop as first written: each queued placement copies
+    its cell path, builds its placed corners as a list of pairs and
+    carries its window as two pairs.  Returns (cap_exceeded, placements,
+    [(holonomy, endpoints, cells), ...]) in search order, or None when
+    nothing fits inside the radius.
+    """
+    cx = _build_complex(q)
+    pts = cx.pts
+    vids = cx.vids
+    nbrs = cx.nbrs
+    r2 = radius * radius
+    found = {}
+    remaining = cap
+    cap_exceeded = False
+
+    def record(origin, target, hx, hy, cells):
+        if hy < 0.0 or (hy == 0.0 and hx < 0.0):
+            hx, hy = -hx, -hy
+            ends = (target, origin)
+        else:
+            ends = (origin, target)
+        key = (round(hx / DEDUP_TOL), round(hy / DEDUP_TOL),
+               min(ends), max(ends))
+        if key not in found:
+            found[key] = ((hx, hy), ends, cells)
+
+    for t0 in range(len(pts)):
+        for corner in range(3):
+            ax, ay = pts[t0][corner]
+            bx, by = pts[t0][(corner + 1) % 3]
+            cx_, cy = pts[t0][(corner + 2) % 3]
+            origin = vids[t0][corner]
+            lox, loy = bx - ax, by - ay
+            hix, hiy = cx_ - ax, cy - ay
+            if lox * lox + loy * loy <= r2:
+                record(origin, vids[t0][(corner + 1) % 3], lox, loy, (t0,))
+            if hix * hix + hiy * hiy <= r2:
+                record(origin, vids[t0][(corner + 2) % 3], hix, hiy, (t0,))
+            d2 = _reference_clipped_dist2((lox, loy), (hix, hiy),
+                                          (lox, loy), (hix, hiy))
+            if d2 is None or d2 > r2:
+                continue
+            e0 = (corner + 1) % 3
+            t1, e1, s1, tx1, ty1 = nbrs[t0][e0]
+            queue = deque()
+            queue.append((t1, e1, s1, tx1 - ax, ty1 - ay,
+                          (lox, loy), (hix, hiy), (t0, t1)))
+            while queue:
+                if remaining <= 0:
+                    cap_exceeded = True
+                    break
+                remaining -= 1
+                t, in_e, ms, mx, my, lo, hi, path = queue.popleft()
+                lx, ly = lo
+                hx, hy = hi
+                placed = []
+                for k in range(3):
+                    px, py = pts[t][k]
+                    placed.append((ms * px + mx, ms * py + my))
+                pa = placed[in_e]
+                pb = placed[(in_e + 1) % 3]
+                pw = placed[(in_e + 2) % 3]
+                side_o = pa[0] * pb[1] - pa[1] * pb[0]
+                side_w = ((pb[0] - pa[0]) * (pw[1] - pa[1])
+                          - (pb[1] - pa[1]) * (pw[0] - pa[0]))
+                if side_o * side_w >= 0.0:
+                    continue
+                for k in range(3):
+                    px, py = placed[k]
+                    if (lx * py - ly * px > 0.0
+                            and px * hy - py * hx > 0.0
+                            and px * px + py * py <= r2):
+                        record(origin, vids[t][k], px, py, path)
+                for e in range(3):
+                    if e == in_e:
+                        continue
+                    pa = placed[e]
+                    pb = placed[(e + 1) % 3]
+                    c = pa[0] * pb[1] - pa[1] * pb[0]
+                    if c > 0.0:
+                        ca, cb = pa, pb
+                    elif c < 0.0:
+                        ca, cb = pb, pa
+                    else:
+                        continue
+                    nlo = ca if lx * ca[1] - ly * ca[0] > 0.0 else lo
+                    nhi = cb if cb[0] * hy - cb[1] * hx > 0.0 else hi
+                    if nlo[0] * nhi[1] - nlo[1] * nhi[0] <= 0.0:
+                        continue
+                    d2 = _reference_clipped_dist2(pa, pb, nlo, nhi)
+                    if d2 is None or d2 > r2:
+                        continue
+                    t2, e2, s2, tx2, ty2 = nbrs[t][e]
+                    queue.append((t2, e2, ms * s2, ms * tx2 + mx,
+                                  ms * ty2 + my, nlo, nhi, path + (t2,)))
+
+    if not found:
+        return None
+    conns = sorted(found.values(),
+                   key=lambda c: (math.hypot(*c[0]), c[0], c[1]))
+    return cap_exceeded, cap - remaining, conns
+
+
+def _search_outcome(q, radius, cap):
+    try:
+        result = saddle_connections_up_to(q, radius, cap=cap)
+    except RadiusTooSmall:
+        return None
+    return (result.cap_exceeded, result.placements,
+            [(c.holonomy, c.endpoints, c.cells) for c in result])
+
+
+def _twisted(cfg, sa, rng):
+    base = build_surface(cfg, sa, [1] * cfg.n_curves, mode=NUMERIC)
+    twists = [rng.random() * l for l in base.base_lengths]
+    return base._replace(twists=twists)
+
+
+REFERENCE_FAMILIES = {
+    "origami": lambda rng: origami_surface(twist=rng.random() * 3),
+    "two_pants": lambda rng: two_pants_surface(
+        [1, 1, 1], [rng.random() * l for l in (3, 4, 5)]),
+    "genus3": lambda rng: _twisted(
+        GENUS3, pants_assignment(GENUS3, GENERIC6), rng),
+    "genus5": lambda rng: _twisted(
+        GENUS5, pants_assignment(GENUS5, GENERIC12), rng),
+    "ring4": lambda rng: _twisted(*plumbing_ring(4), rng),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_search_matches_reference_exactly(family):
+    # exact equality, floats and all: the search loop must do the same
+    # float operations in the same order as the reference, so every
+    # holonomy, every cell path and the placement count agree bit for
+    # bit, also when the budget truncates the search
+    rng = random.Random(f"saddle-reference/{family}")
+    make = REFERENCE_FAMILIES[family]
+    for time in range(5):
+        q = geodesic_flow(make(rng), time)
+        for radius in (0.7, 1.0, 1.5, 2.0):
+            for cap in (DEFAULT_CAP, 300):
+                assert (_search_outcome(q, radius, cap)
+                        == _reference_search(q, radius, cap)), (
+                    family, time, radius, cap)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_truncated_search_matches_reference_exactly(family):
+    # a full search visits the same placements in any queue order, so
+    # only a spent budget shows the order: sweep the cap so that the
+    # cut falls at many points of the breadth-first sweep
+    rng = random.Random(f"saddle-reference/{family}")
+    make = REFERENCE_FAMILIES[family]
+    for time in range(5):
+        q = geodesic_flow(make(rng), time)
+        for radius in (1.0, 2.0):
+            for cap in range(5, 400, 13):
+                assert (_search_outcome(q, radius, cap)
+                        == _reference_search(q, radius, cap)), (
+                    family, time, radius, cap)
