@@ -14,7 +14,9 @@ from fractions import Fraction
 from itertools import groupby
 
 from .cover import holonomy_double_cover, rank_lower_bound
-from .errors import BadPartition, NotPants, SearchBudgetExceeded
+from .errors import (
+    BadPartition, CrossCheckFailed, NotPants, SearchBudgetExceeded,
+)
 from .ribbon import (
     co_orientable,
     cone_orders,
@@ -147,7 +149,11 @@ def classify_orbit_closure(cfg, sa, heights):
     rank_lb = rank_lower_bound(cover, cfg)
     n_co = sum(1 for graph in sa.graphs if co_orientable(graph))
     delta_jo = 1 if stratum.epsilon == 1 else 0
-    assert rank_lb == cfg.n_curves - n_co + delta_jo
+    formula = cfg.n_curves - n_co + delta_jo
+    if rank_lb != formula:
+        raise CrossCheckFailed(
+            f"lifted-class rank {rank_lb}, counting formula gives {formula}"
+        )
     threshold = high_rank_threshold(cfg.genus, stratum.n_sing_odd)
     certificate = {
         "rank_lb": rank_lb,

@@ -13,15 +13,28 @@ sigma(h), changing sheet by the flip bit of h's edge.  Going all the way
 around a vertex composes to the identity sheet exactly when the valence
 is even, so the branch set is the set of odd-valence vertices.
 
-All homology is over the rationals with exact integer boundary maps.
+Homology questions run on integer coordinates built once per cover
+(`HomologyCoordinates`, Eppstein's tree-cotree decomposition): a
+breadth-first spanning forest T of the 1-skeleton, a spanning forest C
+of the dual graph on the edges outside T, and the leftover edges, whose
+fundamental cycles in T are a basis of H_1 over Z.  A cycle's
+coordinates are read off after face boundaries clear it on C, so the
+rank of the lifted classes, the deck involution on H_1 and the
+intersection pairing all become small integer matrices.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
 from .ribbon import ParityUnionFind, co_orientable, jointly_orientable
+
+
+def _require(ok, what):
+    """Raise CrossCheckFailed when a check on the cell structure fails."""
+    if not ok:
+        raise CrossCheckFailed(f"cover cell structure: {what}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class BranchedDoubleCover:
         e_base = len(self.base_edges)
         f_base = cfg.n_curves
         self.base_euler = v_base - e_base + f_base
-        assert self.base_euler == 2 - 2 * cfg.genus
+        _require(self.base_euler == 2 - 2 * cfg.genus, "base Euler number")
 
         # -- corner orbits = cover vertices --------------------------------
         self._orbit_of = {}
@@ -89,7 +102,7 @@ class BranchedDoubleCover:
                         cp, ch, cs = cur
                         bit = self.flip[self._edge_key(cp, ch)]
                         cur = (cp, sa.graphs[cp].sigma[ch], cs ^ bit)
-                    assert self._orbit_of[cur] == vid
+                    _require(self._orbit_of[cur] == vid, "open corner orbit")
                     self.cover_vertices.append(tuple(members))
 
         self.branch_set = []
@@ -98,9 +111,9 @@ class BranchedDoubleCover:
                 parity = sum(
                     self.flip[self._edge_key(p, h)] for h in cycle
                 ) % 2
-                assert parity == len(cycle) % 2
+                _require(parity == len(cycle) % 2, "flip parity vs valence")
                 lifts = {self._orbit_of[(p, cycle[0], s)] for s in (0, 1)}
-                assert len(lifts) == (1 if parity else 2)
+                _require(len(lifts) == (1 if parity else 2), "vertex lift count")
                 if parity:
                     self.branch_set.append((p, v))
 
@@ -108,38 +121,39 @@ class BranchedDoubleCover:
         # edge lift 2k + s; face lift 2i + s
         self.n_cover_edges = 2 * e_base
         self.n_cover_faces = 2 * f_base
-        self._d1 = [
-            [0] * self.n_cover_edges for _ in range(len(self.cover_vertices))
+        self._ends = [
+            self._lift_endpoints(key, s) for key in self.base_edges for s in (0, 1)
         ]
-        for k, key in enumerate(self.base_edges):
-            for s in (0, 1):
-                tail, head = self._lift_endpoints(key, s)
-                col = 2 * k + s
-                self._d1[head][col] += 1
-                self._d1[tail][col] -= 1
+        d1 = [[0] * self.n_cover_edges for _ in self.cover_vertices]
+        for col, (tail, head) in enumerate(self._ends):
+            d1[head][col] += 1
+            d1[tail][col] -= 1
 
-        self._d2 = [[0] * self.n_cover_faces for _ in range(self.n_cover_edges)]
+        d2 = [[0] * self.n_cover_faces for _ in range(self.n_cover_edges)]
+        self._sides = [[] for _ in range(self.n_cover_edges)]  # faces of an edge
         for i in range(f_base):
             for s in (0, 1):
                 col = 2 * i + s
-                prev_end = None
-                first_start = None
+                walk = []
                 for letter in self.words[i]:
                     row = 2 * self._edge_index[letter.key] + (s ^ letter.sheet_bit)
-                    self._d2[row][col] += letter.sign
-                    tail, head = self._lift_row_endpoints(row)
-                    start, end = (tail, head) if letter.sign > 0 else (head, tail)
-                    if first_start is None:
-                        first_start = start
-                    else:
-                        assert prev_end == start
-                    prev_end = end
-                assert prev_end == first_start
+                    d2[row][col] += letter.sign
+                    self._sides[row].append(col)
+                    tail, head = self._ends[row]
+                    walk.append((tail, head) if letter.sign > 0 else (head, tail))
+                # each step starts where the previous one (cyclically) ended
+                closed = all(walk[k - 1][1] == walk[k][0] for k in range(len(walk)))
+                _require(closed, "face word is not a closed walk")
+        _require(all(len(f) == 2 for f in self._sides), "edge without two sides")
+        # read-only views: boundary_1 and boundary_2 hand these out as is
+        self._d1 = tuple(map(tuple, d1))
+        self._d2 = tuple(map(tuple, d2))
 
         euler_cover = (
             len(self.cover_vertices) - self.n_cover_edges + self.n_cover_faces
         )
-        assert euler_cover == 2 * self.base_euler - len(self.branch_set)
+        _require(euler_cover == 2 * self.base_euler - len(self.branch_set),
+                 "cover Euler number")
 
         # -- deck involution ------------------------------------------------
         self.involution_vertices = [
@@ -148,14 +162,15 @@ class BranchedDoubleCover:
             for (p, h, s) in members[:1]
         ]
 
-        # -- connectivity ----------------------------------------------------
-        uf = ParityUnionFind(len(self.cover_vertices))
-        for key in self.base_edges:
-            for s in (0, 1):
-                uf.union(*self._lift_endpoints(key, s), 0)
-        self.component_of = [
-            uf.find(v)[0] for v in range(len(self.cover_vertices))
-        ]
+        # -- connectivity: a breadth-first spanning forest T ----------------
+        adjacent = [[] for _ in self.cover_vertices]
+        for r, (tail, head) in enumerate(self._ends):
+            adjacent[tail].append((r, head))
+            adjacent[head].append((r, tail))
+        self._tree = _spanning_forest(adjacent)
+        self.component_of = list(range(len(self.cover_vertices)))
+        for v, parent, _ in self._tree:
+            self.component_of[v] = self.component_of[parent]
         self.components = sorted(set(self.component_of))
         self.connected = len(self.components) == 1
 
@@ -200,49 +215,138 @@ class BranchedDoubleCover:
             self._orbit_of[(u0.piece, u0.half_edge, s)],
         )
 
-    def _lift_row_endpoints(self, row):
-        key = self.base_edges[row // 2]
-        return self._lift_endpoints(key, row % 2)
-
     # -- linear-algebra views ------------------------------------------------
 
     def boundary_1(self):
-        return [list(row) for row in self._d1]
+        """d1 as a tuple of vertex rows; callers must not change it."""
+        return self._d1
 
     def boundary_2(self):
-        return [list(row) for row in self._d2]
+        """d2 as a tuple of edge rows; callers must not change it."""
+        return self._d2
+
+    @cached_property
+    def homology(self):
+        """Tree-cotree coordinates on H_1, built on first use."""
+        return HomologyCoordinates(self)
 
     def involution_on_edges(self, vector):
         """Push a 1-chain across the deck transformation."""
-        out = [0] * self.n_cover_edges
-        for k in range(len(self.base_edges)):
-            out[2 * k] = vector[2 * k + 1]
-            out[2 * k + 1] = vector[2 * k]
-        return out
+        return [vector[r ^ 1] for r in range(self.n_cover_edges)]
 
     def genus_of_components(self):
         """Genus of each cover component, sorted."""
-        counts = {c: [0, 0, 0] for c in self.components}
-        for v in range(len(self.cover_vertices)):
-            counts[self.component_of[v]][0] += 1
-        for k, key in enumerate(self.base_edges):
+        chi = dict.fromkeys(self.components, 0)
+        for c in self.component_of:
+            chi[c] += 1
+        for tail, _ in self._ends:
+            chi[self.component_of[tail]] -= 1
+        for word in self.words:
             for s in (0, 1):
-                tail, _ = self._lift_endpoints(key, s)
-                counts[self.component_of[tail]][1] += 1
-        for i in range(self.n_cover_faces // 2):
-            for s in (0, 1):
-                row = 2 * self._edge_index[self.words[i][0].key] + (
-                    s ^ self.words[i][0].sheet_bit
-                )
-                tail, _ = self._lift_row_endpoints(row)
-                counts[self.component_of[tail]][2] += 1
-        genera = []
+                row = 2 * self._edge_index[word[0].key] + (s ^ word[0].sheet_bit)
+                chi[self.component_of[self._ends[row][0]]] += 1
         for c in self.components:
-            v, e, f = counts[c]
-            chi = v - e + f
-            assert chi % 2 == 0
-            genera.append((2 - chi) // 2)
-        return sorted(genera)
+            _require(chi[c] % 2 == 0, "odd Euler number of a component")
+        return sorted((2 - chi[c]) // 2 for c in self.components)
+
+
+def _spanning_forest(adjacent):
+    """Breadth-first spanning forest of a graph given as adjacency lists
+    of (edge, neighbour) pairs: (node, parent, edge) in visit order."""
+    seen = [False] * len(adjacent)
+    forest = []
+    for root in range(len(adjacent)):
+        if not seen[root]:
+            seen[root] = True
+            queue = [root]
+            for v in queue:
+                for r, w in adjacent[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        forest.append((w, v, r))
+                        queue.append(w)
+    return forest
+
+
+class HomologyCoordinates:
+    """Integer coordinates on H_1 of a cover from a tree-cotree split.
+
+    T is a breadth-first spanning forest of the 1-skeleton, and C a
+    breadth-first spanning forest of the dual graph on the edges outside
+    T (Eppstein, SODA 2003; Erickson-Whittlesey, SODA 2005).  An edge
+    whose two sides lie on one face is a dual self-loop and stays out of
+    C.  The leftover edges L, 2 g_hat per component, are the generators;
+    `cycles[j]` is the fundamental cycle in T of `generators[j]`, and
+    these classes form a basis of H_1 over Z.
+    """
+
+    def __init__(self, cover):
+        n_edges = cover.n_cover_edges
+        # up[v]: the chain of the tree path from v to its root
+        up = [[0] * n_edges for _ in cover.cover_vertices]
+        for v, parent, r in cover._tree:
+            up[v] = list(up[parent])
+            up[v][r] = 1 if cover._ends[r][0] == v else -1
+        in_tree = {r for _, _, r in cover._tree}
+        dual = [[] for _ in range(cover.n_cover_faces)]
+        for r, (f, g) in enumerate(cover._sides):
+            if f != g and r not in in_tree:
+                dual[f].append((r, g))
+                dual[g].append((r, f))
+        # (face, its cotree edge to its parent, its coefficient there),
+        # parents before children
+        self._clearing = [
+            (f, r, cover._d2[r][f]) for f, _, r in _spanning_forest(dual)
+        ]
+        self._faces = [
+            [(r, x) for r, x in enumerate(col) if x] for col in zip(*cover._d2)
+        ]
+        in_cotree = {r for _, r, _ in self._clearing}
+        self.n_edges = n_edges
+        self.generators = [
+            r for r in range(n_edges) if r not in in_tree and r not in in_cotree
+        ]
+        self.cycles = []
+        for e in self.generators:
+            tail, head = cover._ends[e]
+            gamma = [h - t for h, t in zip(up[head], up[tail])]
+            gamma[e] += 1
+            self.cycles.append(tuple(gamma))
+
+    def coords(self, z):
+        """Coordinates of the class of the 1-cycle z in the `cycles` basis.
+
+        Face boundaries, taken in the cotree's breadth-first order, clear
+        z on C (each face has coefficient +-1 on its parent edge); what is
+        left on L is the answer.  Raises CrossCheckFailed when z is not a
+        cycle, that is when z minus its expansion is not zero.
+        """
+        z = list(z)
+        for f, c, sign in self._clearing:
+            k = z[c] * sign
+            if k:
+                for r, x in self._faces[f]:
+                    z[r] -= k * x
+        out = [z[e] for e in self.generators]
+        for x, gamma in zip(out, self.cycles):
+            if x:
+                z = [a - x * b for a, b in zip(z, gamma)]
+        if any(z):
+            raise CrossCheckFailed("chain is not a cycle of the cover")
+        return out
+
+    def cocycle(self, j):
+        """The 1-cocycle dual to generator j: 1 on its edge, 0 on T and
+        on the other generators, and set on C leaves first so that it
+        vanishes on every face.  It takes the value delta_jk on cycles[k].
+        """
+        alpha = [0] * self.n_edges
+        alpha[self.generators[j]] = 1
+        for f, c, sign in reversed(self._clearing):
+            alpha[c] = -sign * sum(x * alpha[r] for r, x in self._faces[f])
+        if any(sum(x * alpha[r] for r, x in face) for face in self._faces):
+            raise CrossCheckFailed(f"dual of generator {j} is not a cocycle")
+        return alpha
 
 
 def holonomy_double_cover(q):
@@ -289,13 +393,7 @@ def lifted_curve_classes(cover, cfg):
                 break  # the bottom walk ends at the crossing edge
             row = 2 * cover._edge_index[letter.key] + letter.sheet_bit
             bar[row] += letter.sign
-        boundary = [0] * len(cover.cover_vertices)
-        for row, coeff in enumerate(bar):
-            if coeff:
-                tail, head = cover._lift_row_endpoints(row)
-                boundary[head] += coeff
-                boundary[tail] -= coeff
-        if any(boundary):
+        if any(sum(a * b for a, b in zip(row, bar)) for row in cover._d1):
             raise NonLiftable(f"core circle of curve {i} does not lift closed")
         classes.append(tuple(
             b - c for b, c in zip(bar, cover.involution_on_edges(bar))
@@ -303,45 +401,42 @@ def lifted_curve_classes(cover, cfg):
     return classes
 
 
-def _boundary_columns(cover):
-    return [list(col) for col in zip(*cover._d2)]
-
-
 def rank_lower_bound(cover, cfg):
-    """dim of the span of the lifted classes in cover homology, exactly."""
-    return linalg.span_dimension_mod(
-        lifted_curve_classes(cover, cfg), _boundary_columns(cover)
-    )
+    """dim of the span of the lifted classes in cover homology, exactly:
+    the rank of their integer tree-cotree coordinates."""
+    coords = cover.homology.coords
+    return linalg.rank([coords(c) for c in lifted_curve_classes(cover, cfg)])
 
 
 def h1_anti_invariant(cover):
     """The (-1)-eigenspace of the deck involution on H_1 of the cover.
 
-    Over Q, (1 - iota)/2 projects H_1 onto this eigenspace, so the basis
-    is read off from one reduction: the classes (1 - iota) z, for z in a
-    basis of the cycles ker d1, are added one by one to an echelon basis
-    of the boundaries im d2, and those that raise its rank are kept.
+    In the tree-cotree coordinates of `HomologyCoordinates`, the deck
+    involution is the integer 2g_hat x 2g_hat matrix M whose column j
+    holds the coordinates of iota(gamma_j).  Over Q, (1 - iota)/2
+    projects H_1 onto the eigenspace, so its dimension is rank(I - M),
+    and the basis is (1 - iota) gamma_j for the columns of I - M that
+    raise the rank.
 
     Two cross-checks raise CrossCheckFailed when they disagree: the
-    dimension must equal nz - rank([(1 + iota) Z | B]), the solutions of
-    (1 + iota) z in im d2 counted modulo boundaries; and, for a connected
-    cover, Riemann-Hurwitz 2 g_hat - 2 g.
+    dimension must equal 2g_hat - rank(I + M), as it does for an
+    involution; and, for a connected cover, Riemann-Hurwitz
+    2 g_hat - 2 g.
     """
-    kernel = linalg.nullspace(cover.boundary_1())
-    boundaries = _boundary_columns(cover)
-    reduced = linalg.Echelon(boundaries)
+    homology = cover.homology
+    minus = linalg.Echelon()
     basis = []
     plus = []
-    for z in kernel:
-        flipped = cover.involution_on_edges(z)
-        minus = tuple(a - b for a, b in zip(z, flipped))
-        if reduced.add(minus):
-            basis.append(minus)
-        plus.append([a + b for a, b in zip(z, flipped)])
+    for j, gamma in enumerate(homology.cycles):
+        flipped = cover.involution_on_edges(gamma)
+        m = homology.coords(flipped)
+        if minus.add([(i == j) - x for i, x in enumerate(m)]):
+            basis.append(tuple(a - b for a, b in zip(gamma, flipped)))
+        plus.append([(i == j) + x for i, x in enumerate(m)])
 
     lifted = tuple(lifted_curve_classes(cover, cover.surface.cfg))
     dim = len(basis)
-    check = len(kernel) - linalg.rank_of_stack(plus, boundaries)
+    check = len(homology.cycles) - linalg.rank(plus)
     if dim != check:
         raise CrossCheckFailed(
             f"anti-invariant dimension {dim}, rank identity gives {check}"
@@ -400,101 +495,51 @@ def piece_preimage_connected(cover, p):
 # -- intersection pairing -------------------------------------------------
 
 
-def _cup_value(word_letters, row_of, alpha, beta):
-    """Cup product of two 1-cochains on one polygonal 2-cell."""
-    rows = [row_of(letter) for letter in word_letters]
-    signs = [letter.sign for letter in word_letters]
-    total = Fraction(0)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            total += signs[i] * signs[j] * alpha[rows[i]] * beta[rows[j]]
-        if signs[i] < 0:
-            total += alpha[rows[i]] * beta[rows[i]]
+def _cup(cover, alpha, beta):
+    """Cup product of two 1-cocycles on the fundamental class: the sum
+    over the polygonal 2-cells of the cover."""
+    total = 0
+    for i, word in enumerate(cover.words):
+        for s in (0, 1):
+            rows = [2 * cover._edge_index[x.key] + (s ^ x.sheet_bit) for x in word]
+            for a, (ra, la) in enumerate(zip(rows, word)):
+                for rb, lb in zip(rows[a + 1:], word[a + 1:]):
+                    total += la.sign * lb.sign * alpha[ra] * beta[rb]
+                if la.sign < 0:
+                    total += alpha[ra] * beta[ra]
     return total
 
 
 def homology_cycle_basis(cover):
-    """Cycles whose classes form a basis of H_1 of the cover."""
-    reduced = linalg.Echelon(_boundary_columns(cover))
-    return [z for z in linalg.nullspace(cover.boundary_1()) if reduced.add(z)]
+    """Cycles whose classes form a basis of H_1 of the cover: the
+    tree-cotree fundamental cycles."""
+    return [list(gamma) for gamma in cover.homology.cycles]
 
 
 def intersection_matrix(cover, cycles):
     """Pairwise algebraic intersection numbers of the given 1-cycles.
 
-    Computed through the cup product on the dual basis; the global sign
-    depends on orientation conventions and is consistent across entries.
+    Computed through the cup product on the cocycles dual to the
+    tree-cotree generators; the global sign depends on orientation
+    conventions and is consistent across entries.
     """
-    n_edges = cover.n_cover_edges
-    boundaries = _boundary_columns(cover)
-    h_basis = homology_cycle_basis(cover)
-    dim = len(h_basis)
+    homology = cover.homology
+    dim = len(homology.cycles)
+    c_basis = [homology.cocycle(j) for j in range(dim)]
 
-    # cocycle basis: kernel of transposed d2, independent mod im(d1^T)
-    coboundaries = linalg.Echelon(cover._d1)
-    c_basis = [a for a in linalg.nullspace(boundaries) if coboundaries.add(a)]
-    if len(c_basis) != dim:
-        raise CrossCheckFailed(
-            f"{len(c_basis)} cohomology classes against {dim} homology classes"
-        )
-
-    def row_of(letter, s):
-        return 2 * cover._edge_index[letter.key] + (s ^ letter.sheet_bit)
-
-    def cup(alpha, beta):
-        total = Fraction(0)
-        for i in range(cover.n_cover_faces // 2):
-            for s in (0, 1):
-                total += _cup_value(
-                    cover.words[i], lambda letter: row_of(letter, s), alpha, beta
-                )
-        return total
-
-    cup_matrix = [[cup(a, b) for b in c_basis] for a in c_basis]
-    eval_matrix = [
-        [sum(a[r] * z[r] for r in range(n_edges)) for z in h_basis]
-        for a in c_basis
-    ]
-    # PD(c_j) = sum_k lambda_kj alpha_k with C^T Lambda = E
+    cup_matrix = [[_cup(cover, a, b) for b in c_basis] for a in c_basis]
+    # the cocycles evaluate to the identity on the generators, so
+    # PD(gamma_j) = sum_k lambda_kj alpha_k with C^T Lambda = I, and the
+    # pairing Lambda^T C Lambda on the generators is Lambda itself
     lam = linalg.solve_square(
         [[cup_matrix[k][l] for k in range(dim)] for l in range(dim)],
-        [[eval_matrix[l][j] for l in range(dim)] for j in range(dim)],
+        [[int(i == j) for i in range(dim)] for j in range(dim)],
     )
-    # pairing on the h_basis classes: Lambda^T C Lambda
-    form = [
-        [
-            sum(
-                lam[i][k] * cup_matrix[k][l] * lam[j][l]
-                for k in range(dim)
-                for l in range(dim)
-            )
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-
-    # coordinates of the requested cycles in the homology basis
-    coords = []
-    for z in cycles:
-        cols = [list(b) for b in h_basis] + [list(b) for b in boundaries]
-        stacked = [
-            [cols[c][row] for c in range(len(cols))] + [z[row]]
-            for row in range(n_edges)
-        ]
-        sol = linalg.nullspace(stacked)
-        pick = None
-        for vec in sol:
-            if vec[-1] != 0:
-                pick = [-v / vec[-1] for v in vec[:dim]]
-                break
-        if pick is None:
-            raise CrossCheckFailed("cycle not in the homology lattice")
-        coords.append(pick)
-
+    coords = [homology.coords(z) for z in cycles]
     return [
         [
             sum(
-                coords[a][i] * form[i][j] * coords[b][j]
+                coords[a][i] * lam[j][i] * coords[b][j]
                 for i in range(dim)
                 for j in range(dim)
             )

@@ -55,7 +55,8 @@ class SaddleSearch:
     case the list is a sample rather than a census.  Every corner
     records its two triangulation edges before it unfolds anything, and
     keeps doing so after the budget is spent, so even a truncated search
-    still holds the shortest edges.
+    still holds the shortest edges.  A truncated search may hold no
+    connection at all; only a finished one raises RadiusTooSmall.
     """
 
     connections: tuple
@@ -277,10 +278,11 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     sectors collapse under a key of sign-normalized holonomy quantized
     at DEDUP_TOL together with the endpoint pair; parallel segments
     sharing holonomy and endpoints count once.  Raises RadiusTooSmall
-    when nothing fits inside the radius (the shortest candidate is the
-    shortest triangulation edge).  A search that spends its placement
-    budget returns what it has with cap_exceeded set instead of
-    raising.
+    when a search that finished inside its budget found nothing inside
+    the radius (the shortest candidate is the shortest triangulation
+    edge).  A search that spends its placement budget returns what it
+    has with cap_exceeded set instead of raising, even when that is
+    nothing.
 
     A queued placement carries a parent index into a per-corner trail
     instead of a copy of its cell path: node i holds a triangle and the
@@ -446,7 +448,7 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
 
     conns = sorted(found.values(),
                    key=lambda c: (c.length, c.holonomy, c.endpoints))
-    if not conns:
+    if not conns and not cap_exceeded:
         raise RadiusTooSmall(
             f"no saddle connection has length <= {radius}; the shortest "
             f"triangulation edge is {cx.min_edge():.6g}")

@@ -315,3 +315,28 @@ def test_search_budget():
     cfg, sa = plumbing_ring(13)
     with pytest.raises(SearchBudgetExceeded):
         hyperelliptic_involution_search(cfg, sa)
+
+
+def test_rank_formula_check_survives_optimize_mode():
+    # under -O every assert is gone; a lifted-class rank that disagrees
+    # with the counting formula must still stop the classification
+    from test_cover import run_optimized  # test_cover imports this module
+
+    out = run_optimized("""
+        import sys
+        import ttlab.classify
+        from ttlab.errors import CrossCheckFailed
+        from test_classify import plumbing_pair
+
+        assert False, "asserts are on"
+        real = ttlab.classify.rank_lower_bound
+        ttlab.classify.rank_lower_bound = lambda c, cfg: real(c, cfg) + 1
+        cfg, sa = plumbing_pair(4)
+        try:
+            ttlab.classify.classify_orbit_closure(cfg, sa, (1,) * cfg.n_curves)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert "counting formula" in out

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -19,11 +20,13 @@ from ttlab.cover import (
     relations_formula,
     stratum_rank,
 )
-from ttlab.errors import BadPartition
-from ttlab.ribbon import co_orientable, jointly_orientable
+from ttlab.errors import BadPartition, CrossCheckFailed
+from ttlab.ribbon import co_orientable, jointly_orientable, pants_assignment
 from ttlab.rng import CounterRandom
 from ttlab.surface import build_surface
 
+from test_acceptance import random_pants_cfg
+from test_classify import plumbing_ring
 from test_linalg import ref_rank
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
@@ -55,6 +58,50 @@ def separating_theta_cover():
     sa = theta_assignment(((3, 3, 4), (5, 5, 4)))
     q = build_surface(SEPARATING, sa, (1, 1, 1))
     return q, holonomy_double_cover(q)
+
+
+def random_pants_cover(genus):
+    # seeded: a random pants decomposition by stub matching, random
+    # rational lengths (so theta and dumbbell spines both occur)
+    rng = random.Random(f"cover/pants{genus}")
+    cfg = random_pants_cfg(genus, rng)
+    lengths = [F(rng.randint(1, 40), rng.randint(1, 8)) for _ in cfg.gluing]
+    q = build_surface(cfg, pants_assignment(cfg, lengths), [1] * cfg.n_curves)
+    return q, holonomy_double_cover(q)
+
+
+def ring3_cover():
+    cfg, sa = plumbing_ring(3)
+    q = build_surface(cfg, sa, [1] * cfg.n_curves)
+    return q, holonomy_double_cover(q)
+
+
+# the four fixtures (orientable_cover is the disconnected one), seeded
+# random pants of genus 2-4 and plumbing ring 3
+COORDINATE_COVERS = {
+    "theta": theta_cover,
+    "orientable": orientable_cover,
+    "separating_nabla": separating_nabla_cover,
+    "separating_theta": separating_theta_cover,
+    "pants2": lambda: random_pants_cover(2),
+    "pants3": lambda: random_pants_cover(3),
+    "pants4": lambda: random_pants_cover(4),
+    "ring3": ring3_cover,
+}
+
+
+def run_optimized(script):
+    """Run a script under python -O with src and tests importable and
+    return its stdout; it must exit 0."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    return out.stdout
 
 
 def test_connectivity_matches_joint_orientability():
@@ -152,34 +199,70 @@ def greedy_anti_invariant_basis(cover):
         for row in range(cover.n_cover_edges)
     ]
     basis = []
-    kept = list(boundaries)
+    kept = linalg.Echelon(boundaries)
     for sol in linalg.nullspace(stacked):
         vec = [
             sum(xk * kernel[k][row] for k, xk in enumerate(sol[: len(kernel)]))
             for row in range(cover.n_cover_edges)
         ]
-        if ref_rank(kept + [vec]) > ref_rank(kept):
+        if kept.add(vec):
             basis.append(vec)
-            kept.append(vec)
     return basis
 
 
 def test_anti_invariant_basis_matches_nullspace_route():
-    for fixture in (theta_cover, orientable_cover, separating_nabla_cover):
+    for name, fixture in COORDINATE_COVERS.items():
         _, cover = fixture()
         boundaries = [list(col) for col in zip(*cover.boundary_2())]
         ours = [list(v) for v in h1_anti_invariant(cover).basis]
         theirs = greedy_anti_invariant_basis(cover)
-        assert len(ours) == len(theirs), fixture.__name__
+        assert len(ours) == len(theirs), name
         # same span modulo boundaries
         both = ref_rank(boundaries + ours + theirs)
-        assert both == ref_rank(boundaries + ours), fixture.__name__
-        assert both == ref_rank(boundaries + theirs), fixture.__name__
+        assert both == ref_rank(boundaries + ours), name
+        assert both == ref_rank(boundaries + theirs), name
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_COVERS))
+def test_tree_cotree_coordinates(name):
+    q, cover = COORDINATE_COVERS[name]()
+    homology = cover.homology
+    n = len(homology.cycles)
+    assert n == 2 * sum(cover.genus_of_components())
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    # boundaries have coordinates 0, the generators the unit vectors
+    for face in zip(*cover.boundary_2()):
+        assert homology.coords(face) == [0] * n
+    assert [homology.coords(gamma) for gamma in homology.cycles] == unit
+    # the deck involution is an involution on the coordinates
+    m = [homology.coords(cover.involution_on_edges(g)) for g in homology.cycles]
+    assert [[sum(m[k][i] * m[j][k] for k in range(n)) for i in range(n)]
+            for j in range(n)] == unit
+    # the lifted-class rank agrees with the old span-modulo-boundaries route
+    boundaries = [list(col) for col in zip(*cover.boundary_2())]
+    old = linalg.span_dimension_mod(lifted_curve_classes(cover, q.cfg), boundaries)
+    assert rank_lower_bound(cover, q.cfg) == old
+    # a chain with a boundary is refused
+    edge = next(r for r in range(cover.n_cover_edges)
+                if any(row[r] for row in cover.boundary_1()))
+    chain = [int(r == edge) for r in range(cover.n_cover_edges)]
+    with pytest.raises(CrossCheckFailed):
+        homology.coords(chain)
+
+
+def test_boundary_maps_are_read_only_and_shared():
+    _, cover = theta_cover()
+    for get in (cover.boundary_1, cover.boundary_2):
+        matrix = get()
+        assert matrix is get()
+        assert isinstance(matrix, tuple)
+        assert all(isinstance(row, tuple) for row in matrix)
+    assert cover.homology is cover.homology
 
 
 def test_cross_checks_survive_optimize_mode():
     # under -O every assert is gone; a broken genus must still be caught
-    script = textwrap.dedent("""
+    out = run_optimized("""
         import sys
         import ttlab.cover
         from ttlab.errors import CrossCheckFailed
@@ -195,15 +278,30 @@ def test_cross_checks_survive_optimize_mode():
             sys.exit(0)
         sys.exit(1)
     """)
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert "Riemann-Hurwitz" in out.stdout
+    assert "Riemann-Hurwitz" in out
+
+
+def test_cell_structure_checks_survive_optimize_mode():
+    # one corrupted flip bit breaks the flip parity at the two ends of
+    # its edge; under -O the cover must still refuse to build
+    out = run_optimized("""
+        import sys
+        from ttlab.errors import CrossCheckFailed
+        from ttlab.surface import FlatTwistSurface
+        from test_cover import theta_cover
+
+        assert False, "asserts are on"
+        flip = FlatTwistSurface.edge_flip
+        FlatTwistSurface.edge_flip = (
+            lambda q, p, h: flip(q, p, h) ^ ((p, h) == (0, 0)))
+        try:
+            theta_cover()
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert "flip parity" in out
 
 
 def test_anti_invariant_dimension_of_trivial_cover():
@@ -286,3 +384,18 @@ def test_lifted_span_is_isotropic():
         classes = lifted_curve_classes(cover, q.cfg)
         form = intersection_matrix(cover, [list(c) for c in classes])
         assert all(x == 0 for row in form for x in row), fixture.__name__
+
+
+def test_intersection_form_is_unimodular_on_the_generators():
+    # the tree-cotree cycles are a basis of H_1 over Z, so by Poincare
+    # duality their intersection matrix is integral with integral inverse
+    for name in ("theta", "orientable", "separating_nabla",
+                 "separating_theta", "pants2"):
+        _, cover = COORDINATE_COVERS[name]()
+        form = intersection_matrix(cover, homology_cycle_basis(cover))
+        n = len(form)
+        assert n == len(cover.homology.cycles), name
+        assert all(x.denominator == 1 for row in form for x in row), name
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        inverse = linalg.solve_square(form, unit)
+        assert all(x.denominator == 1 for col in inverse for x in col), name

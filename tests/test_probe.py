@@ -15,7 +15,7 @@ from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_pair, plumbing_ring
-from test_saddle import ORIGAMI
+from test_saddle import GENERIC12, GENUS5, ORIGAMI
 
 
 def origami_inputs():
@@ -74,6 +74,20 @@ def test_exhausted_search_budget_drops_the_sample():
     st = report.per_time[0]
     assert st.dropped == 6
     assert st.kept == 0 and st.censored == 0
+
+
+def test_spent_budget_with_nothing_found_drops_the_sample():
+    # genus-5 pants at flow time 3 with a 300-placement budget: every
+    # search is cut before it records a connection.  A cut search says
+    # nothing about the radius, so each sample is dropped; with the full
+    # budget half of them hold a connection inside the radius
+    sa = pants_assignment(GENUS5, GENERIC12)
+    heights = [1] * GENUS5.n_curves
+    args = dict(times=(3.0,), samples=8, seed=3, radius=1.0)
+    (cut,) = run_probe(GENUS5, sa, heights, cap=300, **args).per_time
+    assert (cut.kept, cut.dropped, cut.censored) == (0, 8, 0)
+    (full,) = run_probe(GENUS5, sa, heights, **args).per_time
+    assert (full.kept, full.dropped, full.censored) == (4, 0, 4)
 
 
 def test_histogram_counts_every_kept_sample():

@@ -311,8 +311,9 @@ def _reference_search(q, radius, cap=DEFAULT_CAP):
     """The search loop as first written: each queued placement copies
     its cell path, builds its placed corners as a list of pairs and
     carries its window as two pairs.  Returns (cap_exceeded, placements,
-    [(holonomy, endpoints, cells), ...]) in search order, or None when
-    nothing fits inside the radius.
+    [(holonomy, endpoints, cells), ...]) in search order, or None when a
+    search that finished inside its budget found nothing inside the
+    radius.
     """
     cx = _build_complex(q)
     pts = cx.pts
@@ -404,7 +405,7 @@ def _reference_search(q, radius, cap=DEFAULT_CAP):
                     queue.append((t2, e2, ms * s2, ms * tx2 + mx,
                                   ms * ty2 + my, nlo, nhi, path + (t2,)))
 
-    if not found:
+    if not found and not cap_exceeded:
         return None
     conns = sorted(found.values(),
                    key=lambda c: (math.hypot(*c[0]), c[0], c[1]))
@@ -469,3 +470,28 @@ def test_truncated_search_matches_reference_exactly(family):
                 assert (_search_outcome(q, radius, cap)
                         == _reference_search(q, radius, cap)), (
                     family, time, radius, cap)
+
+
+def test_cut_search_without_connections_reports_the_budget():
+    # the genus-5 pants of the reference tests at cap 300: in 7 of the
+    # 20 searches the budget runs out before anything is recorded.  Such
+    # a search returns empty with cap_exceeded set, because only a search
+    # that finished inside its budget knows that nothing fits; in 3 of
+    # the 7 the full search does find connections inside the radius
+    rng = random.Random("saddle-reference/genus5")
+    make = REFERENCE_FAMILIES["genus5"]
+    empty = hidden = 0
+    for time in range(5):
+        q = geodesic_flow(make(rng), time)
+        for radius in (0.7, 1.0, 1.5, 2.0):
+            full = _search_outcome(q, radius, DEFAULT_CAP)
+            try:
+                cut = saddle_connections_up_to(q, radius, cap=300)
+            except RadiusTooSmall:
+                assert full is None, (time, radius)
+                continue
+            if not len(cut):
+                assert cut.cap_exceeded and cut.placements == 300
+                empty += 1
+                hidden += full is not None
+    assert (empty, hidden) == (7, 3)
