@@ -54,7 +54,6 @@ from .ribbon import (
     boundary_cycles,
     co_orientable,
     cone_orders,
-    curve_lengths,
     jointly_orientable,
     pants_assignment,
     pants_spine,

@@ -15,14 +15,13 @@ from itertools import groupby
 
 from .cover import holonomy_double_cover, rank_lower_bound
 from .errors import (
-    BadPartition, CrossCheckFailed, NotPants, SearchBudgetExceeded,
+    BadPartition, CrossCheckFailed, ModeMismatch, NotPants, SearchBudgetExceeded,
 )
 from .ribbon import (
     co_orientable,
     cone_orders,
     jointly_orientable,
     pants_assignment,
-    validate_assignment,
 )
 from .surface import build_surface, EXACT, _exact_number, _ribbon_isos
 from .topology import is_pants_decomposition
@@ -99,14 +98,13 @@ class OrbitClosureVerdict:
     reasons: tuple = ()
 
 
-def identify_stratum(cfg, sa):
-    """Stratum of every surface built on this spine assignment."""
-    validate_assignment(cfg, sa)
+def identify_stratum(q):
+    """Stratum of every surface built on the spine assignment of q."""
     orders = []
-    for graph in sa.graphs:
+    for graph in q.sa.graphs:
         orders.extend(cone_orders(graph))
-    _, epsilon = jointly_orientable(cfg, sa)
-    return StratumLabel(cfg.genus, tuple(sorted(orders)), epsilon)
+    _, epsilon = jointly_orientable(q)
+    return StratumLabel(q.cfg.genus, tuple(sorted(orders)), epsilon)
 
 
 def high_rank_threshold(genus, sing_odd):
@@ -129,25 +127,32 @@ def nabla_count(cfg, lengths):
             triples[p].append(exact[i])
     count = 0
     for trip in triples:
-        assert len(trip) == 3
+        if len(trip) != 3:
+            raise CrossCheckFailed(f"pants piece with {len(trip)} boundary curves")
         if 2 * max(trip) == sum(trip):
             count += 1
     return count
 
 
-def classify_orbit_closure(cfg, sa, heights):
-    """Run the identification criteria on one twist-torus family.
+def classify_orbit_closure(q):
+    """Run the identification criteria on the family of the surface q.
 
-    The rank certificate is computed twice, by exact linear algebra on
-    the double cover and by the counting formula, and the two must
-    agree; a mismatch is a bug, not an input error.
+    q must be an exact-mode surface; the verdict depends only on its
+    configuration and spine assignment.  The rank certificate is
+    computed twice, by exact linear algebra on the double cover and by
+    the counting formula, and the two must agree; a mismatch is a bug,
+    not an input error.
     """
-    lengths = validate_assignment(cfg, sa)
-    stratum = identify_stratum(cfg, sa)
-    q = build_surface(cfg, sa, heights)
+    if q.mode != EXACT:
+        raise ModeMismatch(
+            "orbit-closure criteria need exact arithmetic; build the "
+            "surface in exact mode"
+        )
+    cfg = q.cfg
+    stratum = identify_stratum(q)
     cover = holonomy_double_cover(q)
     rank_lb = rank_lower_bound(cover, cfg)
-    n_co = sum(1 for graph in sa.graphs if co_orientable(graph))
+    n_co = sum(1 for graph in q.sa.graphs if co_orientable(graph))
     delta_jo = 1 if stratum.epsilon == 1 else 0
     formula = cfg.n_curves - n_co + delta_jo
     if rank_lb != formula:
@@ -162,7 +167,7 @@ def classify_orbit_closure(cfg, sa, heights):
         "delta_jo": delta_jo,
     }
     if is_pants_decomposition(cfg):
-        certificate["nabla"] = nabla_count(cfg, lengths)
+        certificate["nabla"] = nabla_count(cfg, q.base_lengths)
 
     if stratum.epsilon == -1:
         if rank_lb >= threshold and stratum.n_sing_odd >= 6:
@@ -185,9 +190,11 @@ def classify_orbit_closure(cfg, sa, heights):
     # Orientable case: the curve classes span an isotropic subspace of
     # the surface homology, so the rank bound never exceeds the genus
     # and equality is the only decisive outcome.
-    assert rank_lb <= cfg.genus
+    if rank_lb > cfg.genus:
+        raise CrossCheckFailed(
+            f"lifted-class rank {rank_lb} exceeds the genus {cfg.genus}")
     if rank_lb == cfg.genus:
-        involution = hyperelliptic_involution_search(cfg, sa)
+        involution = hyperelliptic_involution_search(q)
         if involution is not None:
             return OrbitClosureVerdict(
                 HYPERELLIPTIC,
@@ -223,9 +230,8 @@ def classify_pants_torus(cfg, lengths, heights):
     if not is_pants_decomposition(cfg):
         raise NotPants("expected a pants decomposition")
     exact = [_exact_number(x, f"length of curve {i}") for i, x in enumerate(lengths)]
-    sa = pants_assignment(cfg, exact)
-
-    verdict = classify_orbit_closure(cfg, sa, heights)
+    q = build_surface(cfg, pants_assignment(cfg, exact), heights)
+    verdict = classify_orbit_closure(q)
     nabla = verdict.certificate["nabla"]
     g = cfg.genus
 
@@ -243,17 +249,25 @@ def classify_pants_torus(cfg, lengths, heights):
         expected = StratumLabel(
             g, (1,) * (4 * g - 4 - 2 * nabla) + (2,) * nabla, -1
         )
-        assert verdict.kind == FULL_STRATUM and verdict.stratum == expected
+        _expect(verdict, FULL_STRATUM, expected)
         label = "mu_Mirz/b_g" if nabla == 0 else "MSV, singular to mu_Mirz"
         return replace(verdict, limit_label=label)
     if nabla == 2 * g - 2 and verdict.stratum.epsilon == 1:
-        assert verdict.kind == FULL_STRATUM
-        assert verdict.stratum == StratumLabel(g, (2,) * (2 * g - 2), 1)
+        _expect(verdict, FULL_STRATUM, StratumLabel(g, (2,) * (2 * g - 2), 1))
     return verdict
 
 
-def hyperelliptic_involution_search(cfg, sa):
-    """Look for a curve-reversing involution of the presentation.
+def _expect(verdict, kind, stratum):
+    """Raise CrossCheckFailed unless the verdict is the pinned one."""
+    if verdict.kind != kind or verdict.stratum != stratum:
+        raise CrossCheckFailed(
+            f"pants verdict {verdict.kind} on {verdict.stratum}, "
+            f"the counts pin {kind} on {stratum}"
+        )
+
+
+def hyperelliptic_involution_search(q):
+    """Look for a curve-reversing involution of the presentation of q.
 
     The candidate is an involution of the disjoint spine graphs,
     commuting with the rotation and edge pairings and preserving
@@ -269,7 +283,7 @@ def hyperelliptic_involution_search(cfg, sa):
     g >= 3, and at genus 2 the two outcomes the search would separate
     coincide anyway.
     """
-    validate_assignment(cfg, sa)
+    cfg, sa = q.cfg, q.sa
     if is_pants_decomposition(cfg):
         return None
     n_pieces = len(cfg.pieces)
@@ -280,23 +294,21 @@ def hyperelliptic_involution_search(cfg, sa):
 
     # The two boundary faces of each curve, as (piece, face index).
     partner = {}
-    for (p0, s0), (p1, s1) in cfg.gluing:
-        a = (p0, sa.slot_to_face(p0, s0))
-        b = (p1, sa.slot_to_face(p1, s1))
+    for a, b in q.glued_faces:
         partner[a] = b
         partner[b] = a
 
     one = Fraction(1)
     budget = [_SEARCH_NODE_LIMIT]
 
-    def faces_ok(p, q, iso):
+    def faces_ok(p, t, iso):
         """Every face of piece p must map to its curve partner's face."""
         g_p = sa.graphs[p]
-        g_q = sa.graphs[q]
+        g_t = sa.graphs[t]
         for f in range(len(g_p.faces())):
             h = g_p.faces()[f][0]
-            img_face = g_q.face_of(iso[h])
-            if partner[(p, f)] != (q, img_face):
+            img_face = g_t.face_of(iso[h])
+            if partner[(p, f)] != (t, img_face):
                 return False
         return True
 
@@ -305,8 +317,8 @@ def hyperelliptic_involution_search(cfg, sa):
         # points on its middle circle; self-mapped pieces add their
         # fixed spine vertices and inverted edges.
         fixed = 2 * cfg.n_curves
-        for p, (q, iso) in assignment.items():
-            if q != p:
+        for p, (t, iso) in assignment.items():
+            if t != p:
                 continue
             graph = sa.graphs[p]
             for orbit in graph.vertices():
@@ -318,8 +330,9 @@ def hyperelliptic_involution_search(cfg, sa):
         # Any involution of a closed oriented genus-g surface with
         # isolated fixed points has 2g + 2 - 4g' of them, g' >= 0 the
         # quotient genus.
-        assert fixed <= 2 * cfg.genus + 2
-        assert fixed % 4 == (2 * cfg.genus + 2) % 4
+        if fixed > 2 * cfg.genus + 2 or fixed % 4 != (2 * cfg.genus + 2) % 4:
+            raise CrossCheckFailed(
+                f"{fixed} fixed points on a genus-{cfg.genus} involution")
         return fixed
 
     def extend(assignment):
@@ -327,24 +340,24 @@ def hyperelliptic_involution_search(cfg, sa):
         if not unassigned:
             if census(assignment) == 2 * cfg.genus + 2:
                 return {
-                    (p, h): (q, iso[h])
-                    for p, (q, iso) in assignment.items()
+                    (p, h): (t, iso[h])
+                    for p, (t, iso) in assignment.items()
                     for h in range(sa.graphs[p].n_half_edges)
                 }
             return None
         p = unassigned[0]
-        for q in unassigned:
-            if cfg.pieces[p] != cfg.pieces[q]:
+        for t in unassigned:
+            if cfg.pieces[p] != cfg.pieces[t]:
                 continue
-            for iso in _ribbon_isos(sa.graphs[p], sa.graphs[q], one, one, EXACT):
+            for iso in _ribbon_isos(sa.graphs[p], sa.graphs[t], one, one, EXACT):
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise SearchBudgetExceeded(
                         "involution search budget exhausted"
                     )
-                if not faces_ok(p, q, iso):
+                if not faces_ok(p, t, iso):
                     continue
-                if p == q:
+                if p == t:
                     if any(iso[iso[h]] != h for h in iso):
                         continue
                     assignment[p] = (p, iso)
@@ -352,14 +365,14 @@ def hyperelliptic_involution_search(cfg, sa):
                     # The face condition for the way back follows from
                     # this direction because partner is an involution.
                     inverse = {v: k for k, v in iso.items()}
-                    assignment[p] = (q, iso)
-                    assignment[q] = (p, inverse)
+                    assignment[p] = (t, iso)
+                    assignment[t] = (p, inverse)
                 found = extend(assignment)
                 if found is not None:
                     return found
                 del assignment[p]
-                if q != p:
-                    del assignment[q]
+                if t != p:
+                    del assignment[t]
         return None
 
     return extend({})

@@ -34,12 +34,11 @@ from .errors import (
     SearchBudgetExceeded,
     TTLabError,
 )
-from .probe import run_probe
+from .probe import _fmt, run_probe
 from .ribbon import (
     SpineAssignment,
     pants_assignment,
     plumbing_fixture,
-    validate_assignment,
 )
 from .specfile import (
     TorusSpecFile,
@@ -49,19 +48,15 @@ from .specfile import (
     write_spec,
 )
 from .spin import spin_parity
-from .surface import EXACT, NUMERIC, cylinder_twist, geodesic_flow, horocycle_flow
+from .surface import (
+    EXACT,
+    NUMERIC,
+    build_surface,
+    cylinder_twist,
+    geodesic_flow,
+    horocycle_flow,
+)
 from .topology import enumerate_pants_configs, is_pants_decomposition, make_config
-
-
-def _fmt(value):
-    """One canonical spelling per value type for report lines."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_fmt(v) for v in value)
-    return str(value)
 
 
 def _report(pairs):
@@ -121,14 +116,15 @@ def cmd_validate(args):
 
 def cmd_classify(args):
     spec = _load(args)
+    # The verdict is decided in exact arithmetic whatever the file's mode.
+    q = build_surface(spec.cfg, spec.sa, spec.heights)
     if is_pants_decomposition(spec.cfg):
         # The spine type of a pants piece is pinned down by its boundary
         # triple, so rebuilding the spines from the file's curve lengths
         # loses nothing and unlocks the sharper pants verdicts.
-        lengths = validate_assignment(spec.cfg, spec.sa)
-        verdict = classify_pants_torus(spec.cfg, lengths, spec.heights)
+        verdict = classify_pants_torus(spec.cfg, q.base_lengths, spec.heights)
     else:
-        verdict = classify_orbit_closure(spec.cfg, spec.sa, spec.heights)
+        verdict = classify_orbit_closure(q)
     pairs = [
         ("verdict", verdict.kind),
         ("stratum", verdict.stratum),
@@ -256,8 +252,8 @@ def cmd_rank(args):
     q = spec.build()
     cover = holonomy_double_cover(q)
     span = rank_lower_bound(cover, spec.cfg)
-    formula = relations_formula(spec.cfg, spec.sa)
-    stratum = identify_stratum(spec.cfg, spec.sa)
+    formula = relations_formula(q)
+    stratum = identify_stratum(q)
     anti = h1_anti_invariant(cover)
     genus = cover_genus(cover)
     if cover.connected:

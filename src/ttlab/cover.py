@@ -450,15 +450,16 @@ def h1_anti_invariant(cover):
     return AntiInvariantH1(dimension=dim, basis=tuple(basis), lifted=lifted)
 
 
-def relations_formula(cfg, sa):
-    """Closed form for the lifted-class span: #curves - N_co + delta_jo.
+def relations_formula(q):
+    """Closed form for the lifted-class span of the surface q:
+    #curves - N_co + delta_jo.
 
     N_co counts the pieces whose arc system is co-orientable; delta_jo
     is 1 exactly when the whole surface is jointly orientable.
     """
-    n_co = sum(1 for graph in sa.graphs if co_orientable(graph))
-    jo, _ = jointly_orientable(cfg, sa)
-    return cfg.n_curves - n_co + (1 if jo else 0)
+    n_co = sum(1 for graph in q.sa.graphs if co_orientable(graph))
+    jo, _ = jointly_orientable(q)
+    return q.n_curves - n_co + (1 if jo else 0)
 
 
 def stratum_rank(g, kappa, epsilon):

@@ -22,6 +22,7 @@ the cutoff, and the distribution comparisons account for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import OutOfRange, RadiusTooSmall
@@ -37,11 +38,15 @@ MAX_GENUS = 5
 HIST_BINS = 16
 
 
-def _fmt(x):
-    """Canonical number formatting: 12 significant digits for floats."""
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def _fmt(value):
+    """One canonical spelling per value type for report lines."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, (tuple, list)):
+        return ", ".join(_fmt(v) for v in value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class ProbeReport:
     samples: int
     times: tuple
     per_time: tuple         # TimeStats, aligned with times
-    ks: tuple               # successive-time KS distances
+    ks: tuple               # successive-time KS distances, nan if a side is empty
     cesaro_shortest: tuple  # running means of mean_shortest over the grid
     cesaro_count: tuple
     label: str = PROBE_LABEL
@@ -189,8 +194,9 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
             mean_count_le_1=sum(counts_le_1) / kept if kept else 0.0,
         ))
 
-    ks = tuple(ks_distance(per_time[i], per_time[i + 1])
-               for i in range(len(per_time) - 1))
+    # a time whose every sample was dropped has no law to compare
+    ks = tuple(ks_distance(a, b) if a.kept + a.censored and b.kept + b.censored
+               else math.nan for a, b in zip(per_time, per_time[1:]))
     cesaro_shortest = []
     cesaro_count = []
     acc_s = acc_c = 0.0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CrossCheckFailed,
     InvalidAssignment,
     LowValence,
     MalformedGraph,
@@ -82,6 +83,8 @@ class MetricRibbonGraph:
         for fi, orbit in enumerate(self._faces):
             for h in orbit:
                 self._face_index[h] = fi
+        self._perimeters = tuple(sum(self.length_of(h) for h in face)
+                                 for face in self._faces)
 
     def _check(self):
         n = len(self.sigma)
@@ -150,13 +153,18 @@ class MetricRibbonGraph:
         """Index into faces() of the boundary cycle containing side h."""
         return self._face_index[h]
 
+    def perimeters(self):
+        """Total edge length around each face, aligned with faces()."""
+        return self._perimeters
+
     def genus(self):
         v = len(self._vertices)
         e = self.n_half_edges // 2
         b = len(self._faces)
         chi = v - e
         g2 = 2 - b - chi
-        assert g2 % 2 == 0 and g2 >= 0, "bad Euler characteristic"
+        if g2 % 2 or g2 < 0:
+            raise CrossCheckFailed(f"bad Euler characteristic {chi}")
         return g2 // 2
 
     def n_boundaries(self):
@@ -185,11 +193,7 @@ def _orbits(perm):
 
 def boundary_cycles(graph):
     """Faces with their perimeters: list of (cycle tuple, Fraction)."""
-    result = []
-    for face in graph.faces():
-        perimeter = sum(graph.length_of(h) for h in face)
-        result.append((face, perimeter))
-    return result
+    return list(zip(graph.faces(), graph.perimeters()))
 
 
 def cone_orders(graph):
@@ -261,9 +265,7 @@ def validate_assignment(cfg, sa):
     for ci, (side_a, side_b) in enumerate(cfg.gluing):
         per = []
         for p, s in (side_a, side_b):
-            f = sa.slot_to_face(p, s)
-            _, perimeter = boundary_cycles(sa.graphs[p])[f]
-            per.append(perimeter)
+            per.append(sa.graphs[p].perimeters()[sa.slot_to_face(p, s)])
         if per[0] != per[1]:
             raise InvalidAssignment(
                 f"curve {ci}: glued faces have perimeters {per[0]} != {per[1]}")
@@ -271,39 +273,31 @@ def validate_assignment(cfg, sa):
     return lengths
 
 
-def curve_lengths(cfg, sa):
-    """Length of each curve: the common perimeter of its two glued faces."""
-    return validate_assignment(cfg, sa)
-
-
-def jointly_orientable(cfg, sa):
+def jointly_orientable(q):
     """Global orientability of the horizontal direction: (flag, epsilon).
 
-    Extends the per-piece alternation system by one odd constraint per
-    curve tying the boundary-walk orientations of its two glued faces.
-    Cross-checked elsewhere against double-cover connectivity.
+    q is a built FlatTwistSurface.  Extends the per-piece alternation
+    system by one odd constraint per curve tying the boundary-walk
+    orientations of its two glued faces.  Cross-checked elsewhere
+    against double-cover connectivity.
     """
-    validate_assignment(cfg, sa)
+    graphs = q.sa.graphs
     offsets = []
     total = 0
-    for graph in sa.graphs:
+    for graph in graphs:
         offsets.append(total)
         total += graph.n_half_edges
     uf = ParityUnionFind(total)
-    for p, graph in enumerate(sa.graphs):
+    for p, graph in enumerate(graphs):
         base = offsets[p]
         for h in range(graph.n_half_edges):
             if not uf.union(base + h, base + graph.iota[h], 1):
                 return False, -1
             if not uf.union(base + h, base + graph.sigma[h], 1):
                 return False, -1
-    for side_a, side_b in cfg.gluing:
-        reps = []
-        for p, s in (side_a, side_b):
-            f = sa.slot_to_face(p, s)
-            face = sa.graphs[p].faces()[f]
-            reps.append(offsets[p] + face[0])
-        if not uf.union(reps[0], reps[1], 1):
+    for ends in q.glued_faces:
+        a, b = (offsets[p] + graphs[p].faces()[f][0] for p, f in ends)
+        if not uf.union(a, b, 1):
             return False, -1
     return True, 1
 
@@ -371,8 +365,9 @@ def pants_spine(a, b, c):
         face_order = tuple(face_order)
         expected = (trip[big], trip[others[0]], trip[others[1]])
 
-    perims = [per for _, per in boundary_cycles(graph)]
-    assert tuple(perims) == tuple(expected), (perims, expected)
+    if graph.perimeters() != expected:
+        raise CrossCheckFailed(
+            f"pants spine perimeters {graph.perimeters()} != {expected}")
     return graph, face_order
 
 
@@ -421,7 +416,8 @@ def plumbing_fixture(p, boundary_length):
         iota[p + i] = i
     lengths = {i: half for i in range(p)}
     graph = MetricRibbonGraph(sigma, iota, lengths)
-    assert graph.genus() == 0 and graph.n_boundaries() == p
+    if graph.genus() != 0 or graph.n_boundaries() != p:
+        raise CrossCheckFailed(f"plumbing fixture of valence {p} has the wrong shape")
     return graph
 
 

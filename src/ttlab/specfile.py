@@ -31,7 +31,6 @@ from .ribbon import (
     MetricRibbonGraph,
     SpineAssignment,
     boundary_cycles,
-    validate_assignment,
 )
 from .surface import EXACT, NUMERIC, build_surface
 from .topology import make_config, validate_config
@@ -435,7 +434,7 @@ def validate_spec(spec):
     is impossible to satisfy apart from one that is merely mismatched.
     """
     try:
-        lengths = validate_assignment(spec.cfg, spec.sa)
+        q = spec.build()
     except InvalidAssignment:
         curves, edges = forced_zero_lengths(spec.cfg, spec.sa)
         if curves:
@@ -447,7 +446,8 @@ def validate_spec(spec):
             raise ZeroLengthForced(
                 f"the gluing constraints force the length of {names} to 0")
         raise
-    q = spec.build()
+    # exact curve lengths in either mode: the glued faces' perimeters
+    lengths = [q.sa.graphs[p].perimeters()[f] for (p, f), _ in q.glued_faces]
     report = {
         "ok": True,
         "genus": spec.cfg.genus,

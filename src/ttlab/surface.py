@@ -69,26 +69,31 @@ class CylinderLayout:
     length: object
     height: object
     twist: object
-    bottom_face: tuple
-    top_face: tuple
     bottom: tuple
     top: tuple
 
 
 class FlatTwistSurface:
-    """Immutable surface datum: (cfg, sa, heights, twists, mode, scale)."""
+    """Immutable surface datum: (cfg, sa, heights, twists, mode, scale).
 
-    def __init__(self, cfg, sa, heights, twists, mode, scale, _lengths=None):
+    Built by build_surface, which checks that sa fits cfg; lengths are
+    the curve lengths that check returned.  glued_faces[i] holds the
+    two faces (piece, face index) glued along curve i, bottom first.
+    """
+
+    def __init__(self, cfg, sa, heights, twists, mode, scale, lengths):
         self.cfg = cfg
         self.sa = sa
         self.mode = mode
         self.heights = tuple(heights)
         self.scale = tuple(scale)
-        if _lengths is None:
-            _lengths = validate_assignment(cfg, sa)
-        base = [_convert(l, mode, "length") for l in _lengths]
+        base = [_convert(l, mode, "length") for l in lengths]
         self.base_lengths = tuple(base)
         self.twists = tuple(t % l for t, l in zip(twists, base))
+        face_of_slot = [{s: f for f, s in enumerate(fts)} for fts in sa.face_to_slot]
+        self.glued_faces = tuple(
+            tuple((p, face_of_slot[p][s]) for p, s in ends) for ends in cfg.gluing
+        )
         self._layout = None
         self._side_index_cache = None
 
@@ -125,7 +130,7 @@ class FlatTwistSurface:
             self.twists if twists is None else twists,
             self.mode,
             self.scale if scale is None else scale,
-            _lengths=self.base_lengths,
+            self.base_lengths,
         )
 
     # -- cylinder layout ------------------------------------------------
@@ -142,9 +147,7 @@ class FlatTwistSurface:
         return self._layout
 
     def _lay_out_cylinder(self, i):
-        (p_bot, s_bot), (p_top, s_top) = self.cfg.gluing[i]
-        f_bot = self.sa.slot_to_face(p_bot, s_bot)
-        f_top = self.sa.slot_to_face(p_top, s_top)
+        (p_bot, f_bot), (p_top, f_top) = self.glued_faces[i]
         ell = self.length_of_curve(i)
         twist = self.twist_of_curve(i)
 
@@ -171,8 +174,6 @@ class FlatTwistSurface:
             length=ell,
             height=self.height_of_curve(i),
             twist=twist,
-            bottom_face=(p_bot, f_bot),
-            top_face=(p_top, f_top),
             bottom=tuple(bottom),
             top=tuple(top),
         )
@@ -200,7 +201,11 @@ class FlatTwistSurface:
 
 
 def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
-    """Assemble a FlatTwistSurface from spine data, heights and twists."""
+    """Assemble a FlatTwistSurface from spine data, heights and twists.
+
+    This is where a (cfg, sa) pair is checked (validate_assignment) and
+    resolved; everything downstream takes the surface it returns.
+    """
     if mode not in (EXACT, NUMERIC):
         raise OutOfRange(f"mode must be {EXACT!r} or {NUMERIC!r}, got {mode!r}")
     lengths = validate_assignment(cfg, sa)
@@ -224,9 +229,7 @@ def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
         )
         heights = [h / total for h in heights]
     one = Fraction(1) if mode == EXACT else 1.0
-    return FlatTwistSurface(
-        cfg, sa, heights, twists, mode, (one, one), _lengths=lengths
-    )
+    return FlatTwistSurface(cfg, sa, heights, twists, mode, (one, one), lengths)
 
 
 def area(q):
@@ -362,22 +365,20 @@ def _walk_offset(graph, face_index, half_edge, scale, mode):
 
 def _curve_match(q1, q2, piece_map, isos):
     """Extend piece-level ribbon isos to a full surface isomorphism."""
-    curve_of_slot = {}
-    for j, ((pa, sa_), (pb, sb)) in enumerate(q2.cfg.gluing):
-        curve_of_slot[(pa, sa_)] = (j, "bottom")
-        curve_of_slot[(pb, sb)] = (j, "top")
+    curve_of_face = {}
+    for j, (bottom, top) in enumerate(q2.glued_faces):
+        curve_of_face[bottom] = (j, "bottom")
+        curve_of_face[top] = (j, "top")
 
     used = set()
-    for i, ((p1, s1), (p2, s2)) in enumerate(q1.cfg.gluing):
+    for i, glued in enumerate(q1.glued_faces):
         ends = []
-        for p, s in ((p1, s1), (p2, s2)):
-            f = q1.sa.slot_to_face(p, s)
+        for p, f in glued:
             h_min = q1.sa.graphs[p].faces()[f][0]
             h_img = isos[p][h_min]
             p_img = piece_map[p]
             f_img = q2.sa.graphs[p_img].face_of(h_img)
-            slot_img = q2.sa.face_to_slot[p_img][f_img]
-            hit = curve_of_slot.get((p_img, slot_img))
+            hit = curve_of_face.get((p_img, f_img))
             if hit is None:
                 return False
             ends.append((hit, p_img, f_img, h_img))

@@ -120,8 +120,8 @@ def make_instance(name, kind, cfg, sa, heights=None):
         heights = (F(1),) * cfg.n_curves
     q = build_surface(cfg, sa, heights)
     cover = holonomy_double_cover(q)
-    jo, epsilon = jointly_orientable(cfg, sa)
-    stratum = identify_stratum(cfg, sa)
+    jo, epsilon = jointly_orientable(q)
+    stratum = identify_stratum(q)
     assert stratum.epsilon == epsilon
     return SweepInstance(
         name=name,
@@ -132,11 +132,11 @@ def make_instance(name, kind, cfg, sa, heights=None):
         q=q,
         cover=cover,
         rank_lb=rank_lower_bound(cover, cfg),
-        formula=relations_formula(cfg, sa),
+        formula=relations_formula(q),
         stratum=stratum,
         jo=jo,
         anti_dim=h1_anti_invariant(cover).dimension,
-        verdict=classify_orbit_closure(cfg, sa, heights),
+        verdict=classify_orbit_closure(q),
     )
 
 
@@ -418,7 +418,7 @@ def test_criterion_05_no_low_singularity_full_stratum(sweep):
 def test_criterion_06_plumbing_stratum():
     cfg, sa = odd_plumbing()
     assert not validate_config(cfg).violations
-    verdict = classify_orbit_closure(cfg, sa, (F(1),) * cfg.n_curves)
+    verdict = classify_orbit_closure(build_surface(cfg, sa, (F(1),) * cfg.n_curves))
     assert verdict.kind == FULL_STRATUM
     assert verdict.stratum == StratumLabel(4, (1, 1, 1, 1, 1, 1, 3, 3), -1)
     note(

@@ -21,6 +21,7 @@ from ttlab.errors import (
     SearchBudgetExceeded,
 )
 from ttlab.ribbon import SpineAssignment, plumbing_fixture
+from ttlab.surface import NUMERIC, build_surface
 from ttlab.topology import enumerate_pants_configs, make_config
 
 from test_ribbon import nabla_assignment, theta_assignment
@@ -138,14 +139,14 @@ def test_stratum_label_invariants():
 
 
 def test_identify_stratum():
-    assert identify_stratum(TWO_PANTS, theta_assignment()) == StratumLabel(
-        2, (1, 1, 1, 1), -1
-    )
     assert identify_stratum(
-        SEPARATING, nabla_assignment(SEPARATING, (2, 2))
+        build_surface(TWO_PANTS, theta_assignment(), (1,) * 3)
+    ) == StratumLabel(2, (1, 1, 1, 1), -1)
+    assert identify_stratum(
+        build_surface(SEPARATING, nabla_assignment(SEPARATING, (2, 2)), (1,) * 3)
     ) == StratumLabel(2, (2, 2), -1)
     assert identify_stratum(
-        TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0))
+        build_surface(TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0)), (1,) * 3)
     ) == StratumLabel(2, (2, 2), 1)
 
 
@@ -264,12 +265,12 @@ def test_verdict_invariant_under_relabeling_and_rescaling():
 
 def test_plumbing_pair_is_hyperelliptic_candidate():
     cfg, sa = plumbing_pair(6)
-    involution = hyperelliptic_involution_search(cfg, sa)
+    involution = hyperelliptic_involution_search(build_surface(cfg, sa, (1,) * 6))
     assert involution is not None
     for key, image in involution.items():
         assert involution[image] == key
         assert image[0] != key[0]
-    verdict = classify_orbit_closure(cfg, sa, (1,) * 6)
+    verdict = classify_orbit_closure(build_surface(cfg, sa, (1,) * 6))
     assert verdict.kind == HYPERELLIPTIC
     assert verdict.stratum == StratumLabel(5, (4, 4, 4, 4), 1)
     assert verdict.limit_label == "MSV on hyperelliptic locus in Q(4^4;+1)"
@@ -278,12 +279,12 @@ def test_plumbing_pair_is_hyperelliptic_candidate():
 
 def test_three_fixture_ring_has_no_involution():
     cfg, sa = plumbing_ring(3)
-    assert hyperelliptic_involution_search(cfg, sa) is None
+    assert hyperelliptic_involution_search(build_surface(cfg, sa, (1,) * 6)) is None
 
 
 def test_four_fixture_ring_fills_component():
     cfg, sa = plumbing_ring(4)
-    verdict = classify_orbit_closure(cfg, sa, (1,) * 8)
+    verdict = classify_orbit_closure(build_surface(cfg, sa, (1,) * 8))
     assert verdict.kind == FULL_STRATUM
     assert verdict.stratum == StratumLabel(5, (2,) * 8, 1)
     assert verdict.limit_label == "MSV on Q(2^8;+1)"
@@ -292,7 +293,7 @@ def test_four_fixture_ring_fills_component():
 
 def test_odd_plumbing_fills_component():
     cfg, sa = odd_plumbing()
-    verdict = classify_orbit_closure(cfg, sa, (1,) * 7)
+    verdict = classify_orbit_closure(build_surface(cfg, sa, (1,) * 7))
     assert verdict.kind == FULL_STRATUM
     assert verdict.stratum == StratumLabel(4, (1, 1, 1, 1, 1, 1, 3, 3), -1)
     assert verdict.certificate["rank_lb"] == 7
@@ -301,11 +302,19 @@ def test_odd_plumbing_fills_component():
     assert verdict.limit_label == "MSV on Q(1^6,3^2;-1)"
 
 
+def test_orbit_closure_needs_an_exact_surface():
+    cfg, sa = plumbing_pair(4)
+    q = build_surface(cfg, sa, (1,) * cfg.n_curves, mode=NUMERIC)
+    with pytest.raises(ModeMismatch):
+        classify_orbit_closure(q)
+
+
 def test_pants_never_admit_the_involution():
-    assert hyperelliptic_involution_search(TWO_PANTS, theta_assignment()) is None
+    assert hyperelliptic_involution_search(
+        build_surface(TWO_PANTS, theta_assignment(), (1,) * 3)) is None
     assert (
         hyperelliptic_involution_search(
-            TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0))
+            build_surface(TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0)), (1,) * 3)
         )
         is None
     )
@@ -314,7 +323,7 @@ def test_pants_never_admit_the_involution():
 def test_search_budget():
     cfg, sa = plumbing_ring(13)
     with pytest.raises(SearchBudgetExceeded):
-        hyperelliptic_involution_search(cfg, sa)
+        hyperelliptic_involution_search(build_surface(cfg, sa, (1,) * cfg.n_curves))
 
 
 def test_rank_formula_check_survives_optimize_mode():
@@ -326,6 +335,7 @@ def test_rank_formula_check_survives_optimize_mode():
         import sys
         import ttlab.classify
         from ttlab.errors import CrossCheckFailed
+        from ttlab.surface import build_surface
         from test_classify import plumbing_pair
 
         assert False, "asserts are on"
@@ -333,10 +343,37 @@ def test_rank_formula_check_survives_optimize_mode():
         ttlab.classify.rank_lower_bound = lambda c, cfg: real(c, cfg) + 1
         cfg, sa = plumbing_pair(4)
         try:
-            ttlab.classify.classify_orbit_closure(cfg, sa, (1,) * cfg.n_curves)
+            ttlab.classify.classify_orbit_closure(
+                build_surface(cfg, sa, (1,) * cfg.n_curves))
         except CrossCheckFailed as exc:
             print("caught:", exc)
             sys.exit(0)
         sys.exit(1)
     """)
     assert "counting formula" in out
+
+
+def test_pinned_pants_stratum_survives_optimize_mode():
+    # a nabla count off by one pins a stratum the general classifier did
+    # not find; under -O that disagreement must still stop the verdict
+    from test_cover import run_optimized
+
+    out = run_optimized("""
+        import sys
+        import ttlab.classify
+        from ttlab.errors import CrossCheckFailed
+        from ttlab.topology import enumerate_pants_configs
+        from test_classify import GENERIC6
+
+        assert False, "asserts are on"
+        real = ttlab.classify.nabla_count
+        ttlab.classify.nabla_count = lambda cfg, lengths: real(cfg, lengths) + 1
+        cfg = enumerate_pants_configs(3)[0]
+        try:
+            ttlab.classify.classify_pants_torus(cfg, GENERIC6, (1,) * 6)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert "the counts pin" in out

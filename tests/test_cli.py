@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ttlab import ribbon
 from ttlab.cli import main
 from ttlab.ribbon import pants_assignment
 from ttlab.specfile import TorusSpecFile, parse_spec, write_spec
@@ -478,3 +479,37 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ------------------------------------------------------- validate once
+
+
+@pytest.mark.parametrize("command, pants, expected", [
+    ("rank", False, 1),
+    ("spin", False, 1),
+    ("validate", False, 1),
+    ("classify", False, 1),
+    # classify_pants_torus rebuilds the spines from the curve lengths
+    ("classify", True, 2),
+])
+def test_each_command_validates_once(capsys, tmp_path, monkeypatch, command,
+                                     pants, expected):
+    if pants:
+        path = write_fixture(tmp_path, TWO_PANTS, theta_assignment())
+    else:
+        path = write_fixture(tmp_path, *plumbing_pair(4))
+    real = ribbon.validate_assignment
+    calls = []
+
+    def counted(cfg, sa):
+        calls.append(cfg)
+        return real(cfg, sa)
+
+    # every ttlab module that bound the function, wherever it did
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ttlab" and (
+                getattr(module, "validate_assignment", None) is real):
+            monkeypatch.setattr(module, "validate_assignment", counted)
+    code, _, err = run(capsys, command, path)
+    assert code == 0, err
+    assert len(calls) == expected

@@ -111,7 +111,7 @@ def test_connectivity_matches_joint_orientability():
         separating_nabla_cover(),
         separating_theta_cover(),
     ):
-        jo, _ = jointly_orientable(q.cfg, q.sa)
+        jo, _ = jointly_orientable(q)
         assert cover.connected == (not jo)
 
 
@@ -328,7 +328,7 @@ def test_rank_lower_bound_matches_formula_on_fixtures():
     for fixture, expected in cases:
         q, cover = fixture()
         got = rank_lower_bound(cover, q.cfg)
-        formula = relations_formula(q.cfg, q.sa)
+        formula = relations_formula(q)
         assert got == formula == expected, fixture.__name__
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -88,6 +89,18 @@ def test_spent_budget_with_nothing_found_drops_the_sample():
     assert (cut.kept, cut.dropped, cut.censored) == (0, 8, 0)
     (full,) = run_probe(GENUS5, sa, heights, **args).per_time
     assert (full.kept, full.dropped, full.censored) == (4, 0, 4)
+
+
+def test_time_that_keeps_nothing_still_reports():
+    # the same genus-5 pants and budget: every sample at times 2 and 4
+    # is dropped.  Those times report kept = 0, and a KS entry with an
+    # empty side prints as nan instead of the whole report being lost
+    sa = pants_assignment(GENUS5, GENERIC12)
+    report = run_probe(GENUS5, sa, [1] * GENUS5.n_curves, times=(0.0, 2.0, 4.0),
+                       samples=6, seed=3, radius=1.0, cap=300)
+    assert [(st.kept, st.dropped) for st in report.per_time] == [(6, 0), (0, 6), (0, 6)]
+    assert all(math.isnan(d) for d in report.ks)
+    assert "\nks = nan, nan\n" in report.text()
 
 
 def test_histogram_counts_every_kept_sample():

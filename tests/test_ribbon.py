@@ -20,7 +20,6 @@ from ttlab.ribbon import (
     boundary_cycles,
     co_orientable,
     cone_orders,
-    curve_lengths,
     jointly_orientable,
     pants_spine,
     plumbing_fixture,
@@ -28,6 +27,7 @@ from ttlab.ribbon import (
     validate_assignment,
 )
 from ttlab.rng import CounterRandom
+from ttlab.surface import build_surface
 from ttlab.topology import make_config
 
 from test_topology import SEPARATING, TWO_PANTS
@@ -222,7 +222,7 @@ def theta_assignment(lengths=((3, 4, 5), (3, 4, 5))):
 
 def test_two_pants_assignment_validates():
     sa = theta_assignment()
-    lengths = curve_lengths(TWO_PANTS, sa)
+    lengths = validate_assignment(TWO_PANTS, sa)
     assert lengths == [3, 4, 5]
 
 
@@ -234,7 +234,7 @@ def test_mismatched_perimeters_rejected():
 
 def test_jointly_orientable_needs_co_orientable_pieces():
     sa = theta_assignment()
-    flag, eps = jointly_orientable(TWO_PANTS, sa)
+    flag, eps = jointly_orientable(build_surface(TWO_PANTS, sa, [1] * 3))
     assert (flag, eps) == (False, -1)
 
 
@@ -264,8 +264,8 @@ def test_compatible_nabla_gluing_is_jointly_orientable():
         gluing=[((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))],
     )
     sa = nabla_assignment(cfg, big_slot_of_piece=(0, 0))
-    assert curve_lengths(cfg, sa) == [2, 1, 1]
-    flag, eps = jointly_orientable(cfg, sa)
+    assert validate_assignment(cfg, sa) == [2, 1, 1]
+    flag, eps = jointly_orientable(build_surface(cfg, sa, [1] * 3))
     assert (flag, eps) == (True, 1)
 
 
@@ -275,5 +275,5 @@ def test_coorientable_pieces_can_still_fail_jointly():
     # oriented consistently
     sa = nabla_assignment(SEPARATING, big_slot_of_piece=(2, 2))
     assert all(co_orientable(g) for g in sa.graphs)
-    flag, eps = jointly_orientable(SEPARATING, sa)
+    flag, eps = jointly_orientable(build_surface(SEPARATING, sa, [1] * 3))
     assert (flag, eps) == (False, -1)

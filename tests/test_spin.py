@@ -168,11 +168,11 @@ def test_one_cylinder_parities_match_symmetry_search():
             validate_assignment(ONE_CYLINDER, sa)
         except TTLabError:
             continue
-        if not jointly_orientable(ONE_CYLINDER, sa)[0]:
-            continue
         q = build_surface(ONE_CYLINDER, sa, [1], mode=EXACT)
+        if not jointly_orientable(q)[0]:
+            continue
         parity = spin_parity(q)
-        found = hyperelliptic_involution_search(ONE_CYLINDER, sa) is not None
+        found = hyperelliptic_involution_search(q) is not None
         split[(parity, found)] += 1
     assert split == {("even", True): 1, ("odd", False): 7}
 
@@ -445,7 +445,7 @@ def test_orientation_bits_match_joint_orientability():
     oriented = 0
     for cfg, sa in catalog:
         q = build_surface(cfg, sa, [1] * cfg.n_curves, mode=EXACT)
-        flag, _ = jointly_orientable(cfg, sa)
+        flag, _ = jointly_orientable(q)
         if not flag:
             with pytest.raises(NotAbelianSquare):
                 orientation_bits(q)
