@@ -20,11 +20,10 @@ from .errors import (
 from .ribbon import (
     co_orientable,
     cone_orders,
-    jointly_orientable,
     pants_assignment,
 )
 from .surface import build_surface, EXACT, _exact_number, _ribbon_isos
-from .topology import is_pants_decomposition
+from .topology import _is_pants, is_pants_decomposition
 
 FULL_STRATUM = "FullStratumComponent"
 HYPERELLIPTIC = "HyperellipticCandidate"
@@ -103,7 +102,7 @@ def identify_stratum(q):
     orders = []
     for graph in q.sa.graphs:
         orders.extend(cone_orders(graph))
-    _, epsilon = jointly_orientable(q)
+    _, epsilon = q.orientability
     return StratumLabel(q.cfg.genus, tuple(sorted(orders)), epsilon)
 
 
@@ -120,6 +119,11 @@ def nabla_count(cfg, lengths):
     """
     if not is_pants_decomposition(cfg):
         raise NotPants("nabla counting needs a pants decomposition")
+    return _nabla(cfg, lengths)
+
+
+def _nabla(cfg, lengths):
+    """nabla_count on a configuration known to be a valid pants decomposition."""
     exact = [_exact_number(x, f"length of curve {i}") for i, x in enumerate(lengths)]
     triples = [[] for _ in cfg.pieces]
     for i, pair in enumerate(cfg.gluing):
@@ -141,7 +145,8 @@ def classify_orbit_closure(q):
     configuration and spine assignment.  The rank certificate is
     computed twice, by exact linear algebra on the double cover and by
     the counting formula, and the two must agree; a mismatch is a bug,
-    not an input error.
+    not an input error.  The configuration of q is taken as validated,
+    as parse_spec leaves it, and is not checked again.
     """
     if q.mode != EXACT:
         raise ModeMismatch(
@@ -166,8 +171,8 @@ def classify_orbit_closure(q):
         "N_co": n_co,
         "delta_jo": delta_jo,
     }
-    if is_pants_decomposition(cfg):
-        certificate["nabla"] = nabla_count(cfg, q.base_lengths)
+    if _is_pants(cfg):
+        certificate["nabla"] = _nabla(cfg, q.base_lengths)
 
     if stratum.epsilon == -1:
         if rank_lb >= threshold and stratum.n_sing_odd >= 6:
@@ -229,6 +234,12 @@ def classify_pants_torus(cfg, lengths, heights):
     """
     if not is_pants_decomposition(cfg):
         raise NotPants("expected a pants decomposition")
+    return _pants_torus_verdict(cfg, lengths, heights)
+
+
+def _pants_torus_verdict(cfg, lengths, heights):
+    """classify_pants_torus on a configuration known to be a valid pants
+    decomposition, such as the one of a parsed spec."""
     exact = [_exact_number(x, f"length of curve {i}") for i, x in enumerate(lengths)]
     q = build_surface(cfg, pants_assignment(cfg, exact), heights)
     verdict = classify_orbit_closure(q)
@@ -284,7 +295,7 @@ def hyperelliptic_involution_search(q):
     coincide anyway.
     """
     cfg, sa = q.cfg, q.sa
-    if is_pants_decomposition(cfg):
+    if _is_pants(cfg):
         return None
     n_pieces = len(cfg.pieces)
     if n_pieces > _SEARCH_PIECE_LIMIT:

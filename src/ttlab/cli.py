@@ -6,16 +6,22 @@ into any other subcommand.  Reporters (validate, classify, rank, spin,
 probe) print a line-oriented ``key = value`` report.  Exit codes: 0 on
 success, 2 when the input is bad in any way, 3 when a search budget
 runs out.
+
+There is one parser per process: the first main() call builds it and
+later calls reuse it.  argparse reads sys.argv, the standard streams and
+the terminal width only when it parses or prints, so a reused parser
+gives the same bytes and exit codes as a fresh one.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
 from .classify import (
+    _pants_torus_verdict,
     classify_orbit_closure,
-    classify_pants_torus,
     identify_stratum,
 )
 from .cover import (
@@ -56,7 +62,7 @@ from .surface import (
     geodesic_flow,
     horocycle_flow,
 )
-from .topology import enumerate_pants_configs, is_pants_decomposition, make_config
+from .topology import _is_pants, enumerate_pants_configs, make_config
 
 
 def _report(pairs):
@@ -118,11 +124,12 @@ def cmd_classify(args):
     spec = _load(args)
     # The verdict is decided in exact arithmetic whatever the file's mode.
     q = build_surface(spec.cfg, spec.sa, spec.heights)
-    if is_pants_decomposition(spec.cfg):
+    # parse_spec validated the configuration, so the checks below skip it.
+    if _is_pants(spec.cfg):
         # The spine type of a pants piece is pinned down by its boundary
         # triple, so rebuilding the spines from the file's curve lengths
         # loses nothing and unlocks the sharper pants verdicts.
-        verdict = classify_pants_torus(spec.cfg, q.base_lengths, spec.heights)
+        verdict = _pants_torus_verdict(spec.cfg, q.base_lengths, spec.heights)
     else:
         verdict = classify_orbit_closure(q)
     pairs = [
@@ -311,6 +318,7 @@ def cmd_spin(args):
     return _deliver_report(_report(pairs), args.out)
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ttlab",

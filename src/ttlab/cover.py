@@ -28,7 +28,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
-from .ribbon import ParityUnionFind, co_orientable, jointly_orientable
+from .ribbon import ParityUnionFind, co_orientable
 
 
 def _require(ok, what):
@@ -458,7 +458,7 @@ def relations_formula(q):
     is 1 exactly when the whole surface is jointly orientable.
     """
     n_co = sum(1 for graph in q.sa.graphs if co_orientable(graph))
-    jo, _ = jointly_orientable(q)
+    jo, _ = q.orientability
     return q.n_curves - n_co + (1 if jo else 0)
 
 

@@ -14,6 +14,8 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import CrossCheckFailed
+
 
 class Echelon:
     """Row space of a growing set of rational vectors, in echelon form.
@@ -188,7 +190,8 @@ def feasible_nonneg(matrix, rhs, ncols=None):
                         or (ratio == best and basis[i] < basis[leave])):
                     best = ratio
                     leave = i
-        assert leave is not None, "phase-one objective is bounded below"
+        if leave is None:
+            raise CrossCheckFailed("phase-one objective is unbounded below")
         pv = tab[leave][enter]
         tab[leave] = [x / pv for x in tab[leave]]
         pivot_row = tab[leave]
@@ -206,8 +209,8 @@ def feasible_nonneg(matrix, rhs, ncols=None):
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tab[i][-1]
-        else:
-            assert tab[i][-1] == 0, "artificial stuck at a nonzero value"
+        elif tab[i][-1] != 0:
+            raise CrossCheckFailed("artificial stuck at a nonzero value")
     return x
 
 

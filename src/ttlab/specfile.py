@@ -258,7 +258,7 @@ def parse_spec(text):
     cfg = make_config(genus, pieces, gluing)
     audit = validate_config(cfg)
     if audit.violations:
-        raise ParseError(glue_header, "; ".join(audit.violations))
+        raise ParseError(glue_header, str(audit))
 
     graphs = []
     face_to_slot = []
@@ -391,8 +391,13 @@ def forced_zero_lengths(cfg, sa):
     equations, over nonnegative edge lengths, can force some lengths to
     vanish even though each equation alone looks harmless.  Returns
     (curves, edges): curve indices whose length is forced to zero and
-    (piece, edge) pairs forced to zero, both found by exact phase-one
-    feasibility probes, one per edge.
+    (piece, edge) pairs forced to zero.
+
+    The edges are sorted out by exact phase-one feasibility probes, each
+    asking for a solution whose lengths on the still-undecided edges sum
+    to 1.  A solution frees every edge it gives a positive length; when
+    there is none, every undecided edge is zero in every solution.  Each
+    probe decides at least one edge, and usually many.
     """
     index = {}
     for p, graph in enumerate(sa.graphs):
@@ -408,11 +413,14 @@ def forced_zero_lengths(cfg, sa):
             for h in cycle:
                 row[index[(p, sa.graphs[p].edge_of(h))]] += sign
         rows.append(row)
-    forced_edges = []
-    for (p, h), col in sorted(index.items(), key=lambda kv: kv[1]):
-        probe = [Fraction(1) if j == col else Fraction(0) for j in range(nvars)]
-        if feasible_nonneg(rows + [probe], [0] * len(rows) + [1]) is None:
-            forced_edges.append((p, h))
+    undecided = set(range(nvars))
+    while undecided:
+        probe = [int(j in undecided) for j in range(nvars)]
+        x = feasible_nonneg(rows + [probe], [0] * len(rows) + [1])
+        if x is None:
+            break
+        undecided.difference_update(j for j in range(nvars) if x[j])
+    forced_edges = [key for key, col in index.items() if col in undecided]
     forced_set = set(forced_edges)
     forced_curves = []
     for c, (end, _) in enumerate(cfg.gluing):

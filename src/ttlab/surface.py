@@ -18,6 +18,7 @@ pair (scale_x, scale_y); numeric mode stores floats.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadIndex,
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveHeight,
     OutOfRange,
 )
-from .ribbon import validate_assignment
+from .ribbon import jointly_orientable, validate_assignment
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -121,6 +122,11 @@ class FlatTwistSurface:
         if self.mode == EXACT:
             return self.area() == 1
         return abs(self.area() - 1.0) <= 1e-12
+
+    @cached_property
+    def orientability(self):
+        """jointly_orientable(self), (flag, epsilon), computed once."""
+        return jointly_orientable(self)
 
     def _replace(self, twists=None, scale=None):
         return FlatTwistSurface(

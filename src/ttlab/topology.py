@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig, OutOfRange
+from .errors import CrossCheckFailed, InvalidConfig, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,26 @@ def validate_config(cfg: MulticurveConfig) -> ValidationReport:
 
 
 def is_pants_decomposition(cfg: MulticurveConfig) -> bool:
-    """True iff every piece is a three-holed sphere."""
+    """True iff every piece is a three-holed sphere.
+
+    Raises InvalidConfig when cfg fails validate_config.
+    """
     report = validate_config(cfg)
     if not report.ok:
         raise InvalidConfig(str(report))
-    if all(p.genus == 0 and p.n_slots == 3 for p in cfg.pieces):
-        assert cfg.n_curves == 3 * cfg.genus - 3
-        return True
-    return False
+    return _is_pants(cfg)
+
+
+def _is_pants(cfg):
+    """is_pants_decomposition for a configuration already validated,
+    such as one from a parsed spec or a built surface."""
+    if not all(p.genus == 0 and p.n_slots == 3 for p in cfg.pieces):
+        return False
+    if cfg.n_curves != 3 * cfg.genus - 3:
+        raise CrossCheckFailed(
+            f"{cfg.n_curves} curves cut a genus-{cfg.genus} surface into "
+            "pants; a pants decomposition has 3g - 3")
+    return True
 
 
 # --- enumeration of pants configurations ------------------------------------
@@ -242,7 +254,8 @@ def _multigraph_to_config(genus, edges):
     gluing = []
     for a, b in edges:
         gluing.append((take_slot(a), take_slot(b)))
-    assert next_slot == [3] * n_vertices
+    if next_slot != [3] * n_vertices:
+        raise CrossCheckFailed(f"slot counts {next_slot} on a cubic multigraph")
     pieces = [(0, 3)] * n_vertices
     return make_config(genus, pieces, gluing)
 
@@ -256,5 +269,7 @@ def enumerate_pants_configs(genus: int):
         for edges in _cubic_multigraphs(2 * genus - 2)
     ]
     for cfg in configs:
-        assert validate_config(cfg).ok
+        report = validate_config(cfg)
+        if not report.ok:
+            raise CrossCheckFailed(f"enumerated configuration invalid: {report}")
     return configs

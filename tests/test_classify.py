@@ -366,8 +366,8 @@ def test_pinned_pants_stratum_survives_optimize_mode():
         from test_classify import GENERIC6
 
         assert False, "asserts are on"
-        real = ttlab.classify.nabla_count
-        ttlab.classify.nabla_count = lambda cfg, lengths: real(cfg, lengths) + 1
+        real = ttlab.classify._nabla
+        ttlab.classify._nabla = lambda cfg, lengths: real(cfg, lengths) + 1
         cfg = enumerate_pants_configs(3)[0]
         try:
             ttlab.classify.classify_pants_torus(cfg, GENERIC6, (1,) * 6)

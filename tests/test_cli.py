@@ -5,13 +5,14 @@ report back through capsys, the way the console script would be used
 from a shell, pipes included.
 """
 
+import argparse
 import io
 import sys
 from fractions import Fraction
 
 import pytest
 
-from ttlab import ribbon
+from ttlab import cli, ribbon, topology
 from ttlab.cli import main
 from ttlab.ribbon import pants_assignment
 from ttlab.specfile import TorusSpecFile, parse_spec, write_spec
@@ -484,6 +485,28 @@ def test_no_subcommand_is_a_usage_error(capsys):
 # ------------------------------------------------------- validate once
 
 
+def count_calls(monkeypatch, module, name):
+    """Record every call of module.name, through every ttlab module
+    that bound the function, wherever it did."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ttlab" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def command_fixture(tmp_path, pants):
+    if pants:
+        return write_fixture(tmp_path, TWO_PANTS, theta_assignment())
+    return write_fixture(tmp_path, *plumbing_pair(4))
+
+
 @pytest.mark.parametrize("command, pants, expected", [
     ("rank", False, 1),
     ("spin", False, 1),
@@ -494,22 +517,90 @@ def test_no_subcommand_is_a_usage_error(capsys):
 ])
 def test_each_command_validates_once(capsys, tmp_path, monkeypatch, command,
                                      pants, expected):
-    if pants:
-        path = write_fixture(tmp_path, TWO_PANTS, theta_assignment())
-    else:
-        path = write_fixture(tmp_path, *plumbing_pair(4))
-    real = ribbon.validate_assignment
-    calls = []
-
-    def counted(cfg, sa):
-        calls.append(cfg)
-        return real(cfg, sa)
-
-    # every ttlab module that bound the function, wherever it did
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ttlab" and (
-                getattr(module, "validate_assignment", None) is real):
-            monkeypatch.setattr(module, "validate_assignment", counted)
+    path = command_fixture(tmp_path, pants)
+    calls = count_calls(monkeypatch, ribbon, "validate_assignment")
     code, _, err = run(capsys, command, path)
     assert code == 0, err
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("command, pants", [
+    ("rank", False),
+    ("spin", False),
+    ("validate", False),
+    ("classify", False),
+    ("classify", True),
+])
+def test_each_command_validates_its_configuration_once(
+        capsys, tmp_path, monkeypatch, command, pants):
+    # parse_spec validates the configuration; nothing downstream of it
+    # asks again
+    path = command_fixture(tmp_path, pants)
+    calls = count_calls(monkeypatch, topology, "validate_config")
+    code, _, err = run(capsys, command, path)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_rank_finds_joint_orientability_once(capsys, tmp_path, monkeypatch):
+    # the surface carries it for relations_formula and identify_stratum
+    path = command_fixture(tmp_path, False)
+    calls = count_calls(monkeypatch, ribbon, "jointly_orientable")
+    code, _, err = run(capsys, "rank", path)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+# ------------------------------------------------------ one parser
+
+
+def test_parser_is_built_once_per_process(capsys, tmp_path, monkeypatch):
+    path = command_fixture(tmp_path, False)
+    real_init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "ttlab":
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for command in ("validate", "classify", "rank", "spin") * 3:
+        code, _, err = run(capsys, command, path)
+        assert code == 0, err
+    # none when an earlier test in this process already built it
+    assert len(built) <= 1
+
+
+def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path,
+                                                monkeypatch):
+    path = command_fixture(tmp_path, False)
+    origami = tmp_path / "origami.spec"
+    origami.write_text(ORIGAMI_TEXT, encoding="utf-8")
+    sequence = [
+        ["validate"],
+        ["classify", path, "--mode", "fuzzy"],
+        ["--help"],
+        ["rank", "--help"],
+        ["validate", "-"],
+        ["rank", path],
+        ["classify", path],
+        ["probe", origami, "--times", "0", "--samples", "3", "--radius", "2"],
+    ]
+    shared = cli._build_parser
+
+    def play(argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(ORIGAMI_TEXT))
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    answers = [play(argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_build_parser", shared.__wrapped__)
+    for argv, answer in zip(sequence, answers):
+        assert play(argv) == answer, argv
+    assert [code for code, _, _ in answers] == [2, 2, 0, 0, 0, 0, 0, 0]
+    assert "usage: ttlab" in answers[2][1]

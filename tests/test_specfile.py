@@ -8,7 +8,9 @@ from ttlab.errors import (
     ParseError,
     ZeroLengthForced,
 )
-from ttlab.ribbon import SpineAssignment, pants_spine
+from ttlab.linalg import feasible_nonneg
+from ttlab.rng import CounterRandom
+from ttlab.ribbon import SpineAssignment, boundary_cycles, pants_spine
 from ttlab.specfile import (
     TorusSpecFile,
     forced_zero_lengths,
@@ -19,6 +21,7 @@ from ttlab.specfile import (
 )
 from ttlab.surface import EXACT, NUMERIC, geodesic_flow, horocycle_flow
 
+from test_acceptance import random_pants_cfg
 from test_classify import plumbing_pair
 from test_saddle import origami_surface
 from test_topology import TWO_PANTS
@@ -209,6 +212,76 @@ def test_impossible_gluing_can_force_a_whole_curve():
         validate_spec(spec)
 
 
+def per_edge_forced_zero_lengths(cfg, sa):
+    """Reference for forced_zero_lengths: one feasibility probe per edge,
+    asking for a solution in which that edge alone has length 1."""
+    index = {}
+    for p, graph in enumerate(sa.graphs):
+        for h, _ in graph.edges():
+            index[(p, h)] = len(index)
+
+    def face_edges(p, s):
+        cycle, _ = boundary_cycles(sa.graphs[p])[sa.slot_to_face(p, s)]
+        return [(p, sa.graphs[p].edge_of(h)) for h in cycle]
+
+    rows = []
+    for a, b in cfg.gluing:
+        row = [0] * len(index)
+        for key in face_edges(*a):
+            row[index[key]] += 1
+        for key in face_edges(*b):
+            row[index[key]] -= 1
+        rows.append(row)
+    edges = []
+    for key, col in index.items():
+        probe = [int(j == col) for j in range(len(index))]
+        if feasible_nonneg(rows + [probe], [0] * len(rows) + [1]) is None:
+            edges.append(key)
+    curves = [c for c, (end, _) in enumerate(cfg.gluing)
+              if set(face_edges(*end)) <= set(edges)]
+    return curves, edges
+
+
+def random_pants_spines(cfg, rng):
+    """Pants spines on random boundary triples, so most perimeters
+    mismatch and some gluings force lengths to zero."""
+    graphs, maps = [], []
+    for _ in cfg.pieces:
+        trip = [rng.randint(1, 4) for _ in range(3)]
+        graph, order = pants_spine(*trip)
+        slots = [0, 1, 2]
+        rng.shuffle(slots)
+        fts = [None] * 3
+        for slot, f in zip(slots, order):
+            fts[f] = slot
+        graphs.append(graph)
+        maps.append(tuple(fts))
+    return SpineAssignment(tuple(graphs), tuple(maps))
+
+
+@pytest.mark.parametrize("sa", [
+    pants_assignment((3, 4, 5), (3, 4, 6)),
+    pants_assignment((3, 4, 5), (4, 1, 1)),
+    pants_assignment((4, 1, 1), (4, 1, 1), slots1=(1, 0, 2)),
+])
+def test_forced_zeros_match_the_per_edge_probes(sa):
+    assert forced_zero_lengths(TWO_PANTS, sa) == (
+        per_edge_forced_zero_lengths(TWO_PANTS, sa))
+
+
+def test_forced_zeros_match_the_per_edge_probes_on_random_pants():
+    rng = CounterRandom(7, "forced-zero")
+    seen = {"forced": 0, "free": 0}
+    for trial in range(24):
+        cfg = random_pants_cfg(2 + trial % 2, rng)
+        sa = random_pants_spines(cfg, rng)
+        result = forced_zero_lengths(cfg, sa)
+        assert result == per_edge_forced_zero_lengths(cfg, sa), trial
+        seen["forced" if result[1] else "free"] += 1
+    # both outcomes occur, so the comparison is not vacuous
+    assert min(seen.values()) > 0, seen
+
+
 # --- parse errors ---------------------------------------------------------------
 
 
@@ -256,6 +329,12 @@ def test_missing_ribbon_section():
     start = text.index("[ribbon 0]")
     end = text.index("[", start + 1)
     expect_parse_error(text[:start] + text[end:], "ribbon 0")
+
+
+def test_invalid_configuration_is_a_parse_error():
+    bad = ORIGAMI_TEXT.replace("genus = 2", "genus = 1", 1)
+    expect_parse_error(bad, "ambient genus 1 < 2",
+                       lineno=ORIGAMI_TEXT.splitlines().index("[gluing]") + 1)
 
 
 def test_ribbon_for_nonexistent_piece():

@@ -86,6 +86,39 @@ def test_is_pants_decomposition_rejects_invalid():
         is_pants_decomposition(bad)
 
 
+def test_pants_checks_survive_optimize_mode():
+    # under -O every assert is gone; with validation waved through, the
+    # pants checks must still refuse what validation would have caught
+    from test_cover import run_optimized  # test_cover imports this module
+
+    out = run_optimized("""
+        import ttlab.topology as topology
+        from ttlab.errors import CrossCheckFailed
+
+        assert False, "asserts are on"
+
+        def attempt(what, call, *args):
+            try:
+                call(*args)
+            except CrossCheckFailed as exc:
+                print(what, exc)
+
+        one_curve = topology.make_config(2, [(0, 3)], [((0, 0), (0, 1))])
+        topology.validate_config = lambda cfg: topology.ValidationReport()
+        attempt("count:", topology.is_pants_decomposition, one_curve)
+        real_graphs = topology._cubic_multigraphs
+        topology._cubic_multigraphs = lambda n: [[(0, 1)]]
+        attempt("slots:", topology.enumerate_pants_configs, 2)
+        topology._cubic_multigraphs = real_graphs
+        topology.validate_config = lambda cfg: topology.ValidationReport(
+            [("euler", "broken")])
+        attempt("valid:", topology.enumerate_pants_configs, 2)
+    """)
+    assert "count: 1 curves" in out
+    assert "slots: slot counts" in out
+    assert "valid: enumerated configuration invalid" in out
+
+
 # --- enumeration --------------------------------------------------------------
 
 
