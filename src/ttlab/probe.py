@@ -18,6 +18,20 @@ A sample whose search exhausts its placement budget is dropped and
 counted.  A sample whose shortest connection exceeds the radius is not
 a failure: it is kept as a censored observation with known mass above
 the cutoff, and the distribution comparisons account for it.
+
+A report reads two numbers per sample: the shortest length and the
+count of lengths <= 1.  So when the radius exceeds NARROW_RADIUS, a
+sample first searches only to NARROW_RADIUS, just above 1, and runs
+the search to the full radius only when that finds nothing <= 1.  The
+narrow search is the full one with whole subtrees pruned, visited in
+the same order, and every placement on the way to a connection of
+length <= 1 is within 1 plus rounding of the origin.  So the two
+numbers come out bit for bit as the full search gives them, and a
+narrow search cut by its budget means the full one would be cut too.
+The one difference: when the full search would spend its budget but
+the narrow one does not, the sample is kept, with the values an
+unlimited budget gives, where searching the full radius first would
+drop it.
 """
 
 from __future__ import annotations
@@ -32,6 +46,9 @@ from .surface import NUMERIC, build_surface, geodesic_flow
 
 PROBE_LABEL = ("probe — not a proof; convergence guaranteed only "
                "outside a zero-density set")
+# Just above 1, so that a connection of length <= 1 survives the
+# rounding of its squared length and of every clip on its way.
+NARROW_RADIUS = 1.0 + 1e-6
 MAX_SAMPLES = 100_000
 MAX_TIME = 5.0
 MAX_GENUS = 5
@@ -128,12 +145,41 @@ def _draw_twists(rng, lengths):
     return [rng.uniform() * l for l in lengths]
 
 
+_CENSORED = "censored"
+_DROPPED = "dropped"
+
+
+def _measure_sample(q, radius, cap=DEFAULT_CAP):
+    """What one sample contributes to a report.
+
+    Returns (shortest length, count of lengths <= 1), or _CENSORED when
+    nothing lies within the radius, or _DROPPED when the placement budget
+    cut the search.  A radius above NARROW_RADIUS is searched to
+    NARROW_RADIUS first; see the module docstring.
+    """
+    if radius > NARROW_RADIUS:
+        narrow = _measure_sample(q, NARROW_RADIUS, cap)
+        if narrow is _DROPPED or (narrow is not _CENSORED
+                                  and narrow[0] <= 1.0):
+            return narrow
+    try:
+        search = saddle_connections_up_to(q, radius, cap=cap)
+    except RadiusTooSmall:
+        return _CENSORED
+    if search.cap_exceeded:
+        return _DROPPED
+    return search[0].length, sum(1 for c in search if c.length <= 1.0)
+
+
 def run_probe(cfg, sa, heights, times, samples, seed, radius,
               cap=DEFAULT_CAP):
     """Sample twists, flow, and measure; see the module docstring.
 
     heights may be exact or floats; the sampled surfaces are always
-    numeric because the twists are drawn as floats.
+    numeric because the twists are drawn as floats.  Each sample is
+    measured by _measure_sample: a radius above NARROW_RADIUS is first
+    searched only to NARROW_RADIUS, and cap bounds each search on its
+    own.  The radius must be positive with a finite square.
     """
     if cfg.genus > MAX_GENUS:
         raise OutOfRange(
@@ -151,6 +197,8 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
     radius = float(radius)
     if not radius > 0.0:
         raise OutOfRange(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius * radius):
+        raise OutOfRange(f"radius must have a finite square, got {radius}")
 
     # validate and build once; every sample re-twists this surface
     base = build_surface(cfg, sa, heights, mode=NUMERIC)
@@ -167,16 +215,14 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
             rng = root.substream(f"time{ti}/sample{k}")
             twists = _draw_twists(rng, lengths)
             flowed = geodesic_flow(base._replace(twists=twists), t)
-            try:
-                search = saddle_connections_up_to(flowed, radius, cap=cap)
-            except RadiusTooSmall:
+            outcome = _measure_sample(flowed, radius, cap)
+            if outcome is _CENSORED:
                 censored += 1
-                continue
-            if search.cap_exceeded:
+            elif outcome is _DROPPED:
                 dropped += 1
-                continue
-            shortest.append(search[0].length)
-            counts_le_1.append(sum(1 for c in search if c.length <= 1.0))
+            else:
+                shortest.append(outcome[0])
+                counts_le_1.append(outcome[1])
         shortest.sort()
         hist = [0] * HIST_BINS
         for v in shortest:

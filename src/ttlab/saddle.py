@@ -6,7 +6,16 @@ whose vertices are the marked corners on its two boundary circles, and
 the search develops triangles into the plane along sight lines from
 each corner.  Every gluing map of the surface has the shape z -> z + c
 or z -> -z + c, so a placement is a sign and an offset and the whole
-computation stays in plane geometry.
+computation stays in plane geometry.  The sweep is driven by a table
+with one row per state, a triangle with its entry edge and a sign: the
+row holds the signed corners in entry order, their vertex ids and the
+two exits with their successor states, so placing a triangle is six
+additions.  The floats are those of applying the sign in the loop,
+since a multiply by +-1 is exact, and the corners are tested in entry
+order rather than vertex order, which cannot change what is found: the
+final sort is a total order on the dedup keys, and the corners one
+placement records are distinct points of an open cone narrower than a
+half-turn, at least a triangle edge apart, so they share no key.
 
 The search handles numeric surfaces only, and exact-mode callers are
 told to build a numeric twin first.  Floats are a speed choice, not a
@@ -271,6 +280,45 @@ _EXITS = (((1, True), (2, False)),
           ((0, True), (1, False)))
 
 
+def _state(t, in_e, sign):
+    """Row index of triangle t entered through edge in_e under sign."""
+    return 6 * t + 2 * in_e + (sign < 0)
+
+
+def _state_table(cx):
+    """One row per sweep state: a triangle, its entry edge and a sign.
+
+    A placement maps a triangle's chart into the origin's plane by
+    z -> sign * z + (mx, my).  The row of (t, in_e, sign) holds
+    (ax, ay, bx, by, wx, wy, va, vb, vw, exits): the corners in entry
+    order, with the sign applied (a is the tail of the entry edge, b its
+    head, w the far corner), their vertex ids, and the two exits in
+    _EXITS order.  An exit is (from_b, state, t2, ox, oy): whether it is
+    the edge b -> w rather than w -> a, the state of the triangle t2
+    glued across it, and that gluing's offset with the sign applied, so
+    the child placement is (ox + mx, oy + my).  Multiplying by sign = +-1
+    is exact, so a placed corner ax + mx is bit for bit the
+    sign * p + mx of a loop that applies the sign itself.
+    """
+    table = []
+    for t, pts in enumerate(cx.pts):
+        vids = cx.vids[t]
+        nbrs = cx.nbrs[t]
+        for in_e in range(3):
+            ia, ib, iw = in_e, (in_e + 1) % 3, (in_e + 2) % 3
+            for sign in (1, -1):
+                exits = []
+                for e, from_b in _EXITS[in_e]:
+                    t2, e2, s2, tx2, ty2 = nbrs[e]
+                    exits.append((from_b, _state(t2, e2, sign * s2), t2,
+                                  sign * tx2, sign * ty2))
+                table.append((sign * pts[ia][0], sign * pts[ia][1],
+                              sign * pts[ib][0], sign * pts[ib][1],
+                              sign * pts[iw][0], sign * pts[iw][1],
+                              vids[ia], vids[ib], vids[iw], tuple(exits)))
+    return table
+
+
 def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     """Every saddle connection of length <= radius, sorted by length.
 
@@ -282,18 +330,26 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     the radius (the shortest candidate is the shortest triangulation
     edge).  A search that spends its placement budget returns what it
     has with cap_exceeded set instead of raising, even when that is
-    nothing.
+    nothing.  Raises OutOfRange when the radius or its square is not a
+    finite positive float.
 
-    A queued placement carries a parent index into a per-corner trail
-    instead of a copy of its cell path: node i holds a triangle and the
-    node it was reached from, and the path is read back only when a
-    placement records a new connection.
+    The sweep from each corner is breadth first.  A queued placement is
+    a state of _state_table plus its offset (mx, my), its window and a
+    parent index into a per-corner trail instead of a copy of its cell
+    path: node i holds a triangle and the node it was reached from, and
+    the path is read back only when a placement records a new
+    connection.  Placing a triangle adds (mx, my) to the six stored
+    corner floats of its row, with no branch on the entry edge and no
+    sign multiply.
     """
     if q.mode != NUMERIC:
         raise ModeMismatch("saddle search needs a numeric-mode surface")
     radius = float(radius)
     if not radius > 0.0:
         raise OutOfRange(f"radius must be positive, got {radius}")
+    r2 = radius * radius
+    if not math.isfinite(r2):
+        raise OutOfRange(f"radius must have a finite square, got {radius}")
     cap = int(cap)
     if cap < 0:
         raise OutOfRange(f"cap must be nonnegative, got {cap}")
@@ -302,9 +358,7 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     pts = cx.pts
     vids = cx.vids
     nbrs = cx.nbrs
-    # corner coordinates of each triangle as one flat 6-tuple
-    flat = [a + b + c for a, b, c in pts]
-    r2 = radius * radius
+    table = _state_table(cx)
     found = {}
     trail_t = []
     trail_up = []
@@ -358,33 +412,21 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
             trail_t.append(t1)
             trail_up.append(0)
             queue = deque()
-            queue.append((t1, e1, s1, tx1 - ox, ty1 - oy,
+            queue.append((_state(t1, e1, s1), tx1 - ox, ty1 - oy,
                           lox, loy, hix, hiy, 1))
             while queue:
                 if remaining <= 0:
                     cap_exceeded = True
                     break
                 remaining -= 1
-                t, in_e, ms, mx, my, lx, ly, hx, hy, node = queue.popleft()
-                p0x, p0y, p1x, p1y, p2x, p2y = flat[t]
-                x0 = ms * p0x + mx
-                y0 = ms * p0y + my
-                x1 = ms * p1x + mx
-                y1 = ms * p1y + my
-                x2 = ms * p2x + mx
-                y2 = ms * p2y + my
-                if in_e == 0:
-                    ax, ay = x0, y0
-                    bx, by = x1, y1
-                    wx, wy = x2, y2
-                elif in_e == 1:
-                    ax, ay = x1, y1
-                    bx, by = x2, y2
-                    wx, wy = x0, y0
-                else:
-                    ax, ay = x2, y2
-                    bx, by = x0, y0
-                    wx, wy = x1, y1
+                state, mx, my, lx, ly, hx, hy, node = queue.popleft()
+                ax, ay, bx, by, wx, wy, va, vb, vw, exits = table[state]
+                ax += mx
+                ay += my
+                bx += mx
+                by += my
+                wx += mx
+                wy += my
                 # rays must cross the entry edge going away from the
                 # origin, so the triangle has to sit on the far side of
                 # that edge's line.  Direction cones alone cannot see
@@ -395,19 +437,19 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                 side_w = (bx - ax) * (wy - ay) - (by - ay) * (wx - ax)
                 if side_o * side_w >= 0.0:
                     continue
-                if (lx * y0 - ly * x0 > 0.0
-                        and x0 * hy - y0 * hx > 0.0
-                        and x0 * x0 + y0 * y0 <= r2):
-                    record(origin, vids[t][0], x0, y0, node)
-                if (lx * y1 - ly * x1 > 0.0
-                        and x1 * hy - y1 * hx > 0.0
-                        and x1 * x1 + y1 * y1 <= r2):
-                    record(origin, vids[t][1], x1, y1, node)
-                if (lx * y2 - ly * x2 > 0.0
-                        and x2 * hy - y2 * hx > 0.0
-                        and x2 * x2 + y2 * y2 <= r2):
-                    record(origin, vids[t][2], x2, y2, node)
-                for e, from_b in _EXITS[in_e]:
+                if (lx * ay - ly * ax > 0.0
+                        and ax * hy - ay * hx > 0.0
+                        and ax * ax + ay * ay <= r2):
+                    record(origin, va, ax, ay, node)
+                if (lx * by - ly * bx > 0.0
+                        and bx * hy - by * hx > 0.0
+                        and bx * bx + by * by <= r2):
+                    record(origin, vb, bx, by, node)
+                if (lx * wy - ly * wx > 0.0
+                        and wx * hy - wy * hx > 0.0
+                        and wx * wx + wy * wy <= r2):
+                    record(origin, vw, wx, wy, node)
+                for from_b, nxt, t2, ox2, oy2 in exits:
                     if from_b:
                         pax, pay = bx, by
                         pbx, pby = wx, wy
@@ -439,10 +481,8 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                                         nlx, nly, nhx, nhy)
                     if d2 is None or d2 > r2:
                         continue
-                    t2, e2, s2, tx2, ty2 = nbrs[t][e]
-                    queue.append((t2, e2, ms * s2, ms * tx2 + mx,
-                                  ms * ty2 + my, nlx, nly, nhx, nhy,
-                                  len(trail_t)))
+                    queue.append((nxt, ox2 + mx, oy2 + my,
+                                  nlx, nly, nhx, nhy, len(trail_t)))
                     trail_t.append(t2)
                     trail_up.append(node)
 

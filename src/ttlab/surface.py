@@ -44,7 +44,13 @@ def _exact_number(value, what):
 def _convert(value, mode, what):
     if mode == EXACT:
         return _exact_number(value, what)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise OutOfRange(f"numeric mode needs a {what} that fits a float")
+    return number
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,13 @@ def validate_config(cfg: MulticurveConfig) -> ValidationReport:
             report.add("piece", f"piece {pi} has negative genus")
         if piece.euler >= 0:
             report.add("piece", f"piece {pi} is a disk or annulus (chi >= 0)")
+        if piece.n_slots > 2 * cfg.n_curves:
+            # the curves cannot glue them all: say so once rather than
+            # once per slot, which a slot count from a file can make
+            # unbounded
+            report.add("slot", f"piece {pi} has {piece.n_slots} slots, more "
+                               f"than the {2 * cfg.n_curves} curve sides")
+            continue
         for s in range(piece.n_slots):
             uses = slot_use.get((pi, s), [])
             if len(uses) == 0:
@@ -202,18 +209,18 @@ def _cubic_multigraphs(n_vertices):
     """All connected 3-regular multigraphs on n_vertices, up to isomorphism.
 
     Backtracking over non-decreasing edge lists; a loop contributes 2 to
-    its vertex degree.  Deduplication by canonical relabeling.
+    its vertex degree.  Deduplication by canonical relabeling, and the
+    catalog is ordered by that canonical form: the first edge list found
+    in each class is returned, in the order of its class's form.
     """
-    results = []
-    seen = set()
+    by_canon = {}
 
     def extend(edges, degrees, min_edge):
         if all(d == 3 for d in degrees):
             if _connected(edges, n_vertices):
                 canon = _canonical_edges(edges, n_vertices)
-                if canon not in seen:
-                    seen.add(canon)
-                    results.append(list(edges))
+                if canon not in by_canon:
+                    by_canon[canon] = list(edges)
             return
         # first vertex still missing degree
         v = next(i for i, d in enumerate(degrees) if d < 3)
@@ -237,8 +244,7 @@ def _cubic_multigraphs(n_vertices):
                 degrees[w] -= 1
 
     extend([], [0] * n_vertices, (0, 0))
-    results.sort(key=lambda es: _canonical_edges(es, n_vertices))
-    return results
+    return [by_canon[canon] for canon in sorted(by_canon)]
 
 
 def _multigraph_to_config(genus, edges):

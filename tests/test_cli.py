@@ -414,6 +414,21 @@ def test_probe_rejects_unreadable_times(capsys, tmp_path):
     assert "'x' is not a number" in err
 
 
+def test_probe_rejects_a_radius_without_a_finite_square(capsys, tmp_path):
+    path = tmp_path / "g3.spec"
+    code, _, _ = run(capsys, "pants", "3", "--lengths", GENERIC6_CSV,
+                     "--out", path)
+    assert code == 0
+    for radius in ("inf", "1e300"):
+        code, out, err = run(capsys, "probe", path, "--times", "0,1",
+                             "--samples", "1", "--seed", "1",
+                             "--radius", radius)
+        assert code == 2, radius
+        assert out == ""
+        assert "error.type = OutOfRange" in err
+        assert "finite square" in err
+
+
 # ------------------------------------------------------ validate, plumbing
 
 

@@ -1,22 +1,31 @@
 import hashlib
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from ttlab.errors import OutOfRange
+from ttlab import probe
+from ttlab.errors import OutOfRange, RadiusTooSmall
 from ttlab.probe import (
+    _CENSORED,
+    _DROPPED,
     HIST_BINS,
+    NARROW_RADIUS,
     PROBE_LABEL,
     ProbeReport,
     TimeStats,
+    _measure_sample,
     ks_distance,
     run_probe,
 )
 from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
+from ttlab.saddle import DEFAULT_CAP, saddle_connections_up_to
+from ttlab.surface import geodesic_flow
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_pair, plumbing_ring
-from test_saddle import GENERIC12, GENUS5, ORIGAMI
+from test_saddle import GENERIC12, GENUS5, ORIGAMI, REFERENCE_FAMILIES
 
 
 def origami_inputs():
@@ -142,6 +151,85 @@ def test_ring_probe_golden_bytes():
         "6db2606c90af4213da0bf23beef243d5111202039cce04bdb7abc162ca4f6b56")
 
 
+def test_fallback_probe_golden_bytes(monkeypatch):
+    # genus-5 pants at radius 1.25, where the samples take every path of
+    # _measure_sample: 13 of the 16 are answered by the search to
+    # NARROW_RADIUS, one finds nothing <= 1 there and keeps the full
+    # search's shortest, and two are censored by the full search.  The
+    # digest was taken when every sample searched the full radius at once
+    searches = []
+
+    def recording(q, radius, cap):
+        try:
+            result = saddle_connections_up_to(q, radius, cap=cap)
+        except RadiusTooSmall:
+            searches.append((radius, None))
+            raise
+        searches.append((radius, result))
+        return result
+
+    monkeypatch.setattr(probe, "saddle_connections_up_to", recording)
+    sa = pants_assignment(GENUS5, GENERIC12)
+    assert probe_digest(GENUS5, sa, times=(0.0, 1.0, 2.0, 3.0), samples=4,
+                        seed=3, radius=1.25) == (
+        "0d90edfbea587acd1f31f4c3c2943a954b94f987f92d878e1d582a888f14a438")
+    paths = Counter()
+    for i, (radius, result) in enumerate(searches):
+        if radius == NARROW_RADIUS:
+            if result is not None and result[0].length <= 1.0:
+                paths["narrow"] += 1
+        else:
+            # a full search only ever follows a narrow one that found
+            # nothing <= 1
+            assert radius == 1.25
+            before = searches[i - 1]
+            assert before[0] == NARROW_RADIUS
+            assert before[1] is None or before[1][0].length > 1.0
+            paths["censored" if result is None else "full"] += 1
+    assert paths == {"narrow": 13, "full": 1, "censored": 2}
+
+
+def full_search_outcome(q, radius, cap=DEFAULT_CAP):
+    """A sample's outcome from one search to the whole radius."""
+    try:
+        search = saddle_connections_up_to(q, radius, cap=cap)
+    except RadiusTooSmall:
+        return _CENSORED
+    if search.cap_exceeded:
+        return _DROPPED
+    return search[0].length, sum(1 for c in search if c.length <= 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_narrow_request_matches_the_full_search(family):
+    # kept, censored or dropped alike, and for a kept sample the same
+    # shortest length (== on positive floats is equality of bits) and the
+    # same count <= 1
+    rng = random.Random(f"probe-narrow/{family}")
+    make = REFERENCE_FAMILIES[family]
+    for draw in range(3):
+        for time in range(5):
+            q = geodesic_flow(make(rng), time)
+            for radius in (1.25, 1.5, 2.0):
+                assert (_measure_sample(q, radius)
+                        == full_search_outcome(q, radius)), (
+                    family, draw, time, radius)
+
+
+def test_capped_sample_answered_narrow_is_kept():
+    # the one place where the narrow request changes an outcome: a budget
+    # that the search to radius 2 spends but the search to NARROW_RADIUS
+    # does not.  The sample is kept with the values of an unlimited budget
+    q = geodesic_flow(REFERENCE_FAMILIES["genus5"](random.Random("cap")), 2)
+    narrow = saddle_connections_up_to(q, NARROW_RADIUS)
+    full = saddle_connections_up_to(q, 2.0)
+    assert narrow[0].length <= 1.0
+    cap = (narrow.placements + full.placements) // 2
+    assert narrow.placements < cap < full.placements
+    assert full_search_outcome(q, 2.0, cap) == _DROPPED
+    assert _measure_sample(q, 2.0, cap) == full_search_outcome(q, 2.0)
+
+
 def test_seed_changes_the_bytes():
     a = small_probe(seed=7)
     b = small_probe(seed=8)
@@ -227,8 +315,10 @@ def test_parameter_validation():
     with pytest.raises(OutOfRange):
         run_probe(cfg, sa, heights, times=(1.0,), samples=200_000, seed=1,
                   radius=1)
-    with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(1.0,), samples=5, seed=1, radius=0)
+    for radius in (0, math.inf, 1e300, math.nan):
+        with pytest.raises(OutOfRange):
+            run_probe(cfg, sa, heights, times=(1.0,), samples=5, seed=1,
+                      radius=radius)
 
 
 def test_probe_is_desk_scale_only():

@@ -137,6 +137,11 @@ def test_argument_guards():
         saddle_connections_up_to(origami_surface(), 0.0)
     with pytest.raises(OutOfRange):
         saddle_connections_up_to(origami_surface(), 1.0, cap=-1)
+    # an infinite radius, or one whose square overflows, would let the
+    # search spend its whole budget
+    for radius in (math.inf, 1e300, math.nan):
+        with pytest.raises(OutOfRange):
+            saddle_connections_up_to(origami_surface(), radius)
 
 
 # --- properties on pants fixtures ---------------------------------------

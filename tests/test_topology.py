@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -178,12 +179,24 @@ def test_genus_three_count_matches_brute_force():
     assert len(configs) == _oracle_pants_count(3)
 
 
+# sha256 of repr([cfg.gluing for cfg in catalog]) for each genus.  The
+# catalog order is public: ttlab pants --pairing indexes into it.
+CATALOG_DIGESTS = {
+    2: "afdd0f6f1fe8ba04cbb39ff12c06657159a5a2e2a7651b1a0c0d1ec0cf51120f",
+    3: "c621a915da1940228f3e074175f7080348c5975686d3cfeddb8b26bb2ab31320",
+    4: "d675237ace8c154704fc5758253bbd71f60e7debf5bc14275d71905c9e262809",
+}
+
+
 def test_enumerated_configs_are_valid_pants():
     for g in (2, 3, 4):
-        for cfg in enumerate_pants_configs(g):
+        catalog = enumerate_pants_configs(g)
+        for cfg in catalog:
             assert validate_config(cfg).ok
             assert is_pants_decomposition(cfg)
             assert cfg.n_curves == 3 * g - 3
+        gluings = repr([cfg.gluing for cfg in catalog]).encode()
+        assert hashlib.sha256(gluings).hexdigest() == CATALOG_DIGESTS[g], g
 
 
 def test_enumeration_is_deterministic():
