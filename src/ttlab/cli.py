@@ -227,8 +227,22 @@ def cmd_plumbing(args):
     return _deliver(write_spec(spec), args.out)
 
 
-def cmd_flow(args):
+def _load_exact(args):
+    """The spec of a generator that moves a surface and writes it back.
+
+    A file can only hold an exact-mode surface, so numeric mode is
+    refused before any work is done.
+    """
     spec = _load(args)
+    if spec.mode != EXACT:
+        raise ModeMismatch(
+            f"{args.command} writes a spec file, and only exact-mode "
+            "surfaces can be written to a file")
+    return spec
+
+
+def cmd_flow(args):
+    spec = _load_exact(args)
     q = spec.build()
     q = geodesic_flow(q, _rational(args.scale, "--scale"))
     shear = _rational(args.shear, "--shear")
@@ -239,7 +253,7 @@ def cmd_flow(args):
 
 
 def cmd_twist(args):
-    spec = _load(args)
+    spec = _load_exact(args)
     q = spec.build()
     for token in args.assignment:
         curve, sep, amount = token.partition("=")

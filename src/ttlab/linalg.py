@@ -5,7 +5,9 @@ engine, `Echelon`, serves every rank, span, kernel and solve question:
 an incremental row-echelon basis kept as primitive integer rows, so
 reduction is fraction-free (in the spirit of Bareiss, Math. Comp. 1968)
 and only back-substitution touches Fractions.  `feasible_nonneg` (a
-simplex) and `rank_gf2` (bitmask rows) are separate.
+phase-one simplex) and `rank_gf2` (bitmask rows) are separate; the
+simplex is fraction-free too, its tableau rows integer numerators over
+one denominator per row, and only its answer is made of Fractions.
 """
 
 from __future__ import annotations
@@ -105,24 +107,6 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
-def rank_of_stack(*blocks):
-    """Rank of the matrix whose columns are the concatenated column lists.
-
-    Each block is a list of column vectors (all the same length).  Handy
-    for span computations: rank_of_stack(A) and rank_of_stack(A, B)
-    """
-    return rank([col for block in blocks for col in block])
-
-
-def span_dimension_mod(vectors, relations):
-    """Dimension of span(vectors) inside V / span(relations).
-
-    Both arguments are lists of coordinate vectors of equal length.
-    """
-    echelon = Echelon(relations)
-    return sum(echelon.add(vec) for vec in vectors)
-
-
 def solve_square(matrix, rhs_columns):
     """Solve M X = B for an invertible square M; returns X's columns.
 
@@ -145,6 +129,12 @@ def feasible_nonneg(matrix, rhs, ncols=None):
     Phase-one simplex with Bland's rule throughout, so it terminates on
     every input and, being exact, never misjudges feasibility by
     rounding.  `ncols` is only needed when the system has no rows.
+
+    The tableau is fraction-free: each row is a list of integer
+    numerators over one positive row denominator, reduced by their gcd
+    after every pivot.  Every entry equals the rational a Fraction
+    tableau would hold, so Bland's rule makes the same choices; ratios
+    are compared by cross-multiplying.
     """
     if not matrix:
         if ncols is None:
@@ -154,25 +144,29 @@ def feasible_nonneg(matrix, rhs, ncols=None):
     m = len(matrix)
     # tableau columns: the n unknowns, m artificials, right-hand side
     tab = []
+    den = []
     basis = []
     for i in range(m):
-        row = [Fraction(x) for x in matrix[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
+        values = list(matrix[i]) + [rhs[i]]
+        d = lcm(*(x.denominator for x in values))
+        row = [x.numerator * (d // x.denominator) for x in values]
+        if row[-1] < 0:
             row = [-x for x in row]
-            b = -b
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        b = row.pop()
+        row.extend(d if j == i else 0 for j in range(m))
         row.append(b)
         tab.append(row)
+        den.append(d)
         basis.append(n + i)
     # reduced-cost row for minimizing the artificial sum; the last entry
     # tracks the negated objective value
-    obj = [Fraction(0)] * (n + m + 1)
-    for row in tab:
-        for j, v in enumerate(row):
-            obj[j] -= v
+    obj_den = lcm(*den)
+    obj = [0] * (n + m + 1)
+    for row, d in zip(tab, den):
+        f = obj_den // d
+        obj = [a - f * x for a, x in zip(obj, row)]
     for i in range(m):
-        obj[n + i] = Fraction(0)
+        obj[n + i] = 0
     while True:
         enter = None
         for j in range(n + m):
@@ -181,37 +175,52 @@ def feasible_nonneg(matrix, rhs, ncols=None):
                 break
         if enter is None:
             break
+        # a row's denominator cancels from its ratio rhs / entry
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+            a = tab[i][enter]
+            if a > 0:
+                b = tab[i][-1]
+                if leave is None:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                lhs, rhs_ = b * best_a, best_b * a
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave is None:
             raise CrossCheckFailed("phase-one objective is unbounded below")
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
+        # the pivot row over its (positive) pivot entry
         pivot_row = tab[leave]
+        g = gcd(*pivot_row)
+        pivot_row = [x // g for x in pivot_row]
+        pivot_den = pivot_row[enter]
+        tab[leave] = pivot_row
+        den[leave] = pivot_den
         for i in range(m):
             if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_row)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, pivot_row)]
+                tab[i], den[i] = _eliminate(tab[i], den[i], pivot_row,
+                                            pivot_den, enter)
+        obj, obj_den = _eliminate(obj, obj_den, pivot_row, pivot_den, enter)
         basis[leave] = enter
     if obj[-1] != 0:
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][-1]
+            x[var] = Fraction(tab[i][-1], den[i])
         elif tab[i][-1] != 0:
             raise CrossCheckFailed("artificial stuck at a nonzero value")
     return x
+
+
+def _eliminate(row, d, pivot_row, pivot_den, col):
+    """row/d minus (row[col]/d) times pivot_row/pivot_den, as reduced
+    integer numerators over a positive denominator."""
+    f = row[col]
+    new = [a * pivot_den - f * b for a, b in zip(row, pivot_row)]
+    d *= pivot_den
+    g = gcd(d, *new)
+    return [x // g for x in new], d // g
 
 
 def rank_gf2(matrix):

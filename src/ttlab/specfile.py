@@ -406,7 +406,7 @@ def forced_zero_lengths(cfg, sa):
     nvars = len(index)
     rows = []
     for a, b in cfg.gluing:
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for sign, (p, s) in ((1, a), (-1, b)):
             f = sa.slot_to_face(p, s)
             cycle, _ = boundary_cycles(sa.graphs[p])[f]

@@ -252,16 +252,25 @@ def area(q):
 def geodesic_flow(q, t):
     """Stretch horizontally, shrink vertically, preserving area.
 
-    Numeric mode: t is a real time and the factor is e^t.  Exact mode:
-    t must itself be the positive rational factor standing in for e^t.
+    Numeric mode: t is a real time and the factor is e^t; a time that
+    takes e^t or the scale out of the positive floats raises OutOfRange.
+    Exact mode: t must itself be the positive rational factor standing
+    in for e^t.
     """
-    if q.mode == NUMERIC:
-        factor = math.exp(float(t))
-    else:
-        factor = _exact_number(t, "geodesic scale factor")
-        if factor <= 0:
-            raise OutOfRange(f"geodesic scale factor must be positive: {factor}")
     sx, sy = q.scale
+    if q.mode == NUMERIC:
+        try:
+            factor = math.exp(float(t))
+            scale = (sx * factor, sy / factor)
+        except (OverflowError, ZeroDivisionError):
+            scale = (math.inf, 0.0)
+        if not all(0 < s < math.inf for s in scale):
+            raise OutOfRange(f"geodesic time {t} moves the scale out of "
+                             "the positive floats")
+        return q._replace(scale=scale)
+    factor = _exact_number(t, "geodesic scale factor")
+    if factor <= 0:
+        raise OutOfRange(f"geodesic scale factor must be positive: {factor}")
     return q._replace(scale=(sx * factor, sy / factor))
 
 

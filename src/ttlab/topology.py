@@ -175,76 +175,125 @@ def _is_pants(cfg):
 # multigraph (loops allowed) on 2g-2 vertices: vertices are pants, edges
 # are curves.  Slots on a pair of pants are symmetric, so configurations
 # up to relabeling are exactly multigraphs up to isomorphism.
+#
+# The catalog lists each class once, as its canonical form: the
+# lexicographically least sorted edge list over all relabelings of the
+# vertices.  Edge lists are generated in lexicographic order, row by row
+# (row v holds the edges (v, w) with w >= v), so the catalog is the
+# sequence of generated lists that are canonical, an orderly generation
+# in the sense of Read (1978) and McKay (1998).  Two facts prune the
+# generation tree without losing a canonical list:
+#
+# - In the canonical form of a connected multigraph every vertex k > 0
+#   has a neighbour below k, and the vertices first appear, as the larger
+#   end of an edge, in increasing order: otherwise swapping two labels
+#   would lower the list.  So an edge (v, w) names w at most one past the
+#   largest vertex seen so far, and row v starts only once v has been
+#   seen.  Every generated list is therefore connected.
+# - A relabeling that gives the smallest labels to vertices with all
+#   three edges fixes the first rows of the relabeled list, whatever
+#   edges come later.  So each time a row completes, the prefix is
+#   dropped when such rows sort below it: no completion of it can be
+#   canonical (`_beaten`).  By the first fact the canonical labeling is
+#   breadth first, so only breadth-first relabelings are tried; at a
+#   leaf, where every vertex has its three edges, the test is exact.
 
 
-def _canonical_edges(edges, n_vertices):
-    """Lexicographically least relabeling of a sorted edge multiset."""
-    best = None
-    for perm in itertools.permutations(range(n_vertices)):
-        relabeled = sorted(
-            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return tuple(best)
+def _beaten(edges, adj, degrees):
+    """True when a relabeling sorts below every completion of edges.
 
+    edges is a sorted prefix, and adj and degrees are its adjacency lists
+    (a loop listed once) and vertex degrees.  A relabeling is built
+    breadth first: the root takes label 0, and row i hands the next
+    labels to the unlabeled neighbours of the vertex labeled i, in every
+    order.  Row i of the relabeled list is then fixed, provided that
+    vertex has all three edges, and it is compared with the same
+    positions of the prefix: a smaller row wins, a larger one closes the
+    branch, an equal one goes on to row i + 1.
+    """
+    n = len(adj)
 
-def _connected(edges, n_vertices):
-    seen = {0}
-    frontier = [0]
-    adj = {i: set() for i in range(n_vertices)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n_vertices
+    def expand(label, order, i, pos):
+        # rows 0..i-1 of the relabeled list equal edges[:pos]
+        if i == len(order) or degrees[order[i]] < 3:
+            return False
+        x = order[i]
+        children = []
+        for y in adj[x]:
+            if label[y] < 0 and y not in children:
+                children.append(y)
+        for perm in itertools.permutations(children):
+            for k, y in enumerate(perm):
+                label[y] = len(order) + k
+            row = [(i, u) for u in sorted(label[y] for y in adj[x]
+                                          if label[y] >= i)]
+            # the rows hold known edges, so they never run past the prefix
+            end = pos + len(row)
+            if row == edges[pos:end]:
+                won = expand(label, order + list(perm), i + 1, end)
+            else:
+                won = row < edges[pos:end]
+            for y in perm:
+                label[y] = -1
+            if won:
+                return True
+        return False
+
+    for root in range(n):
+        if degrees[root] == 3:
+            label = [-1] * n
+            label[root] = 0
+            if expand(label, [root], 0, 0):
+                return True
+    return False
 
 
 def _cubic_multigraphs(n_vertices):
     """All connected 3-regular multigraphs on n_vertices, up to isomorphism.
 
-    Backtracking over non-decreasing edge lists; a loop contributes 2 to
-    its vertex degree.  Deduplication by canonical relabeling, and the
-    catalog is ordered by that canonical form: the first edge list found
-    in each class is returned, in the order of its class's form.
+    Each class appears as its canonical form, and the catalog is in
+    lexicographic order (see the comment above).  A loop contributes 2
+    to its vertex degree.
     """
-    by_canon = {}
+    n = n_vertices
+    catalog = []
+    edges = []
+    adj = [[] for _ in range(n)]
+    degrees = [0] * n
 
-    def extend(edges, degrees, min_edge):
-        if all(d == 3 for d in degrees):
-            if _connected(edges, n_vertices):
-                canon = _canonical_edges(edges, n_vertices)
-                if canon not in by_canon:
-                    by_canon[canon] = list(edges)
-            return
-        # first vertex still missing degree
-        v = next(i for i, d in enumerate(degrees) if d < 3)
-        for w in range(n_vertices):
-            edge = (min(v, w), max(v, w))
-            if edge < min_edge:
-                continue
+    def extend(v, min_w, seen):
+        # v is the first vertex short of degree 3 and row v continues
+        # with (v, w), w >= min_w >= v; seen is the largest vertex named
+        for w in range(min_w, min(seen + 2, n)):
             need = 2 if v == w else 1
-            if degrees[v] + need > 3:
+            if degrees[v] + need > 3 or (v != w and degrees[w] == 3):
                 continue
-            if v != w and degrees[w] + 1 > 3:
-                continue
+            edges.append((v, w))
+            adj[v].append(w)
             degrees[v] += need
             if v != w:
+                adj[w].append(v)
                 degrees[w] += 1
-            edges.append(edge)
-            extend(edges, degrees, edge)
+            now_seen = max(seen, w)
+            if degrees[v] < 3:
+                extend(v, w, now_seen)
+            else:
+                nxt = next((u for u in range(v + 1, n) if degrees[u] < 3), n)
+                if nxt == n:
+                    if not _beaten(edges, adj, degrees):
+                        catalog.append(list(edges))
+                # row nxt may start only once nxt has been named
+                elif nxt <= now_seen and not _beaten(edges, adj, degrees):
+                    extend(nxt, nxt, now_seen)
             edges.pop()
+            adj[v].pop()
             degrees[v] -= need
             if v != w:
+                adj[w].pop()
                 degrees[w] -= 1
 
-    extend([], [0] * n_vertices, (0, 0))
-    return [by_canon[canon] for canon in sorted(by_canon)]
+    extend(0, 0, 0)
+    return catalog
 
 
 def _multigraph_to_config(genus, edges):

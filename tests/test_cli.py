@@ -91,6 +91,17 @@ def test_pants_bad_pairing_index(capsys):
     assert "5 pants decompositions" in err
 
 
+def test_pants_covers_genus_five(capsys):
+    code, out, err = run(capsys, "pants", "5", "--pairing", "70")
+    assert code == 0 and not err
+    spec = parse_spec(out)
+    assert spec.cfg == topology.enumerate_pants_configs(5)[70]
+    code, out, err = run(capsys, "pants", "5", "--pairing", "71")
+    assert code == 2 and out == ""
+    assert "error.type = OutOfRange" in err
+    assert "71 pants decompositions" in err
+
+
 def test_pants_wrong_value_count(capsys):
     code, _, err = run(capsys, "pants", "3", "--lengths", "1,2")
     assert code == 2
@@ -267,6 +278,28 @@ def test_flow_numeric_spec_cannot_be_written_back(capsys, tmp_path):
     code, _, err = run(capsys, "flow", path, "--scale", "2")
     assert code == 2
     assert "error.type = ModeMismatch" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "num.spec", "--scale", "1000"),
+    ("flow", "num.spec", "--scale", "-1000"),
+    ("flow", "exact.spec", "--mode", "numeric", "--scale", "1000"),
+    ("twist", "num.spec", "0=1e400"),
+    ("twist", "exact.spec", "--mode", "numeric", "0=1/3"),
+])
+def test_generators_refuse_numeric_mode_up_front(capsys, tmp_path, argv):
+    # a moved surface can only be written back in exact mode; numeric
+    # mode used to go on to float overflow (a traceback) before that
+    (tmp_path / "exact.spec").write_text(ORIGAMI_TEXT, encoding="utf-8")
+    (tmp_path / "num.spec").write_text(
+        ORIGAMI_TEXT.replace("mode = exact", "mode = numeric"),
+        encoding="utf-8",
+    )
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, tmp_path / name, *rest)
+    assert code == 2 and out == ""
+    assert "error.type = ModeMismatch" in err
+    assert f"{command} writes a spec file" in err
 
 
 # ---------------------------------------------------------------- twist

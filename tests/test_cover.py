@@ -27,7 +27,7 @@ from ttlab.surface import build_surface
 
 from test_acceptance import random_pants_cfg
 from test_classify import plumbing_ring
-from test_linalg import ref_rank
+from test_linalg import rank_of_stack, ref_rank, span_dimension_mod
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
 
@@ -173,16 +173,16 @@ def test_anti_invariant_dimension():
         [F(cover.boundary_2()[row][col]) for row in range(cover.n_cover_edges)]
         for col in range(cover.n_cover_faces)
     ]
-    base_rank = linalg.rank_of_stack(boundaries)
+    base_rank = rank_of_stack(boundaries)
     for vec in h1m.basis:
         # a genuine cycle, not a boundary, with (iota+1) vec a boundary
         assert all(
             sum(d1[v][r] * vec[r] for r in range(len(vec))) == 0
             for v in range(len(cover.cover_vertices))
         )
-        assert linalg.rank_of_stack(boundaries, [list(vec)]) == base_rank + 1
+        assert rank_of_stack(boundaries, [list(vec)]) == base_rank + 1
         folded = [a + b for a, b in zip(vec, cover.involution_on_edges(vec))]
-        assert linalg.rank_of_stack(boundaries, [folded]) == base_rank
+        assert rank_of_stack(boundaries, [folded]) == base_rank
 
 
 def greedy_anti_invariant_basis(cover):
@@ -240,7 +240,7 @@ def test_tree_cotree_coordinates(name):
             for j in range(n)] == unit
     # the lifted-class rank agrees with the old span-modulo-boundaries route
     boundaries = [list(col) for col in zip(*cover.boundary_2())]
-    old = linalg.span_dimension_mod(lifted_curve_classes(cover, q.cfg), boundaries)
+    old = span_dimension_mod(lifted_curve_classes(cover, q.cfg), boundaries)
     assert rank_lower_bound(cover, q.cfg) == old
     # a chain with a boundary is refused
     edge = next(r for r in range(cover.n_cover_edges)

@@ -1,11 +1,12 @@
-"""Seeded fuzzing of spec files through the reporter commands.
+"""Seeded fuzzing of spec files through the commands that read them.
 
 Valid spec texts are mutated line by line and token by token, and every
-mutant goes through validate, classify, spin and rank as a shell user
-would run them.  Whatever the mutant says, each command must either
-answer (exit 0) or refuse with exit code 2 and an error.type line; a
-traceback or another exit code is a bug.  The draws come from
-CounterRandom, so a failure names a mutant that replays exactly.
+mutant goes through the reporters validate, classify, spin and rank and
+the generators flow and twist, as a shell user would run them.
+Whatever the mutant says, each command must either answer (exit 0) or
+refuse with exit code 2 and an error.type line; a traceback or another
+exit code is a bug.  The draws come from CounterRandom, so a failure
+names a mutant that replays exactly.
 """
 
 import io
@@ -21,7 +22,10 @@ from ttlab.topology import enumerate_pants_configs
 from test_classify import GENERIC6, plumbing_ring
 from test_specfile import ORIGAMI_TEXT
 
-COMMANDS = ("validate", "classify", "spin", "rank")
+# argv after the spec argument, which is "-" for stdin
+COMMANDS = (("validate",), ("classify",), ("spin",), ("rank",),
+            ("flow", "--scale", "3/2", "--shear", "1/4"),
+            ("twist", "0=2/3"))
 MUTANTS = 400
 
 # replacements for a number: small values that keep a file plausible,
@@ -94,7 +98,7 @@ def mutate(rng, text):
 
 def run_stdin(capsys, monkeypatch, command, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    code = main([command, "-"])
+    code = main([command[0], "-", *command[1:]])
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -140,7 +144,7 @@ def test_numeric_length_beyond_a_float_is_refused(capsys, monkeypatch):
     # float conversion used to raise OverflowError out of main
     text = (ORIGAMI_TEXT.replace("mode = exact", "mode = numeric")
             .replace("edge: 0 3 length 1", "edge: 0 3 length 1e400"))
-    code, out, err = run_stdin(capsys, monkeypatch, "validate", text)
+    code, out, err = run_stdin(capsys, monkeypatch, ("validate",), text)
     assert code == 2 and not out
     assert "error.type = OutOfRange" in err
     assert "fits a float" in err

@@ -109,6 +109,20 @@ def test_geodesic_flow_exact_mode_guards():
         geodesic_flow(q, 0)
 
 
+def test_geodesic_flow_numeric_time_must_keep_a_float_scale():
+    # e^t overflows, underflows to 0, or is not a number; each used to
+    # escape as OverflowError or ZeroDivisionError
+    q = theta_surface(heights=(1, 0.5, 2), mode="numeric")
+    for t in (1000, F(10 ** 400), -1000, float("nan")):
+        with pytest.raises(OutOfRange):
+            geodesic_flow(q, t)
+    # a scale that is finite on its own but not after the stretch
+    far = geodesic_flow(q, 700)
+    with pytest.raises(OutOfRange):
+        geodesic_flow(far, 700)
+    assert geodesic_flow(far, -700).scale[0] > 0
+
+
 def test_horocycle_advances_twists_only():
     q = theta_surface(twists=(1, 1, 1))
     u = horocycle_flow(q, F(3, 2))

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from ttlab import topology
 from ttlab.errors import InvalidConfig, OutOfRange
 from ttlab.topology import (
     enumerate_pants_configs,
@@ -197,6 +198,101 @@ def test_enumerated_configs_are_valid_pants():
             assert cfg.n_curves == 3 * g - 3
         gluings = repr([cfg.gluing for cfg in catalog]).encode()
         assert hashlib.sha256(gluings).hexdigest() == CATALOG_DIGESTS[g], g
+
+
+# sha256 of the genus-5 catalog, taken after each of its 71 entries was
+# checked to be its own brute-force canonical form (8! relabelings each,
+# about 30 s, too slow to repeat here) and the entries were found sorted.
+GENUS_FIVE_DIGEST = (
+    "ac4862e8eed97a3c6ac0359a079fc179f8e114752793a098a5b47a2689f21e86")
+
+
+def test_genus_five_catalog_is_valid_pants():
+    catalog = enumerate_pants_configs(5)
+    for cfg in catalog:
+        assert validate_config(cfg).ok
+        assert is_pants_decomposition(cfg)
+        assert cfg.n_curves == 12
+    gluings = repr([cfg.gluing for cfg in catalog]).encode()
+    assert hashlib.sha256(gluings).hexdigest() == GENUS_FIVE_DIGEST
+
+
+def test_catalog_sizes():
+    # connected cubic multigraphs with loops on 2, 4, 6, 8 vertices
+    # (OEIS A005967)
+    sizes = [len(enumerate_pants_configs(g)) for g in (2, 3, 4, 5)]
+    assert sizes == [2, 5, 17, 71]
+
+
+# --- the brute force that the orderly catalog replaced, as its oracle ---------
+
+
+def brute_force_canonical(edges, n_vertices):
+    """Lexicographically least relabeling of a sorted edge multiset."""
+    best = None
+    for perm in itertools.permutations(range(n_vertices)):
+        relabeled = sorted(
+            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in edges
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def brute_force_catalog(n_vertices):
+    """Every connected sorted cubic edge list, deduplicated by its
+    brute-force canonical form; the first list of each class is kept,
+    in the order of the forms."""
+    by_canon = {}
+
+    def connected(edges):
+        reach = {0}
+        for _ in range(n_vertices):
+            for a, b in edges:
+                if a in reach or b in reach:
+                    reach.update((a, b))
+        return len(reach) == n_vertices
+
+    def extend(edges, degrees, min_edge):
+        if all(d == 3 for d in degrees):
+            if connected(edges):
+                canon = tuple(brute_force_canonical(edges, n_vertices))
+                by_canon.setdefault(canon, list(edges))
+            return
+        v = next(i for i, d in enumerate(degrees) if d < 3)
+        for w in range(v, n_vertices):
+            need = 2 if v == w else 1
+            if (v, w) < min_edge or degrees[v] + need > 3:
+                continue
+            if v != w and degrees[w] == 3:
+                continue
+            degrees[v] += need
+            if v != w:
+                degrees[w] += 1
+            edges.append((v, w))
+            extend(edges, degrees, (v, w))
+            edges.pop()
+            degrees[v] -= need
+            if v != w:
+                degrees[w] -= 1
+
+    extend([], [0] * n_vertices, (0, 0))
+    return [by_canon[canon] for canon in sorted(by_canon)]
+
+
+def test_catalog_matches_the_brute_force():
+    for genus in (2, 3):
+        n = 2 * genus - 2
+        assert topology._cubic_multigraphs(n) == brute_force_catalog(n)
+
+
+def test_every_entry_is_its_own_canonical_form():
+    for genus in (2, 3, 4):
+        n = 2 * genus - 2
+        catalog = topology._cubic_multigraphs(n)
+        assert catalog == sorted(catalog)
+        for edges in catalog:
+            assert brute_force_canonical(edges, n) == edges
 
 
 def test_enumeration_is_deterministic():
