@@ -19,7 +19,6 @@ from .errors import (
     OutOfRange,
     ParseError,
     RadiusTooSmall,
-    SearchBudgetExceeded,
     SpanNotCertified,
     TTLabError,
     ZeroLengthForced,

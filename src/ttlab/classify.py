@@ -14,9 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .cover import holonomy_double_cover, rank_lower_bound
-from .errors import (
-    BadPartition, CrossCheckFailed, ModeMismatch, NotPants, SearchBudgetExceeded,
-)
+from .errors import BadPartition, CrossCheckFailed, ModeMismatch, NotPants
 from .ribbon import (
     co_orientable,
     cone_orders,
@@ -28,9 +26,6 @@ from .topology import _is_pants, is_pants_decomposition
 FULL_STRATUM = "FullStratumComponent"
 HYPERELLIPTIC = "HyperellipticCandidate"
 INCONCLUSIVE = "Inconclusive"
-
-_SEARCH_PIECE_LIMIT = 12
-_SEARCH_NODE_LIMIT = 500_000
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,20 @@ def hyperelliptic_involution_search(q):
     candidate only counts if the quotient is a sphere, which we check
     by the fixed-point census: two fixed points on each core plus the
     fixed vertices and inverted edges of self-mapped pieces must total
-    2g + 2.
+    2g + 2.  The answer maps (piece, half-edge) to its image, or is
+    None when no such involution exists.
+
+    Swapping faces forces the image of each piece: every face of p
+    must land on its curve partner's face, so p goes to the piece t
+    across its first face, and all of p's faces must face t.  A piece
+    mapped to itself therefore has all its curves glued to itself and
+    is the whole surface.  With several pieces, each pair p != t takes
+    its first matching ribbon iso and the inverse, and only the cores
+    are fixed.  A single piece tries its matching involutive isos in
+    turn.  The census check runs on every complete candidate, and the
+    first that totals 2g + 2 is the answer, the one a depth-first
+    search over all piece maps would find.  There are at most
+    n_half_edges isos per pair of pieces, so the search is polynomial.
 
     Pants decompositions are refused outright: reversing all 3g - 3
     cores needs 2(3g - 3) fixed points, above the 2g + 2 cap once
@@ -297,11 +305,6 @@ def hyperelliptic_involution_search(q):
     cfg, sa = q.cfg, q.sa
     if _is_pants(cfg):
         return None
-    n_pieces = len(cfg.pieces)
-    if n_pieces > _SEARCH_PIECE_LIMIT:
-        raise SearchBudgetExceeded(
-            f"{n_pieces} pieces exceed the search limit {_SEARCH_PIECE_LIMIT}"
-        )
 
     # The two boundary faces of each curve, as (piece, face index).
     partner = {}
@@ -310,80 +313,67 @@ def hyperelliptic_involution_search(q):
         partner[b] = a
 
     one = Fraction(1)
-    budget = [_SEARCH_NODE_LIMIT]
 
-    def faces_ok(p, t, iso):
-        """Every face of piece p must map to its curve partner's face."""
-        g_p = sa.graphs[p]
+    def matching_isos(p, t):
         g_t = sa.graphs[t]
-        for f in range(len(g_p.faces())):
-            h = g_p.faces()[f][0]
-            img_face = g_t.face_of(iso[h])
-            if partner[(p, f)] != (t, img_face):
-                return False
-        return True
+        return [
+            iso for iso in _ribbon_isos(sa.graphs[p], g_t, one, one, EXACT)
+            if all(
+                partner[(p, f)] == (t, g_t.face_of(iso[face[0]]))
+                for f, face in enumerate(sa.graphs[p].faces())
+            )
+        ]
 
-    def census(assignment):
-        # Every cylinder is rotated onto itself, giving two fixed
-        # points on its middle circle; self-mapped pieces add their
-        # fixed spine vertices and inverted edges.
-        fixed = 2 * cfg.n_curves
-        for p, (t, iso) in assignment.items():
-            if t != p:
+    if len(sa.graphs) == 1:
+        graph = sa.graphs[0]
+        candidates = [
+            (_fixed_points(graph, iso), {0: (0, iso)})
+            for iso in matching_isos(0, 0)
+            if all(iso[iso[h]] == h for h in iso)
+        ]
+    else:
+        chosen = {}
+        for p in range(len(sa.graphs)):
+            if p in chosen:
                 continue
-            graph = sa.graphs[p]
-            for orbit in graph.vertices():
-                if iso[orbit[0]] in orbit:
-                    fixed += 1
-            for h, _ in graph.edges():
-                if iso[h] == graph.iota[h]:
-                    fixed += 1
-        # Any involution of a closed oriented genus-g surface with
-        # isolated fixed points has 2g + 2 - 4g' of them, g' >= 0 the
-        # quotient genus.
-        if fixed > 2 * cfg.genus + 2 or fixed % 4 != (2 * cfg.genus + 2) % 4:
+            t = partner[(p, 0)][0]
+            # A matching iso would make t face p and share p's type, so
+            # these refuse early what matching_isos would refuse anyway.
+            if partner[(t, 0)][0] != p or cfg.pieces[p] != cfg.pieces[t]:
+                return None
+            isos = matching_isos(p, t)
+            if not isos:
+                return None
+            # The face condition for the way back follows from this
+            # direction because partner is an involution.
+            chosen[p] = (t, isos[0])
+            chosen[t] = (p, {v: k for k, v in isos[0].items()})
+        candidates = [(0, chosen)]
+
+    # Every cylinder is rotated onto itself, giving two fixed points on
+    # its middle circle.  Any involution of a closed oriented genus-g
+    # surface with isolated fixed points has 2g + 2 - 4g' of them, g'
+    # >= 0 the quotient genus.
+    cap = 2 * cfg.genus + 2
+    found = None
+    for extra, assignment in candidates:
+        fixed = 2 * cfg.n_curves + extra
+        if fixed > cap or fixed % 4 != cap % 4:
             raise CrossCheckFailed(
                 f"{fixed} fixed points on a genus-{cfg.genus} involution")
-        return fixed
-
-    def extend(assignment):
-        unassigned = [p for p in range(n_pieces) if p not in assignment]
-        if not unassigned:
-            if census(assignment) == 2 * cfg.genus + 2:
-                return {
-                    (p, h): (t, iso[h])
-                    for p, (t, iso) in assignment.items()
-                    for h in range(sa.graphs[p].n_half_edges)
-                }
-            return None
-        p = unassigned[0]
-        for t in unassigned:
-            if cfg.pieces[p] != cfg.pieces[t]:
-                continue
-            for iso in _ribbon_isos(sa.graphs[p], sa.graphs[t], one, one, EXACT):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise SearchBudgetExceeded(
-                        "involution search budget exhausted"
-                    )
-                if not faces_ok(p, t, iso):
-                    continue
-                if p == t:
-                    if any(iso[iso[h]] != h for h in iso):
-                        continue
-                    assignment[p] = (p, iso)
-                else:
-                    # The face condition for the way back follows from
-                    # this direction because partner is an involution.
-                    inverse = {v: k for k, v in iso.items()}
-                    assignment[p] = (t, iso)
-                    assignment[t] = (p, inverse)
-                found = extend(assignment)
-                if found is not None:
-                    return found
-                del assignment[p]
-                if t != p:
-                    del assignment[t]
+        if fixed == cap and found is None:
+            found = assignment
+    if found is None:
         return None
+    return {
+        (p, h): (t, iso[h])
+        for p, (t, iso) in found.items()
+        for h in range(sa.graphs[p].n_half_edges)
+    }
 
-    return extend({})
+
+def _fixed_points(graph, iso):
+    """Fixed spine vertices plus inverted edges of a self-map of a piece."""
+    vertices = sum(1 for orbit in graph.vertices() if iso[orbit[0]] in orbit)
+    edges = sum(1 for h, _ in graph.edges() if iso[h] == graph.iota[h])
+    return vertices + edges

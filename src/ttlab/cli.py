@@ -4,8 +4,7 @@ Subcommands come in two flavours.  Generators (pants, plumbing, flow,
 twist) emit a canonical spec file, so their output can be piped back
 into any other subcommand.  Reporters (validate, classify, rank, spin,
 probe) print a line-oriented ``key = value`` report.  Exit codes: 0 on
-success, 2 when the input is bad in any way, 3 when a search budget
-runs out.
+success, 2 when the input is bad in any way.
 
 There is one parser per process: the first main() call builds it and
 later calls reuse it.  argparse reads sys.argv, the standard streams and
@@ -37,7 +36,6 @@ from .errors import (
     NotAbelianSquare,
     OutOfRange,
     ParseError,
-    SearchBudgetExceeded,
     TTLabError,
 )
 from .probe import _fmt, run_probe
@@ -445,7 +443,7 @@ def main(argv=None):
         if isinstance(exc, ParseError):
             print(f"error.line = {exc.lineno}", file=sys.stderr)
         print(f"error = {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SearchBudgetExceeded) else 2
+        return 2
     for line in lines:
         print(line)
     return 0

@@ -65,10 +65,6 @@ class BadPartition(TTLabError):
     """Cone-order multiset does not fit the genus."""
 
 
-class SearchBudgetExceeded(TTLabError):
-    pass
-
-
 class NotAbelianSquare(TTLabError):
     """Spin parity requested for a surface that is not jointly orientable."""
 

@@ -26,11 +26,14 @@ structure, so the tangent direction never completes a turn and the
 winding term vanishes identically; only crossing counts remain, and
 those are exact rational computations inside single cylinders.
 
-The staircase census is grown until the pairing matrix of the
-collected loops reaches full rank 2g, which certifies that they span
-the whole homology.  No claim is made beyond the certificate: if the
-census is exhausted below full rank the computation refuses rather
-than extrapolates.
+Staircase loops come from an ear decomposition of the staircase
+digraph: modulo the cores a loop's class is the sum of its steps, so
+one simple cycle per ear spans what every staircase loop together
+spans, with no search over all cycles.  Loops are taken, shortest
+first, until the pairing matrix reaches full rank 2g, which certifies
+that they span the whole homology.  No claim is made beyond the
+certificate: if the ear cycles are used up below full rank the
+computation refuses rather than extrapolates.
 """
 
 from __future__ import annotations
@@ -44,13 +47,10 @@ from .errors import (
     NoSpinStructure,
     NotAbelianSquare,
     OutOfRange,
-    SearchBudgetExceeded,
     SpanNotCertified,
 )
 from .linalg import rank_gf2
 from .surface import EXACT
-
-DEFAULT_CENSUS_BUDGET = 200_000
 
 _KIND_BIT = {"bottom": 0, "top": 1}
 
@@ -156,42 +156,71 @@ def _edge_table(q, bits):
     return edata
 
 
-def _cycles_at_depth(root, node, succ, on_path, path, depth, counter, budget):
-    closing = len(path) == depth
-    for nxt in succ[node]:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise SearchBudgetExceeded(
-                f"staircase census passed {budget} steps before the "
-                f"loops spanned homology"
-            )
-        if closing:
-            if nxt == root:
-                yield tuple(path)
-        elif nxt > root and nxt not in on_path:
-            on_path.add(nxt)
-            path.append(nxt)
-            yield from _cycles_at_depth(
-                root, nxt, succ, on_path, path, depth, counter, budget
-            )
-            path.pop()
-            on_path.remove(nxt)
+def _staircase_succ(edata):
+    """Staircase digraph on spine edges: e -> f when f tops the cylinder
+    that e bottoms, so a staircase may climb from e to f."""
+    return [
+        [j for j, f in enumerate(edata) if f.down_side.curve == e.up_side.curve]
+        for e in edata
+    ]
 
 
-def _directed_cycles(succ, budget):
-    """Simple directed cycles in order of length, then root, then path.
+def _ear_cycles(succ):
+    """A basis of simple directed cycles for what directed cycles span.
 
-    Iterative deepening: short cycles usually certify the span on their
-    own, and revisiting prefixes is cheap because the out-degrees are
-    the face sizes of the spine graphs.  Each cycle is rooted at its
-    least node, so every rotation class comes out exactly once.
+    Every directed cycle lies in one strongly connected component, and
+    there the cycles span the whole mod-2 cycle space, m - n + 1
+    dimensions for m arcs on n nodes.  A directed ear decomposition
+    gives a basis.  H starts at one node and stays strongly connected;
+    an ear is an arc (u, v) out of H followed by a path back into it,
+    and closing it through H gives a simple cycle with arcs no earlier
+    cycle has.  The ear and its closing path are a shortest way from v
+    back to u that, once in H, keeps to the arcs of H; when there is
+    none, v lies outside the component of H and the arc is on no cycle.
+    Every loop arc and every 2-cycle is in the basis, so the shortest
+    staircases are.  The cycles come rooted at their least node, in
+    order of length, then node tuple.
     """
-    counter = [0]
-    for depth in range(1, len(succ) + 1):
-        for root in range(len(succ)):
-            yield from _cycles_at_depth(
-                root, root, succ, {root}, [root], depth, counter, budget
-            )
+    pred = [[] for _ in succ]
+    for u, nexts in enumerate(succ):
+        for v in nexts:
+            pred[v].append(u)
+    todo = {(u, v) for u, nexts in enumerate(succ) for v in nexts}
+    cycles = []
+    for root in range(len(succ)):
+        order = [root]
+        nodes = {root}
+        for u in order:
+            for v in succ[u]:
+                if (u, v) not in todo:
+                    continue
+                todo.remove((u, v))
+                # breadth first backwards from u: hop[x] is the next node
+                # on a shortest way from x to u
+                hop = {u: u}
+                frontier = [u]
+                while frontier and v not in hop:
+                    later = []
+                    for w in frontier:
+                        for x in pred[w]:
+                            if x not in hop and not (
+                                    x in nodes and (x, w) in todo):
+                                hop[x] = w
+                                later.append(x)
+                    frontier = later
+                if v not in hop:
+                    continue
+                cyc = [u]
+                while v != u:
+                    cyc.append(v)
+                    if v not in nodes:
+                        nodes.add(v)
+                        order.append(v)
+                    v = hop[v]
+                todo.difference_update(zip(cyc, cyc[1:] + cyc[:1]))
+                i = cyc.index(min(cyc))
+                cycles.append(tuple(cyc[i:] + cyc[:i]))
+    return sorted(cycles, key=lambda c: (len(c), c))
 
 
 def _point_x(side, canonical_half, length, s):
@@ -302,19 +331,25 @@ class _FormBuilder:
                     count += _crossings(a1, d1, a2, d2, self.ells[cyl1])
         return count
 
-    def rank(self):
-        return rank_gf2(self.gram)
 
-
-def winding_form(q, bits=None, budget=DEFAULT_CENSUS_BUDGET):
+def winding_form(q, bits=None):
     """Certified generating loops with their pairing and form values.
 
-    Staircase cycles are accepted in census order until the pairing
+    The loops are the cylinder cores and the staircase cycles of an
+    ear basis (_ear_cycles), accepted in order until the pairing
     matrix reaches rank exactly 2g.  That certifies the loops span: a
     bilinear form pulled back from a proper subspace of the homology
     of a closed surface cannot reach full rank.  A loop that changes
     nothing at first may still be needed by a later partner, so none
     are dropped.
+
+    Nothing short of every staircase loop could span more.  Modulo the
+    cores, a staircase loop's class is the sum of the classes of its
+    steps, one per arc of the staircase digraph (another winding inside
+    a cylinder changes it by that cylinder's core), so the span depends
+    only on the loop's mod-2 arc vector.  The ear basis spans every
+    directed cycle's arc vector, so if even all of it falls short of
+    rank 2g, SpanNotCertified is raised.
 
     bits, when given, must be a valid output of orientation_bits (the
     complement of a component is also valid); the parity does not
@@ -340,19 +375,13 @@ def winding_form(q, bits=None, budget=DEFAULT_CENSUS_BUDGET):
                     f"square root"
                 )
     edata = _edge_table(q, bits)
-    succ = []
-    for e in edata:
-        succ.append(
-            [j for j, f in enumerate(edata)
-             if f.down_side.curve == e.up_side.curve]
-        )
 
     target = 2 * q.cfg.genus
     builder = _FormBuilder(q, bits, edata)
     rank = 0
-    for cyc in _directed_cycles(succ, budget):
+    for cyc in _ear_cycles(_staircase_succ(edata)):
         builder.add(cyc)
-        rank = builder.rank()
+        rank = rank_gf2(builder.gram)
         if rank == target:
             break
     if rank != target:
@@ -465,7 +494,7 @@ def spin_parity(q):
 
     Only defined when the horizontal direction is orientable; raises
     NotAbelianSquare otherwise.  The result is "even" or "odd" and does
-    not depend on the chosen orientation, the loop census order, or
+    not depend on the chosen orientation, the loop order, or
     the symplectic basis extracted from it.
     """
     form = winding_form(q)

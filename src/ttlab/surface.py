@@ -343,6 +343,8 @@ def _ribbon_isos(g1, g2, scale1, scale2, mode):
     n = g1.n_half_edges
     if n != g2.n_half_edges:
         return
+    sized1 = [scale1 * _convert(g1.length_of(h), mode, "length") for h in range(n)]
+    sized2 = [scale2 * _convert(g2.length_of(h), mode, "length") for h in range(n)]
     for start in range(n):
         image = {0: start}
         queue = [0]
@@ -362,14 +364,7 @@ def _ribbon_isos(g1, g2, scale1, scale2, mode):
                     queue.append(nxt)
         if not ok or len(image) != n or len(set(image.values())) != n:
             continue
-        if all(
-            _eq(
-                scale1 * _convert(g1.length_of(h), mode, "length"),
-                scale2 * _convert(g2.length_of(image[h]), mode, "length"),
-                mode,
-            )
-            for h, _ in g1.edges()
-        ):
+        if all(_eq(sized1[h], sized2[image[h]], mode) for h, _ in g1.edges()):
             yield image
 
 

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per numbered criterion, run in order.
 
-Criteria 1, 2, 3, 5, and 10 share one sweep of instances, built once
+Criteria 1, 2, 3, 5, 10 and 11 share one sweep of instances, built once
 per module: the exhaustive pants catalogs in genus 2 and 3 under a
 length battery that realizes every spine type on every piece, 200
 random pants decompositions up to genus 5, a census of one-cylinder
@@ -33,6 +33,7 @@ from ttlab.cover import (
     rank_lower_bound,
     relations_formula,
 )
+import ttlab.classify as classify_module
 from ttlab.errors import InvalidAssignment, NoSpinStructure
 from ttlab.linalg import rank_gf2
 from ttlab.probe import run_probe
@@ -67,11 +68,12 @@ from test_classify import (
     odd_plumbing,
     plumbing_pair,
     plumbing_ring,
+    reference_involution_search,
     relabeled,
 )
 from test_ribbon import nabla_assignment
 from test_saddle import origami_surface
-from test_spin import all_pairings, transported
+from test_spin import all_pairings, census_form, transported
 from test_topology import TWO_PANTS
 
 F = Fraction
@@ -639,3 +641,33 @@ def test_criterion_10_spin_parity_well_defined(sweep):
         f"{defined} instances; refusal consistent on {refused} without "
         f"a spin structure",
     )
+
+
+def test_criterion_11_certificates_match_the_search_oracles(sweep, monkeypatch):
+    # the polynomial involution search and the ear basis replayed
+    # against the exponential searches they replaced: the same
+    # involution, the same verdict and the same form on every instance
+    searched = formed = 0
+    for inst in sweep.instances:
+        found = classify_module.hyperelliptic_involution_search(inst.q)
+        assert found == reference_involution_search(inst.q), inst.name
+        if inst.stratum.epsilon != 1:
+            continue
+        if inst.rank_lb == inst.cfg.genus:
+            searched += 1
+            with monkeypatch.context() as m:
+                m.setattr(classify_module, "hyperelliptic_involution_search",
+                          reference_involution_search)
+                assert classify_orbit_closure(inst.q) == inst.verdict, inst.name
+        try:
+            form = winding_form(inst.q)
+        except NoSpinStructure:
+            with pytest.raises(NoSpinStructure):
+                census_form(inst.q, monkeypatch)
+            continue
+        formed += 1
+        assert form == census_form(inst.q, monkeypatch), inst.name
+    assert searched > 0 and formed > 0
+    note(11, f"PASS involution search and ear-basis spin form match the "
+             f"depth-first and census oracles ({searched} searches decide "
+             f"a verdict, {formed} forms)")

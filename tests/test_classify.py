@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ttlab.classify
 from ttlab.classify import (
     FULL_STRATUM,
     HYPERELLIPTIC,
@@ -18,11 +19,14 @@ from ttlab.errors import (
     BadPartition,
     ModeMismatch,
     NotPants,
-    SearchBudgetExceeded,
 )
-from ttlab.ribbon import SpineAssignment, plumbing_fixture
-from ttlab.surface import NUMERIC, build_surface
-from ttlab.topology import enumerate_pants_configs, make_config
+from ttlab.ribbon import SpineAssignment, pants_assignment, plumbing_fixture
+from ttlab.surface import EXACT, NUMERIC, _ribbon_isos, build_surface
+from ttlab.topology import (
+    enumerate_pants_configs,
+    is_pants_decomposition,
+    make_config,
+)
 
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
@@ -111,6 +115,96 @@ def relabeled(cfg, piece_perm, curve_perm):
     for i, pair in enumerate(cfg.gluing):
         gluing[curve_perm[i]] = tuple((inv_p[p], s) for p, s in pair)
     return make_config(cfg.genus, pieces, gluing)
+
+
+def reference_involution_search(q):
+    """The involution search as a depth-first search over every piece
+    map, kept as an oracle for hyperelliptic_involution_search.
+
+    It tries each unassigned target piece and each ribbon iso in turn
+    and applies the fixed-point census to every complete assignment it
+    reaches, returning the first that totals 2g + 2.  It is exponential
+    in the number of self-mapped pieces; the shipped version once ran
+    it behind a limit of 12 pieces and 500,000 nodes, lifted here.
+    """
+    cfg, sa = q.cfg, q.sa
+    if is_pants_decomposition(cfg):
+        return None
+    partner = {}
+    for a, b in q.glued_faces:
+        partner[a] = b
+        partner[b] = a
+    one = Fraction(1)
+
+    def faces_ok(p, t, iso):
+        g_p, g_t = sa.graphs[p], sa.graphs[t]
+        return all(
+            partner[(p, f)] == (t, g_t.face_of(iso[face[0]]))
+            for f, face in enumerate(g_p.faces())
+        )
+
+    def census(assignment):
+        fixed = 2 * cfg.n_curves
+        for p, (t, iso) in assignment.items():
+            if t != p:
+                continue
+            graph = sa.graphs[p]
+            for orbit in graph.vertices():
+                if iso[orbit[0]] in orbit:
+                    fixed += 1
+            for h, _ in graph.edges():
+                if iso[h] == graph.iota[h]:
+                    fixed += 1
+        assert fixed <= 2 * cfg.genus + 2
+        assert fixed % 4 == (2 * cfg.genus + 2) % 4
+        return fixed
+
+    def extend(assignment):
+        unassigned = [p for p in range(len(cfg.pieces)) if p not in assignment]
+        if not unassigned:
+            if census(assignment) == 2 * cfg.genus + 2:
+                return {
+                    (p, h): (t, iso[h])
+                    for p, (t, iso) in assignment.items()
+                    for h in range(sa.graphs[p].n_half_edges)
+                }
+            return None
+        p = unassigned[0]
+        for t in unassigned:
+            if cfg.pieces[p] != cfg.pieces[t]:
+                continue
+            for iso in _ribbon_isos(sa.graphs[p], sa.graphs[t], one, one, EXACT):
+                if not faces_ok(p, t, iso):
+                    continue
+                if p == t:
+                    if any(iso[iso[h]] != h for h in iso):
+                        continue
+                    assignment[p] = (p, iso)
+                else:
+                    assignment[p] = (t, iso)
+                    assignment[t] = (p, {v: k for k, v in iso.items()})
+                found = extend(assignment)
+                if found is not None:
+                    return found
+                del assignment[p]
+                if t != p:
+                    del assignment[t]
+        return None
+
+    return extend({})
+
+
+def assert_search_matches_reference(q, monkeypatch):
+    """Same involution as the depth-first oracle, and the same verdict
+    when the classifier asks the oracle instead."""
+    found = hyperelliptic_involution_search(q)
+    assert found == reference_involution_search(q)
+    verdict = classify_orbit_closure(q)
+    with monkeypatch.context() as m:
+        m.setattr(ttlab.classify, "hyperelliptic_involution_search",
+                  reference_involution_search)
+        assert classify_orbit_closure(q) == verdict
+    return found
 
 
 # --- stratum labels ----------------------------------------------------------
@@ -320,10 +414,77 @@ def test_pants_never_admit_the_involution():
     )
 
 
-def test_search_budget():
-    cfg, sa = plumbing_ring(13)
-    with pytest.raises(SearchBudgetExceeded):
-        hyperelliptic_involution_search(build_surface(cfg, sa, (1,) * cfg.n_curves))
+def classify_fixtures():
+    """Every surface this module classifies, plus plumbing pairs 4-10,
+    plumbing rings 2-12 and the genus-3 one-cylinder spines."""
+    from test_spin import one_cylinder_catalog  # test_spin imports this module
+
+    yield build_surface(TWO_PANTS, theta_assignment(), (1,) * 3)
+    yield build_surface(TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0)), (1,) * 3)
+    yield build_surface(RING3, pants_assignment(RING3, RING3_LENGTHS), (1,) * 6)
+    for cfg in enumerate_pants_configs(3):
+        yield build_surface(cfg, pants_assignment(cfg, GENERIC6), (1,) * 6)
+    for p in range(4, 11):
+        yield build_surface(*plumbing_pair(p), (1,) * p)
+    for n in range(2, 13):
+        yield build_surface(*plumbing_ring(n), (1,) * (2 * n))
+    cfg, sa = odd_plumbing()
+    yield build_surface(cfg, sa, (1,) * cfg.n_curves)
+    yield from one_cylinder_catalog()
+
+
+def test_search_matches_the_depth_first_oracle(monkeypatch):
+    found = [
+        assert_search_matches_reference(q, monkeypatch) is not None
+        for q in classify_fixtures()
+    ]
+    # plumbing pairs 4-10, ring 2 and the symmetric one-cylinder spine
+    assert sum(found) == 9
+
+
+@pytest.mark.parametrize("n_pieces", [13, 14, 20])
+def test_long_rings_answer(n_pieces, monkeypatch):
+    # the depth-first search refused these past its 12-piece limit;
+    # piece 0 is forced onto piece 1, which is forced onward to piece 2
+    cfg, sa = plumbing_ring(n_pieces)
+    q = build_surface(cfg, sa, (1,) * cfg.n_curves)
+    assert assert_search_matches_reference(q, monkeypatch) is None
+
+
+def test_fourteen_fixture_ring_fills_component():
+    cfg, sa = plumbing_ring(14)
+    verdict = classify_orbit_closure(build_surface(cfg, sa, (1,) * 28))
+    assert verdict.kind == FULL_STRATUM
+    assert verdict.stratum == StratumLabel(15, (2,) * 28, 1)
+    assert verdict.certificate["rank_lb"] == 15
+
+
+def test_fixed_point_census_survives_optimize_mode():
+    # one fixed point too many on the self-mapped piece of the symmetric
+    # one-cylinder surface gives a total of the wrong residue mod 4, so
+    # the quotient would not be a surface of any genus
+    from test_cover import run_optimized
+
+    out = run_optimized("""
+        import sys
+        import ttlab.classify
+        from ttlab.errors import CrossCheckFailed
+        from test_spin import SYMMETRIC_PAIRS, one_cylinder_surface
+
+        assert False, "asserts are on"
+        q, _ = one_cylinder_surface(SYMMETRIC_PAIRS)
+        if ttlab.classify.hyperelliptic_involution_search(q) is None:
+            sys.exit(2)
+        real = ttlab.classify._fixed_points
+        ttlab.classify._fixed_points = lambda graph, iso: real(graph, iso) + 1
+        try:
+            ttlab.classify.hyperelliptic_involution_search(q)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert "fixed points on a genus-3 involution" in out
 
 
 def test_rank_formula_check_survives_optimize_mode():

@@ -152,12 +152,17 @@ def test_classify_genus_two_is_inconclusive(capsys, tmp_path):
     assert "limit_label" not in report
 
 
-def test_classify_search_budget_exit_code(capsys, tmp_path):
+def test_classify_ring_of_fourteen_answers(capsys, tmp_path):
+    # 14 pieces: past the old involution search's limit of 12, which
+    # made this command exit 3
     cfg, sa = plumbing_ring(14)
     path = write_fixture(tmp_path, cfg, sa)
     code, out, err = run(capsys, "classify", path)
-    assert code == 3 and out == ""
-    assert "error.type = SearchBudgetExceeded" in err
+    assert code == 0 and err == ""
+    report = facts(out)
+    assert report["verdict"] == "FullStratumComponent"
+    assert report["stratum"] == "Q(2^28;+1)"
+    assert report["certificate.rank_lb"] == "15"
 
 
 # ------------------------------------------------------------- plumbing

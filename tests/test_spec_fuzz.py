@@ -1,8 +1,9 @@
 """Seeded fuzzing of spec files through the commands that read them.
 
 Valid spec texts are mutated line by line and token by token, and every
-mutant goes through the reporters validate, classify, spin and rank and
-the generators flow and twist, as a shell user would run them.
+mutant goes through the reporters validate, classify, spin, rank and
+probe (one sample at one time) and the generators flow and twist, as a
+shell user would run them.
 Whatever the mutant says, each command must either answer (exit 0) or
 refuse with exit code 2 and an error.type line; a traceback or another
 exit code is a bug.  The draws come from CounterRandom, so a failure
@@ -24,6 +25,7 @@ from test_specfile import ORIGAMI_TEXT
 
 # argv after the spec argument, which is "-" for stdin
 COMMANDS = (("validate",), ("classify",), ("spin",), ("rank",),
+            ("probe", "--samples", "1", "--times", "0"),
             ("flow", "--scale", "3/2", "--shear", "1/4"),
             ("twist", "0=2/3"))
 MUTANTS = 400

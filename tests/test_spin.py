@@ -1,18 +1,29 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import ttlab.spin
 from ttlab.errors import (
     ModeMismatch,
     NoSpinStructure,
     NotAbelianSquare,
     OutOfRange,
-    SearchBudgetExceeded,
+    TTLabError,
 )
 from ttlab.linalg import rank_gf2
-from ttlab.ribbon import SpineAssignment, jointly_orientable, single_vertex_graph
+from ttlab.ribbon import (
+    SpineAssignment,
+    jointly_orientable,
+    single_vertex_graph,
+    validate_assignment,
+)
 from ttlab.spin import (
+    _FormBuilder,
+    _ear_cycles,
+    _edge_table,
+    _staircase_succ,
     arf_invariant,
     form_value,
     orientation_bits,
@@ -71,6 +82,70 @@ def all_pairings(n):
             for t in rec(tail):
                 yield ((a, rest[i]),) + t
     yield from rec(tuple(range(n)))
+
+
+def one_cylinder_catalog():
+    """A surface on every valid genus-3 one-cylinder spine."""
+    for pairs in all_pairings(10):
+        iota = [None] * 10
+        for a, b in pairs:
+            iota[a], iota[b] = b, a
+        try:
+            graph = single_vertex_graph(iota, {min(a, b): 1 for a, b in pairs})
+            sa = SpineAssignment((graph,), ((0, 1),))
+            validate_assignment(ONE_CYLINDER, sa)
+        except TTLabError:
+            continue
+        yield build_surface(ONE_CYLINDER, sa, [1], mode=EXACT)
+
+
+# --- the loop census, kept as an oracle for the ear basis ----------------------
+
+
+def census_cycles(succ):
+    """Every simple directed cycle, in order of length, then root, then path.
+
+    This is the former staircase census: iterative deepening, each
+    cycle rooted at its least node.  It is exponential in the size of
+    the staircase digraph; the shipped version ran it behind a budget
+    of 200,000 steps, lifted here.
+    """
+    def at_depth(root, node, on_path, path, depth):
+        closing = len(path) == depth
+        for nxt in succ[node]:
+            if closing:
+                if nxt == root:
+                    yield tuple(path)
+            elif nxt > root and nxt not in on_path:
+                on_path.add(nxt)
+                path.append(nxt)
+                yield from at_depth(root, nxt, on_path, path, depth)
+                path.pop()
+                on_path.remove(nxt)
+
+    for depth in range(1, len(succ) + 1):
+        for root in range(len(succ)):
+            yield from at_depth(root, root, {root}, [root], depth)
+
+
+def census_form(q, monkeypatch):
+    """winding_form with the census in place of the ear basis."""
+    with monkeypatch.context() as m:
+        m.setattr(ttlab.spin, "_ear_cycles", census_cycles)
+        return winding_form(q)
+
+
+def staircase_succ(q):
+    return _staircase_succ(_edge_table(q, orientation_bits(q)))
+
+
+def full_family_rank(q, cycles):
+    """Rank of the pairing on the cores plus every listed cycle."""
+    bits = orientation_bits(q)
+    builder = _FormBuilder(q, bits, _edge_table(q, bits))
+    for cyc in cycles:
+        builder.add(cyc)
+    return rank_gf2(builder.gram)
 
 
 # --- parity oracle by value counting ------------------------------------------
@@ -182,15 +257,15 @@ def test_symmetric_one_cylinder_is_even():
     assert spin_parity(q) == "even"
 
 
-@pytest.mark.parametrize(
-    "lengths,height,twist",
-    [
-        (None, 1, 0),
-        (None, 3, F(2, 3)),
-        ({0: 1, 1: 2, 2: 3, 3: 1, 4: 2}, 1, 0),
-        ({0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, 2, F(1, 7)),
-    ],
-)
+SYMMETRIC_DEFORMATIONS = [
+    (None, 1, 0),
+    (None, 3, F(2, 3)),
+    ({0: 1, 1: 2, 2: 3, 3: 1, 4: 2}, 1, 0),
+    ({0: 5, 1: 1, 2: 1, 3: 1, 4: 1}, 2, F(1, 7)),
+]
+
+
+@pytest.mark.parametrize("lengths,height,twist", SYMMETRIC_DEFORMATIONS)
 def test_even_instance_stable_under_deformation(lengths, height, twist):
     q, _ = one_cylinder_surface(SYMMETRIC_PAIRS, lengths, height, twist)
     assert spin_parity(q) == "even"
@@ -474,10 +549,160 @@ def test_explicit_bits_are_validated():
         winding_form(q, bits=bad)
 
 
-def test_census_budget_is_enforced():
-    q = plumbing_surface(6)
-    with pytest.raises(SearchBudgetExceeded):
-        winding_form(q, budget=0)
+# --- the ear basis against the census -------------------------------------------
+
+
+def spin_fixtures():
+    """Every surface this module asks for a parity or a form, and every
+    genus-3 one-cylinder spine."""
+    yield origami_surface(twist=0, mode=EXACT)
+    for twist in (F(1, 2), F(1, 3), 2, F(7, 5)):
+        yield origami_surface(twist=twist, mode=EXACT)
+    for lengths, height, twist in SYMMETRIC_DEFORMATIONS:
+        yield one_cylinder_surface(SYMMETRIC_PAIRS, lengths, height, twist)[0]
+    yield one_cylinder_surface(ASYMMETRIC_PAIRS)[0]
+    for p in (4, 6, 10):
+        yield plumbing_surface(p)
+    yield plumbing_surface(6, heights=[1, 2, 1, 3, 1, 2],
+                           twists=[F(1, 2), 0, F(3, 4), 0, F(1, 5), 1])
+    cfg, sa = plumbing_pair(6)
+    piece_perm, curve_perm = (1, 0), (2, 0, 5, 1, 4, 3)
+    yield build_surface(
+        relabeled(cfg, piece_perm, curve_perm),
+        SpineAssignment(tuple(sa.graphs[p] for p in piece_perm),
+                        tuple(sa.face_to_slot[p] for p in piece_perm)),
+        [1] * 6, mode=EXACT)
+    yield build_surface(*plumbing_ring(4), [1] * 8, mode=EXACT)
+    yield build_surface(TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0)),
+                        [1, 1, 1], mode=EXACT)
+    yield build_surface(TWO_PANTS, theta_assignment(), [1, 1, 1], mode=EXACT)
+    cfg, sa = odd_plumbing()
+    yield build_surface(cfg, sa, [1] * cfg.n_curves, mode=EXACT)
+    yield from one_cylinder_catalog()
+
+
+def form_or_refusal(make):
+    try:
+        return make()
+    except (NoSpinStructure, NotAbelianSquare) as exc:
+        return type(exc)
+
+
+def spin_defined_fixtures():
+    for q in spin_fixtures():
+        if not isinstance(form_or_refusal(lambda: winding_form(q)), type):
+            yield q
+
+
+def test_ear_basis_gives_the_census_form(monkeypatch):
+    # the ear basis holds every loop arc and 2-cycle, and those are all
+    # the census took on these surfaces, so even the forms agree, not
+    # just the parity
+    defined = 0
+    for q in spin_fixtures():
+        form = form_or_refusal(lambda: winding_form(q))
+        assert form == form_or_refusal(lambda: census_form(q, monkeypatch))
+        if not isinstance(form, type):
+            defined += 1
+            assert spin_parity(q) == (
+                "odd" if arf_invariant(form.q_vals, form.gram) else "even")
+    assert defined == 22
+
+
+def cycle_space_rank(succ, cycles):
+    """Rank over GF(2) of the arc vectors of the cycles."""
+    arcs = {(u, v): k for k, (u, v) in enumerate(
+        (u, v) for u in range(len(succ)) for v in succ[u])}
+    rows = []
+    for cyc in cycles:
+        row = [0] * len(arcs)
+        for j, u in enumerate(cyc):
+            row[arcs[(u, cyc[(j + 1) % len(cyc)])]] ^= 1
+        rows.append(row)
+    return rank_gf2(rows) if rows else 0
+
+
+def assert_ear_basis(succ):
+    """The ear basis is a basis, of simple cycles, of what all directed
+    cycles span, holds every loop and 2-cycle, and comes sorted."""
+    n = len(succ)
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    components = {frozenset(u for u in reach[v] if v in reach[u])
+                  for v in range(n)}
+    dimension = sum(
+        sum(1 for u in comp for v in succ[u] if v in comp) - len(comp) + 1
+        for comp in components
+    )
+    cycles = _ear_cycles(succ)
+    assert len(cycles) == dimension
+    for cyc in cycles:
+        assert len(set(cyc)) == len(cyc) and cyc[0] == min(cyc)
+        assert all(cyc[(j + 1) % len(cyc)] in succ[u] for j, u in enumerate(cyc))
+    assert cycles == sorted(cycles, key=lambda c: (len(c), c))
+    assert cycle_space_rank(succ, cycles) == dimension
+    short = {(u,) for u in range(n) if u in succ[u]}
+    short |= {(u, v) for u in range(n) for v in succ[u] if u < v and u in succ[v]}
+    assert short <= set(cycles)
+    return cycles
+
+
+def test_ear_basis_spans_the_cycle_space():
+    total = 0
+    for q in spin_defined_fixtures():
+        succ = staircase_succ(q)
+        total += len(assert_ear_basis(succ))
+    assert total > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ear_basis_spans_what_the_census_spans(seed):
+    # small seeded digraphs with several components, arcs between them
+    # and nodes on no cycle: every directed cycle lies in the span of
+    # the ear basis, which is itself made of directed cycles
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3))))
+                for _ in range(n)]
+        cycles = assert_ear_basis(succ)
+        census = list(census_cycles(succ))
+        assert set(cycles) <= set(census)
+        assert cycle_space_rank(succ, census) == len(cycles)
+
+
+def test_two_components_and_a_tail():
+    # 0 <-> 1 -> 2 <-> 3 with a loop at 3, and 4 -> 0 on no cycle
+    succ = [[1], [0, 2], [3], [2, 3], [0]]
+    assert _ear_cycles(succ) == [(3,), (0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: origami_surface(twist=0, mode=EXACT),
+        lambda: one_cylinder_surface(SYMMETRIC_PAIRS)[0],
+        lambda: one_cylinder_surface(ASYMMETRIC_PAIRS)[0],
+    ],
+)
+def test_ear_family_pairs_like_the_whole_census(build):
+    q = build()
+    succ = staircase_succ(q)
+    rank = full_family_rank(q, _ear_cycles(succ))
+    assert rank == full_family_rank(q, census_cycles(succ))
+    assert rank == 2 * q.cfg.genus
+
+
+def test_winding_form_takes_no_budget():
+    # the ear basis is polynomial, so no step budget bounds the search
+    assert list(inspect.signature(winding_form).parameters) == ["q", "bits"]
 
 
 # --- form plumbing --------------------------------------------------------------
