@@ -13,6 +13,12 @@ sigma(h), changing sheet by the flip bit of h's edge.  Going all the way
 around a vertex composes to the identity sheet exactly when the valence
 is even, so the branch set is the set of odd-valence vertices.
 
+The cover is built from combinatorics alone.  Each 2-cell's boundary
+word is read off the two face cycles glued along its curve
+(`q.glued_faces`, bottom face first), so no cylinder layout is needed,
+and the 2-cells are stored as sparse columns.  The dense boundary
+matrices are built only when `boundary_1()` or `boundary_2()` asks.
+
 Homology questions run on integer coordinates built once per cover
 (`HomologyCoordinates`, Eppstein's tree-cotree decomposition): a
 breadth-first spanning forest T of the 1-skeleton, a spanning forest C
@@ -20,11 +26,15 @@ of the dual graph on the edges outside T, and the leftover edges, whose
 fundamental cycles in T are a basis of H_1 over Z.  A cycle's
 coordinates are read off after face boundaries clear it on C, so the
 rank of the lifted classes, the deck involution on H_1 and the
-intersection pairing all become small integer matrices.
+intersection pairing all become small integer matrices.  Chains stay
+sparse on this path: a core lift is checked closed from its edges' end
+points, and the fundamental cycles come from the forest's parent
+pointers.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
@@ -37,8 +47,7 @@ def _require(ok, what):
         raise CrossCheckFailed(f"cover cell structure: {what}")
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     """One step of a 2-cell boundary word.
 
     key names a base 1-cell; sign is the traversal direction; sheet_bit
@@ -51,7 +60,14 @@ class Letter:
 
 
 class BranchedDoubleCover:
-    """Explicit two-sheeted branched cover of a FlatTwistSurface."""
+    """Explicit two-sheeted branched cover of a FlatTwistSurface.
+
+    Edge lift 2k + s and face lift 2i + s are the sheet-s lifts of base
+    1-cell k and of cylinder i.  `_ends[r]` is the (tail, head) of edge
+    lift r, `_face_cols[c]` the boundary of face lift c as a dict
+    {edge lift: nonzero coefficient}, and `_sides[r]` the two face
+    lifts on either side of edge lift r.
+    """
 
     def __init__(self, q):
         self.surface = q
@@ -64,20 +80,18 @@ class BranchedDoubleCover:
             for v in range(len(graph.vertices()))
         ]
         spine_edges = []
-        self.flip = {}
+        self._flip_of = []  # [p][h]: the flip bit of half-edge h's edge
         for p, graph in enumerate(sa.graphs):
+            bits = [0] * graph.n_half_edges
             for h, ih in graph.edges():
-                key = ("e", p, h)
-                spine_edges.append(key)
-                self.flip[key] = q.edge_flip(p, h)
-        cross_edges = [("d", i) for i in range(cfg.n_curves)]
-        for key in cross_edges:
-            self.flip[key] = 0
+                spine_edges.append(("e", p, h))
+                bits[h] = bits[ih] = q.edge_flip(p, h)
+            self._flip_of.append(bits)
+        cross_edges = [("d", i) for i in range(cfg.n_curves)]  # flip bit 0
         self.base_edges = spine_edges + cross_edges
         self._edge_index = {key: k for k, key in enumerate(self.base_edges)}
 
-        layout = q.layout()
-        self.words = [self._word(layout[i]) for i in range(cfg.n_curves)]
+        self.words = [self._word(i) for i in range(cfg.n_curves)]
 
         v_base = len(self.base_vertices)
         e_base = len(self.base_edges)
@@ -86,31 +100,29 @@ class BranchedDoubleCover:
         _require(self.base_euler == 2 - 2 * cfg.genus, "base Euler number")
 
         # -- corner orbits = cover vertices --------------------------------
-        self._orbit_of = {}
+        self._orbit_of = orbit_of = {}
         self.cover_vertices = []
         for p, graph in enumerate(sa.graphs):
+            sigma, bits = graph.sigma, self._flip_of[p]
             for h in range(graph.n_half_edges):
                 for s in (0, 1):
-                    if (p, h, s) in self._orbit_of:
+                    cur = (p, h, s)
+                    if cur in orbit_of:
                         continue
                     vid = len(self.cover_vertices)
                     members = []
-                    cur = (p, h, s)
-                    while cur not in self._orbit_of:
-                        self._orbit_of[cur] = vid
+                    while cur not in orbit_of:
+                        orbit_of[cur] = vid
                         members.append(cur)
-                        cp, ch, cs = cur
-                        bit = self.flip[self._edge_key(cp, ch)]
-                        cur = (cp, sa.graphs[cp].sigma[ch], cs ^ bit)
-                    _require(self._orbit_of[cur] == vid, "open corner orbit")
+                        _, ch, cs = cur
+                        cur = (p, sigma[ch], cs ^ bits[ch])
+                    _require(orbit_of[cur] == vid, "open corner orbit")
                     self.cover_vertices.append(tuple(members))
 
         self.branch_set = []
         for p, graph in enumerate(sa.graphs):
             for v, cycle in enumerate(graph.vertices()):
-                parity = sum(
-                    self.flip[self._edge_key(p, h)] for h in cycle
-                ) % 2
+                parity = sum(self._flip_of[p][h] for h in cycle) % 2
                 _require(parity == len(cycle) % 2, "flip parity vs valence")
                 lifts = {self._orbit_of[(p, cycle[0], s)] for s in (0, 1)}
                 _require(len(lifts) == (1 if parity else 2), "vertex lift count")
@@ -124,30 +136,28 @@ class BranchedDoubleCover:
         self._ends = [
             self._lift_endpoints(key, s) for key in self.base_edges for s in (0, 1)
         ]
-        d1 = [[0] * self.n_cover_edges for _ in self.cover_vertices]
-        for col, (tail, head) in enumerate(self._ends):
-            d1[head][col] += 1
-            d1[tail][col] -= 1
-
-        d2 = [[0] * self.n_cover_faces for _ in range(self.n_cover_edges)]
-        self._sides = [[] for _ in range(self.n_cover_edges)]  # faces of an edge
-        for i in range(f_base):
+        self._face_cols = []
+        self._sides = [[] for _ in range(self.n_cover_edges)]
+        for word in self.words:
             for s in (0, 1):
-                col = 2 * i + s
-                walk = []
-                for letter in self.words[i]:
+                col = len(self._face_cols)
+                face = {}
+                starts = []
+                ends = []
+                for letter in word:
                     row = 2 * self._edge_index[letter.key] + (s ^ letter.sheet_bit)
-                    d2[row][col] += letter.sign
+                    face[row] = face.get(row, 0) + letter.sign
                     self._sides[row].append(col)
                     tail, head = self._ends[row]
-                    walk.append((tail, head) if letter.sign > 0 else (head, tail))
+                    if letter.sign < 0:
+                        tail, head = head, tail
+                    starts.append(tail)
+                    ends.append(head)
                 # each step starts where the previous one (cyclically) ended
-                closed = all(walk[k - 1][1] == walk[k][0] for k in range(len(walk)))
-                _require(closed, "face word is not a closed walk")
+                _require(starts == ends[-1:] + ends[:-1],
+                         "face word is not a closed walk")
+                self._face_cols.append({r: x for r, x in face.items() if x})
         _require(all(len(f) == 2 for f in self._sides), "edge without two sides")
-        # read-only views: boundary_1 and boundary_2 hand these out as is
-        self._d1 = tuple(map(tuple, d1))
-        self._d2 = tuple(map(tuple, d2))
 
         euler_cover = (
             len(self.cover_vertices) - self.n_cover_edges + self.n_cover_faces
@@ -180,22 +190,23 @@ class BranchedDoubleCover:
         graph = self.surface.sa.graphs[p]
         return ("e", p, min(h, graph.iota[h]))
 
-    def _word(self, cyl):
-        letters = []
-        for side in cyl.bottom:
-            letters.append(self._side_letter(side))
-        letters.append(Letter(("d", cyl.curve), 1, 0))
-        for side in cyl.top:
-            letters.append(self._side_letter(side))
-        letters.append(Letter(("d", cyl.curve), -1, 0))
-        return tuple(letters)
+    def _word(self, i):
+        """Boundary word of cylinder i: its bottom face cycle, the
+        crossing edge up, its top face cycle, the crossing edge down."""
+        q = self.surface
+        (p_bot, f_bot), (p_top, f_top) = q.glued_faces[i]
+        return (
+            *(self._side_letter(p_bot, h) for h in q.face_cycle(p_bot, f_bot)),
+            Letter(("d", i), 1, 0),
+            *(self._side_letter(p_top, h) for h in q.face_cycle(p_top, f_top)),
+            Letter(("d", i), -1, 0),
+        )
 
-    def _side_letter(self, side):
-        p, h = side.piece, side.half_edge
+    def _side_letter(self, p, h):
         key = self._edge_key(p, h)
         if h == key[2]:
             return Letter(key, 1, 0)
-        return Letter(key, -1, self.flip[key])
+        return Letter(key, -1, self._flip_of[p][h])
 
     def _lift_endpoints(self, key, s):
         """(tail, head) cover-vertex ids of lift s of a base 1-cell."""
@@ -204,25 +215,42 @@ class BranchedDoubleCover:
             ih = self.surface.sa.graphs[p].iota[h]
             return (
                 self._orbit_of[(p, h, s)],
-                self._orbit_of[(p, ih, s ^ self.flip[key])],
+                self._orbit_of[(p, ih, s ^ self._flip_of[p][h])],
             )
-        i = key[1]
-        cyl = self.surface.layout()[i]
-        b0 = cyl.bottom[0]
-        u0 = cyl.top[0]
+        # from the bottom face's marked corner to the top face's
+        q = self.surface
+        (p_bot, f_bot), (p_top, f_top) = q.glued_faces[key[1]]
         return (
-            self._orbit_of[(b0.piece, b0.half_edge, s)],
-            self._orbit_of[(u0.piece, u0.half_edge, s)],
+            self._orbit_of[(p_bot, q.face_cycle(p_bot, f_bot)[0], s)],
+            self._orbit_of[(p_top, q.face_cycle(p_top, f_top)[0], s)],
         )
 
     # -- linear-algebra views ------------------------------------------------
 
+    @cached_property
+    def _d1(self):
+        d1 = [[0] * self.n_cover_edges for _ in self.cover_vertices]
+        for col, (tail, head) in enumerate(self._ends):
+            d1[head][col] += 1
+            d1[tail][col] -= 1
+        return tuple(map(tuple, d1))
+
+    @cached_property
+    def _d2(self):
+        d2 = [[0] * self.n_cover_faces for _ in range(self.n_cover_edges)]
+        for col, face in enumerate(self._face_cols):
+            for row, x in face.items():
+                d2[row][col] = x
+        return tuple(map(tuple, d2))
+
     def boundary_1(self):
-        """d1 as a tuple of vertex rows; callers must not change it."""
+        """d1 as a tuple of vertex rows, built on first call and shared
+        afterwards; callers must not change it."""
         return self._d1
 
     def boundary_2(self):
-        """d2 as a tuple of edge rows; callers must not change it."""
+        """d2 as a tuple of edge rows, built on first call and shared
+        afterwards; callers must not change it."""
         return self._d2
 
     @cached_property
@@ -235,7 +263,11 @@ class BranchedDoubleCover:
         return [vector[r ^ 1] for r in range(self.n_cover_edges)]
 
     def genus_of_components(self):
-        """Genus of each cover component, sorted."""
+        """Genus of each cover component, sorted (computed once)."""
+        return list(self._genera)
+
+    @cached_property
+    def _genera(self):
         chi = dict.fromkeys(self.components, 0)
         for c in self.component_of:
             chi[c] += 1
@@ -247,7 +279,7 @@ class BranchedDoubleCover:
                 chi[self.component_of[self._ends[row][0]]] += 1
         for c in self.components:
             _require(chi[c] % 2 == 0, "odd Euler number of a component")
-        return sorted((2 - chi[c]) // 2 for c in self.components)
+        return tuple(sorted((2 - chi[c]) // 2 for c in self.components))
 
 
 def _spanning_forest(adjacent):
@@ -277,16 +309,20 @@ class HomologyCoordinates:
     whose two sides lie on one face is a dual self-loop and stays out of
     C.  The leftover edges L, 2 g_hat per component, are the generators;
     `cycles[j]` is the fundamental cycle in T of `generators[j]`, and
-    these classes form a basis of H_1 over Z.
+    these classes form a basis of H_1 over Z.  Each cycle is found by
+    walking parent pointers from the generator's two ends up to their
+    common ancestor; `_supports[j]` keeps its nonzero entries, and the
+    dense `cycles` are built from them on first use.
     """
 
     def __init__(self, cover):
         n_edges = cover.n_cover_edges
-        # up[v]: the chain of the tree path from v to its root
-        up = [[0] * n_edges for _ in cover.cover_vertices]
+        # step[v]: (parent, tree edge, its sign on the path from v up)
+        step = {}
+        depth = [0] * len(cover.cover_vertices)
         for v, parent, r in cover._tree:
-            up[v] = list(up[parent])
-            up[v][r] = 1 if cover._ends[r][0] == v else -1
+            step[v] = (parent, r, 1 if cover._ends[r][0] == v else -1)
+            depth[v] = depth[parent] + 1
         in_tree = {r for _, _, r in cover._tree}
         dual = [[] for _ in range(cover.n_cover_faces)]
         for r, (f, g) in enumerate(cover._sides):
@@ -296,22 +332,39 @@ class HomologyCoordinates:
         # (face, its cotree edge to its parent, its coefficient there),
         # parents before children
         self._clearing = [
-            (f, r, cover._d2[r][f]) for f, _, r in _spanning_forest(dual)
+            (f, r, cover._face_cols[f][r]) for f, _, r in _spanning_forest(dual)
         ]
-        self._faces = [
-            [(r, x) for r, x in enumerate(col) if x] for col in zip(*cover._d2)
-        ]
+        self._faces = [list(col.items()) for col in cover._face_cols]
         in_cotree = {r for _, r, _ in self._clearing}
         self.n_edges = n_edges
         self.generators = [
             r for r in range(n_edges) if r not in in_tree and r not in in_cotree
         ]
-        self.cycles = []
+        self._supports = []
         for e in self.generators:
+            # e from tail to head, then from head up to the common
+            # ancestor and down to tail
+            chain = {e: 1}
             tail, head = cover._ends[e]
-            gamma = [h - t for h, t in zip(up[head], up[tail])]
-            gamma[e] += 1
-            self.cycles.append(tuple(gamma))
+            while head != tail:
+                if depth[head] >= depth[tail]:
+                    head, r, x = step[head]
+                    chain[r] = x
+                else:
+                    tail, r, x = step[tail]
+                    chain[r] = -x
+            self._supports.append(tuple(chain.items()))
+
+    @cached_property
+    def cycles(self):
+        """The fundamental cycles as dense integer tuples."""
+        cycles = []
+        for support in self._supports:
+            gamma = [0] * self.n_edges
+            for r, x in support:
+                gamma[r] = x
+            cycles.append(tuple(gamma))
+        return cycles
 
     def coords(self, z):
         """Coordinates of the class of the 1-cycle z in the `cycles` basis.
@@ -328,9 +381,10 @@ class HomologyCoordinates:
                 for r, x in self._faces[f]:
                     z[r] -= k * x
         out = [z[e] for e in self.generators]
-        for x, gamma in zip(out, self.cycles):
+        for x, support in zip(out, self._supports):
             if x:
-                z = [a - x * b for a, b in zip(z, gamma)]
+                for r, y in support:
+                    z[r] -= x * y
         if any(z):
             raise CrossCheckFailed("chain is not a cycle of the cover")
         return out
@@ -371,11 +425,10 @@ def cover_genus(cover):
 @dataclass(frozen=True)
 class AntiInvariantH1:
     """Basis (as 1-chain vectors) of the (-1)-eigenspace of the deck
-    involution on first homology, with the lifted curve classes."""
+    involution on first homology."""
 
     dimension: int
     basis: tuple
-    lifted: tuple
 
 
 def lifted_curve_classes(cover, cfg):
@@ -383,21 +436,30 @@ def lifted_curve_classes(cover, cfg):
 
     The core circle of cylinder i is homotopic to its bottom boundary
     walk; its sheet-0 lift is a closed 1-cycle, and the class returned
-    is that lift minus its deck image.
+    is that lift minus its deck image.  The lift is checked closed from
+    its edges' end points, in time linear in the walk; NonLiftable is
+    raised when it is not.
     """
     classes = []
     for i in range(cfg.n_curves):
-        bar = [0] * cover.n_cover_edges
+        lift = {}
         for letter in cover.words[i]:
             if letter.key[0] == "d":
                 break  # the bottom walk ends at the crossing edge
             row = 2 * cover._edge_index[letter.key] + letter.sheet_bit
-            bar[row] += letter.sign
-        if any(sum(a * b for a, b in zip(row, bar)) for row in cover._d1):
+            lift[row] = lift.get(row, 0) + letter.sign
+        boundary = {}
+        for row, x in lift.items():
+            tail, head = cover._ends[row]
+            boundary[head] = boundary.get(head, 0) + x
+            boundary[tail] = boundary.get(tail, 0) - x
+        if any(boundary.values()):
             raise NonLiftable(f"core circle of curve {i} does not lift closed")
-        classes.append(tuple(
-            b - c for b, c in zip(bar, cover.involution_on_edges(bar))
-        ))
+        hat = [0] * cover.n_cover_edges
+        for row, x in lift.items():
+            hat[row] += x
+            hat[row ^ 1] -= x
+        classes.append(tuple(hat))
     return classes
 
 
@@ -427,16 +489,20 @@ def h1_anti_invariant(cover):
     minus = linalg.Echelon()
     basis = []
     plus = []
-    for j, gamma in enumerate(homology.cycles):
-        flipped = cover.involution_on_edges(gamma)
+    for j, support in enumerate(homology._supports):
+        flipped = [0] * cover.n_cover_edges  # iota(gamma_j)
+        for r, x in support:
+            flipped[r ^ 1] = x
         m = homology.coords(flipped)
         if minus.add([(i == j) - x for i, x in enumerate(m)]):
-            basis.append(tuple(a - b for a, b in zip(gamma, flipped)))
+            anti = [-x for x in flipped]  # (1 - iota) gamma_j
+            for r, x in support:
+                anti[r] += x
+            basis.append(tuple(anti))
         plus.append([(i == j) + x for i, x in enumerate(m)])
 
-    lifted = tuple(lifted_curve_classes(cover, cover.surface.cfg))
     dim = len(basis)
-    check = len(homology.cycles) - linalg.rank(plus)
+    check = len(homology.generators) - linalg.rank(plus)
     if dim != check:
         raise CrossCheckFailed(
             f"anti-invariant dimension {dim}, rank identity gives {check}"
@@ -447,7 +513,7 @@ def h1_anti_invariant(cover):
             raise CrossCheckFailed(
                 f"anti-invariant dimension {dim}, Riemann-Hurwitz gives {expected}"
             )
-    return AntiInvariantH1(dimension=dim, basis=tuple(basis), lifted=lifted)
+    return AntiInvariantH1(dimension=dim, basis=tuple(basis))
 
 
 def relations_formula(q):

@@ -200,16 +200,25 @@ class FlatTwistSurface:
             self._side_index_cache = index
         return self._side_index_cache[(piece, half_edge)]
 
+    @cached_property
+    def _on_top(self):
+        """Per piece, per half-edge: 1 if its side lies on a cylinder
+        top, 0 on a bottom.  Read off glued_faces, without a layout."""
+        table = [[0] * graph.n_half_edges for graph in self.sa.graphs]
+        for _, (p, f) in self.glued_faces:
+            for h in self.face_cycle(p, f):
+                table[p][h] = 1
+        return table
+
     def edge_flip(self, piece, half_edge):
         """1 if crossing this edge reverses orientation, else 0.
 
         The bit depends only on which glued faces ended up bottom versus
         top, so it is shared by both half-edges of the edge.
         """
-        graph = self.sa.graphs[piece]
-        a = self.side_of(piece, half_edge)
-        b = self.side_of(piece, graph.iota[half_edge])
-        return 1 if a.kind == b.kind else 0
+        kinds = self._on_top[piece]
+        iota = self.sa.graphs[piece].iota
+        return 1 if kinds[half_edge] == kinds[iota[half_edge]] else 0
 
 
 def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):

@@ -671,3 +671,15 @@ def test_criterion_11_certificates_match_the_search_oracles(sweep, monkeypatch):
     note(11, f"PASS involution search and ear-basis spin form match the "
              f"depth-first and census oracles ({searched} searches decide "
              f"a verdict, {formed} forms)")
+
+
+def test_criterion_12_core_lift_closure_matches_the_dense_oracle(sweep):
+    # the sparse closure check of lifted_curve_classes against the dense
+    # product with every row of d1, on every cover of the sweep
+    from test_cover import assert_closure_oracle_agrees, dense_core_lifts
+
+    for inst in sweep.instances:
+        assert all(closed for _, closed in dense_core_lifts(inst.cover)), inst.name
+        assert_closure_oracle_agrees(inst.cover, inst.cfg)
+    note(12, f"PASS sparse core-lift closure check matches the dense d1 "
+             f"product on {len(sweep.instances)} covers")

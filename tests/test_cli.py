@@ -370,6 +370,22 @@ def test_rank_on_a_disconnected_cover(capsys, tmp_path):
     assert report["riemann_hurwitz"] == "ok"
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_rank_on_long_plumbing_rings(capsys, tmp_path, n):
+    # the cover splits into two copies of the genus n + 1 base
+    cfg, sa = plumbing_ring(n)
+    path = write_fixture(tmp_path, cfg, sa)
+    code, out, err = run(capsys, "rank", path)
+    assert code == 0 and err == ""
+    report = facts(out)
+    assert report["span.dim"] == report["formula.dim"] == str(n + 1)
+    assert report["agree"] == "true"
+    assert report["cover.connected"] == "false"
+    assert report["cover.genus"] == f"{n + 1}, {n + 1}"
+    assert report["anti_invariant.dim"] == str(2 * n + 2)
+    assert report["riemann_hurwitz"] == "ok"
+
+
 # ----------------------------------------------------------------- spin
 
 

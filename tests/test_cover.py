@@ -9,6 +9,7 @@ import pytest
 
 from ttlab import linalg
 from ttlab.cover import (
+    Letter,
     cover_genus,
     h1_anti_invariant,
     holonomy_double_cover,
@@ -20,7 +21,7 @@ from ttlab.cover import (
     relations_formula,
     stratum_rank,
 )
-from ttlab.errors import BadPartition, CrossCheckFailed
+from ttlab.errors import BadPartition, CrossCheckFailed, NonLiftable
 from ttlab.ribbon import co_orientable, jointly_orientable, pants_assignment
 from ttlab.rng import CounterRandom
 from ttlab.surface import build_surface
@@ -102,6 +103,56 @@ def run_optimized(script):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     return out.stdout
+
+
+def dense_core_lifts(cover):
+    """The dense closure oracle: each curve's sheet-0 bottom-walk lift
+    as a dense chain, with whether every row of the dense d1 kills it."""
+    d1 = cover.boundary_1()
+    lifts = []
+    for word in cover.words:
+        bar = [0] * cover.n_cover_edges
+        for letter in word:
+            if letter.key[0] == "d":
+                break
+            bar[2 * cover._edge_index[letter.key] + letter.sheet_bit] += letter.sign
+        closed = not any(sum(a * b for a, b in zip(row, bar)) for row in d1)
+        lifts.append((bar, closed))
+    return lifts
+
+
+def assert_closure_oracle_agrees(cover, cfg):
+    """lifted_curve_classes against the dense closure oracle: the same
+    classes when every lift closes, else NonLiftable for the first
+    curve whose lift stays open."""
+    lifts = dense_core_lifts(cover)
+    open_curves = [i for i, (_, closed) in enumerate(lifts) if not closed]
+    if open_curves:
+        with pytest.raises(NonLiftable, match=f"curve {open_curves[0]} does"):
+            lifted_curve_classes(cover, cfg)
+        return
+    expected = [
+        tuple(b - c for b, c in zip(bar, cover.involution_on_edges(bar)))
+        for bar, _ in lifts
+    ]
+    assert lifted_curve_classes(cover, cfg) == expected
+
+
+def tamper_bottom_letter(cover):
+    """Reverse one bottom-walk letter whose sheet-0 lift joins two
+    different vertices, so that its curve's core lift no longer closes;
+    returns that curve, or None when every such lift is a loop."""
+    for i, word in enumerate(cover.words):
+        for k, letter in enumerate(word):
+            if letter.key[0] == "d":
+                break
+            row = 2 * cover._edge_index[letter.key] + letter.sheet_bit
+            tail, head = cover._ends[row]
+            if tail != head:
+                flipped = Letter(letter.key, -letter.sign, letter.sheet_bit)
+                cover.words[i] = word[:k] + (flipped,) + word[k + 1:]
+                return i
+    return None
 
 
 def test_connectivity_matches_joint_orientability():
@@ -250,6 +301,36 @@ def test_tree_cotree_coordinates(name):
         homology.coords(chain)
 
 
+@pytest.mark.parametrize("name", sorted(COORDINATE_COVERS))
+def test_sparse_closure_check_matches_the_dense_oracle(name):
+    q, cover = COORDINATE_COVERS[name]()
+    assert all(closed for _, closed in dense_core_lifts(cover))
+    assert_closure_oracle_agrees(cover, q.cfg)
+    curve = tamper_bottom_letter(cover)
+    if curve is None:
+        # the nabla fixtures lift every bottom-walk letter to a loop
+        assert name in ("orientable", "separating_nabla")
+        return
+    assert not dense_core_lifts(cover)[curve][1]
+    assert_closure_oracle_agrees(cover, q.cfg)
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_COVERS))
+def test_rank_path_leaves_the_dense_boundaries_unbuilt(name):
+    q, cover = COORDINATE_COVERS[name]()
+    rank_lower_bound(cover, q.cfg)
+    h1_anti_invariant(cover)
+    assert "_d1" not in cover.__dict__
+    assert "_d2" not in cover.__dict__
+    assert "cycles" not in cover.homology.__dict__
+    if cover.connected:
+        # the cell count behind the genus checks ran once, and is shared
+        assert "_genera" in cover.__dict__
+    d1, d2 = cover.boundary_1(), cover.boundary_2()
+    assert cover.__dict__["_d1"] is d1
+    assert cover.__dict__["_d2"] is d2
+
+
 def test_boundary_maps_are_read_only_and_shared():
     _, cover = theta_cover()
     for get in (cover.boundary_1, cover.boundary_2):
@@ -281,6 +362,33 @@ def test_cross_checks_survive_optimize_mode():
     assert "Riemann-Hurwitz" in out
 
 
+def test_rank_identity_and_genus_checks_survive_optimize_mode():
+    # a rank off by one breaks the rank identity; a genus off by one from
+    # the cell count disagrees with the branching count
+    out = run_optimized("""
+        import ttlab.cover
+        from ttlab.errors import CrossCheckFailed
+        from test_cover import theta_cover
+
+        assert False, "asserts are on"
+        rank = ttlab.cover.linalg.rank
+        ttlab.cover.linalg.rank = lambda rows: rank(rows) + 1
+        try:
+            ttlab.cover.h1_anti_invariant(theta_cover()[1])
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+        ttlab.cover.linalg.rank = rank
+        _, cover = theta_cover()
+        cover.__dict__["_genera"] = (6,)
+        try:
+            ttlab.cover.cover_genus(cover)
+        except CrossCheckFailed as exc:
+            print("caught:", exc)
+    """)
+    assert "rank identity" in out
+    assert "from branching" in out
+
+
 def test_cell_structure_checks_survive_optimize_mode():
     # one corrupted flip bit breaks the flip parity at the two ends of
     # its edge; under -O the cover must still refuse to build
@@ -302,6 +410,27 @@ def test_cell_structure_checks_survive_optimize_mode():
         sys.exit(1)
     """)
     assert "flip parity" in out
+
+
+def test_open_core_lift_is_refused_in_optimize_mode():
+    # NonLiftable is raised by a check, not an assert, so -O keeps it
+    out = run_optimized("""
+        import sys
+        from ttlab.cover import lifted_curve_classes
+        from ttlab.errors import NonLiftable
+        from test_cover import tamper_bottom_letter, theta_cover
+
+        assert False, "asserts are on"
+        q, cover = theta_cover()
+        curve = tamper_bottom_letter(cover)
+        try:
+            lifted_curve_classes(cover, q.cfg)
+        except NonLiftable as exc:
+            print("caught:", curve, exc)
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    assert "does not lift closed" in out
 
 
 def test_anti_invariant_dimension_of_trivial_cover():
