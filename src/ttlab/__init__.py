@@ -41,11 +41,11 @@ from .cover import (
     cover_genus,
     h1_anti_invariant,
     holonomy_double_cover,
-    piece_preimage_connected,
     rank_lower_bound,
     relations_formula,
     stratum_rank,
 )
+from .linalg import nullspace
 from .probe import ProbeReport, ks_distance, run_probe
 from .ribbon import (
     MetricRibbonGraph,
@@ -79,7 +79,6 @@ from .surface import (
     cylinder_twist,
     geodesic_flow,
     horocycle_flow,
-    is_isomorphic,
 )
 from .topology import (
     ComplementPiece,

@@ -13,13 +13,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 
-from .cover import holonomy_double_cover, rank_lower_bound
+from .cover import _counting_terms, holonomy_double_cover, rank_lower_bound
 from .errors import BadPartition, CrossCheckFailed, ModeMismatch, NotPants
-from .ribbon import (
-    co_orientable,
-    cone_orders,
-    pants_assignment,
-)
+from .ribbon import cone_orders, pants_assignment
 from .surface import build_surface, EXACT, _exact_number, _ribbon_isos
 from .topology import _is_pants, is_pants_decomposition
 
@@ -152,9 +148,7 @@ def classify_orbit_closure(q):
     stratum = identify_stratum(q)
     cover = holonomy_double_cover(q)
     rank_lb = rank_lower_bound(cover, cfg)
-    n_co = sum(1 for graph in q.sa.graphs if co_orientable(graph))
-    delta_jo = 1 if stratum.epsilon == 1 else 0
-    formula = cfg.n_curves - n_co + delta_jo
+    formula, n_co, delta_jo = _counting_terms(q)
     if rank_lb != formula:
         raise CrossCheckFailed(
             f"lifted-class rank {rank_lb}, counting formula gives {formula}"

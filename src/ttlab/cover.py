@@ -16,8 +16,8 @@ is even, so the branch set is the set of odd-valence vertices.
 The cover is built from combinatorics alone.  Each 2-cell's boundary
 word is read off the two face cycles glued along its curve
 (`q.glued_faces`, bottom face first), so no cylinder layout is needed,
-and the 2-cells are stored as sparse columns.  The dense boundary
-matrices are built only when `boundary_1()` or `boundary_2()` asks.
+and the 2-cells are stored as sparse columns.  No dense boundary
+matrix is ever built.
 
 Homology questions run on integer coordinates built once per cover
 (`HomologyCoordinates`, Eppstein's tree-cotree decomposition): a
@@ -25,8 +25,8 @@ breadth-first spanning forest T of the 1-skeleton, a spanning forest C
 of the dual graph on the edges outside T, and the leftover edges, whose
 fundamental cycles in T are a basis of H_1 over Z.  A cycle's
 coordinates are read off after face boundaries clear it on C, so the
-rank of the lifted classes, the deck involution on H_1 and the
-intersection pairing all become small integer matrices.  Chains stay
+rank of the lifted classes and the deck involution on H_1 become small
+integer matrices.  Chains stay
 sparse on this path: a core lift is checked closed from its edges' end
 points, and the fundamental cycles come from the forest's parent
 pointers.
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
-from .ribbon import ParityUnionFind, co_orientable
+from .ribbon import co_orientable
 
 
 def _require(ok, what):
@@ -165,13 +165,6 @@ class BranchedDoubleCover:
         _require(euler_cover == 2 * self.base_euler - len(self.branch_set),
                  "cover Euler number")
 
-        # -- deck involution ------------------------------------------------
-        self.involution_vertices = [
-            self._orbit_of[(p, h, 1 - s)]
-            for members in self.cover_vertices
-            for (p, h, s) in members[:1]
-        ]
-
         # -- connectivity: a breadth-first spanning forest T ----------------
         adjacent = [[] for _ in self.cover_vertices]
         for r, (tail, head) in enumerate(self._ends):
@@ -225,42 +218,10 @@ class BranchedDoubleCover:
             self._orbit_of[(p_top, q.face_cycle(p_top, f_top)[0], s)],
         )
 
-    # -- linear-algebra views ------------------------------------------------
-
-    @cached_property
-    def _d1(self):
-        d1 = [[0] * self.n_cover_edges for _ in self.cover_vertices]
-        for col, (tail, head) in enumerate(self._ends):
-            d1[head][col] += 1
-            d1[tail][col] -= 1
-        return tuple(map(tuple, d1))
-
-    @cached_property
-    def _d2(self):
-        d2 = [[0] * self.n_cover_faces for _ in range(self.n_cover_edges)]
-        for col, face in enumerate(self._face_cols):
-            for row, x in face.items():
-                d2[row][col] = x
-        return tuple(map(tuple, d2))
-
-    def boundary_1(self):
-        """d1 as a tuple of vertex rows, built on first call and shared
-        afterwards; callers must not change it."""
-        return self._d1
-
-    def boundary_2(self):
-        """d2 as a tuple of edge rows, built on first call and shared
-        afterwards; callers must not change it."""
-        return self._d2
-
     @cached_property
     def homology(self):
         """Tree-cotree coordinates on H_1, built on first use."""
         return HomologyCoordinates(self)
-
-    def involution_on_edges(self, vector):
-        """Push a 1-chain across the deck transformation."""
-        return [vector[r ^ 1] for r in range(self.n_cover_edges)]
 
     def genus_of_components(self):
         """Genus of each cover component, sorted (computed once)."""
@@ -308,15 +269,13 @@ class HomologyCoordinates:
     T (Eppstein, SODA 2003; Erickson-Whittlesey, SODA 2005).  An edge
     whose two sides lie on one face is a dual self-loop and stays out of
     C.  The leftover edges L, 2 g_hat per component, are the generators;
-    `cycles[j]` is the fundamental cycle in T of `generators[j]`, and
-    these classes form a basis of H_1 over Z.  Each cycle is found by
-    walking parent pointers from the generator's two ends up to their
-    common ancestor; `_supports[j]` keeps its nonzero entries, and the
-    dense `cycles` are built from them on first use.
+    the fundamental cycles in T of the generators form a basis of H_1
+    over Z.  Each cycle is found by walking parent pointers from the
+    generator's two ends up to their common ancestor, and
+    `_supports[j]` keeps the nonzero entries of the j-th.
     """
 
     def __init__(self, cover):
-        n_edges = cover.n_cover_edges
         # step[v]: (parent, tree edge, its sign on the path from v up)
         step = {}
         depth = [0] * len(cover.cover_vertices)
@@ -336,9 +295,9 @@ class HomologyCoordinates:
         ]
         self._faces = [list(col.items()) for col in cover._face_cols]
         in_cotree = {r for _, r, _ in self._clearing}
-        self.n_edges = n_edges
         self.generators = [
-            r for r in range(n_edges) if r not in in_tree and r not in in_cotree
+            r for r in range(cover.n_cover_edges)
+            if r not in in_tree and r not in in_cotree
         ]
         self._supports = []
         for e in self.generators:
@@ -355,19 +314,9 @@ class HomologyCoordinates:
                     chain[r] = -x
             self._supports.append(tuple(chain.items()))
 
-    @cached_property
-    def cycles(self):
-        """The fundamental cycles as dense integer tuples."""
-        cycles = []
-        for support in self._supports:
-            gamma = [0] * self.n_edges
-            for r, x in support:
-                gamma[r] = x
-            cycles.append(tuple(gamma))
-        return cycles
-
     def coords(self, z):
-        """Coordinates of the class of the 1-cycle z in the `cycles` basis.
+        """Coordinates of the class of the 1-cycle z in the basis of
+        fundamental cycles.
 
         Face boundaries, taken in the cotree's breadth-first order, clear
         z on C (each face has coefficient +-1 on its parent edge); what is
@@ -388,19 +337,6 @@ class HomologyCoordinates:
         if any(z):
             raise CrossCheckFailed("chain is not a cycle of the cover")
         return out
-
-    def cocycle(self, j):
-        """The 1-cocycle dual to generator j: 1 on its edge, 0 on T and
-        on the other generators, and set on C leaves first so that it
-        vanishes on every face.  It takes the value delta_jk on cycles[k].
-        """
-        alpha = [0] * self.n_edges
-        alpha[self.generators[j]] = 1
-        for f, c, sign in reversed(self._clearing):
-            alpha[c] = -sign * sum(x * alpha[r] for r, x in self._faces[f])
-        if any(sum(x * alpha[r] for r, x in face) for face in self._faces):
-            raise CrossCheckFailed(f"dual of generator {j} is not a cocycle")
-        return alpha
 
 
 def holonomy_double_cover(q):
@@ -523,9 +459,15 @@ def relations_formula(q):
     N_co counts the pieces whose arc system is co-orientable; delta_jo
     is 1 exactly when the whole surface is jointly orientable.
     """
+    return _counting_terms(q)[0]
+
+
+def _counting_terms(q):
+    """(#curves - N_co + delta_jo, N_co, delta_jo): relations_formula
+    with the two counts a certificate reports."""
     n_co = sum(1 for graph in q.sa.graphs if co_orientable(graph))
-    jo, _ = q.orientability
-    return q.n_curves - n_co + (1 if jo else 0)
+    delta_jo = 1 if q.orientability[0] else 0
+    return q.n_curves - n_co + delta_jo, n_co, delta_jo
 
 
 def stratum_rank(g, kappa, epsilon):
@@ -542,75 +484,3 @@ def stratum_rank(g, kappa, epsilon):
             raise BadPartition("abelian squares have even cone orders only")
         return g
     return g + n_odd // 2 - 1
-
-
-def piece_preimage_connected(cover, p):
-    """Whether the cover preimage of piece p's spine is connected."""
-    graph = cover.surface.sa.graphs[p]
-    vertices = {
-        cover._orbit_of[(p, h, s)]
-        for h in range(graph.n_half_edges)
-        for s in (0, 1)
-    }
-    uf = ParityUnionFind(len(cover.cover_vertices))
-    for h, _ in graph.edges():
-        for s in (0, 1):
-            uf.union(*cover._lift_endpoints(("e", p, h), s), 0)
-    return len({uf.find(v)[0] for v in vertices}) == 1
-
-
-# -- intersection pairing -------------------------------------------------
-
-
-def _cup(cover, alpha, beta):
-    """Cup product of two 1-cocycles on the fundamental class: the sum
-    over the polygonal 2-cells of the cover."""
-    total = 0
-    for i, word in enumerate(cover.words):
-        for s in (0, 1):
-            rows = [2 * cover._edge_index[x.key] + (s ^ x.sheet_bit) for x in word]
-            for a, (ra, la) in enumerate(zip(rows, word)):
-                for rb, lb in zip(rows[a + 1:], word[a + 1:]):
-                    total += la.sign * lb.sign * alpha[ra] * beta[rb]
-                if la.sign < 0:
-                    total += alpha[ra] * beta[ra]
-    return total
-
-
-def homology_cycle_basis(cover):
-    """Cycles whose classes form a basis of H_1 of the cover: the
-    tree-cotree fundamental cycles."""
-    return [list(gamma) for gamma in cover.homology.cycles]
-
-
-def intersection_matrix(cover, cycles):
-    """Pairwise algebraic intersection numbers of the given 1-cycles.
-
-    Computed through the cup product on the cocycles dual to the
-    tree-cotree generators; the global sign depends on orientation
-    conventions and is consistent across entries.
-    """
-    homology = cover.homology
-    dim = len(homology.cycles)
-    c_basis = [homology.cocycle(j) for j in range(dim)]
-
-    cup_matrix = [[_cup(cover, a, b) for b in c_basis] for a in c_basis]
-    # the cocycles evaluate to the identity on the generators, so
-    # PD(gamma_j) = sum_k lambda_kj alpha_k with C^T Lambda = I, and the
-    # pairing Lambda^T C Lambda on the generators is Lambda itself
-    lam = linalg.solve_square(
-        [[cup_matrix[k][l] for k in range(dim)] for l in range(dim)],
-        [[int(i == j) for i in range(dim)] for j in range(dim)],
-    )
-    coords = [homology.coords(z) for z in cycles]
-    return [
-        [
-            sum(
-                coords[a][i] * lam[j][i] * coords[b][j]
-                for i in range(dim)
-                for j in range(dim)
-            )
-            for b in range(len(cycles))
-        ]
-        for a in range(len(cycles))
-    ]

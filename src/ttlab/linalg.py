@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of ints or Fractions.  One elimination
-engine, `Echelon`, serves every rank, span, kernel and solve question:
-an incremental row-echelon basis kept as primitive integer rows, so
+engine, `Echelon`, serves every rank, span and kernel question: an
+incremental row-echelon basis kept as primitive integer rows, so
 reduction is fraction-free (in the spirit of Bareiss, Math. Comp. 1968)
-and only back-substitution touches Fractions.  `feasible_nonneg` (a
-phase-one simplex) and `rank_gf2` (bitmask rows) are separate; the
-simplex is fraction-free too, its tableau rows integer numerators over
-one denominator per row, and only its answer is made of Fractions.
+and only back-substitution touches Fractions.  `feasible_nonneg`, a
+phase-one simplex, is separate; it is fraction-free too, its tableau
+rows integer numerators over one denominator per row, and only its
+answer is made of Fractions.  Mod-2 questions live with the quadratic
+forms that ask them, in `spin`.
 """
 
 from __future__ import annotations
@@ -63,16 +64,14 @@ class Echelon:
         insort(self.pivots, lead)
         return True
 
-    def back_substitute(self, x, rhs=None):
+    def back_substitute(self, x):
         """Set the pivot entries of x so that each stored row r satisfies
-        r[:len(x)] . x == r[len(x) + rhs], or 0 when rhs is None.
-
-        The other entries of x are kept; pivots must lie below len(x).
+        r . x == 0; the other entries of x are kept.
         """
         width = len(x)
         for pc in reversed(self.pivots):
             row = self.rows[pc]
-            s = row[width + rhs] if rhs is not None else 0
+            s = 0
             for j in range(pc + 1, width):
                 if x[j] and row[j]:
                     s -= row[j] * x[j]
@@ -105,22 +104,6 @@ def nullspace(matrix, ncols=None):
             vec[fc] = Fraction(1)
             basis.append(echelon.back_substitute(vec))
     return basis
-
-
-def solve_square(matrix, rhs_columns):
-    """Solve M X = B for an invertible square M; returns X's columns.
-
-    `rhs_columns` is a list of right-hand-side column vectors.
-    Raises ValueError if M is singular.
-    """
-    n = len(matrix)
-    echelon = Echelon(
-        list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)
-    )
-    if echelon.pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [echelon.back_substitute([Fraction(0)] * n, c)
-            for c in range(len(rhs_columns))]
 
 
 def feasible_nonneg(matrix, rhs, ncols=None):
@@ -221,32 +204,3 @@ def _eliminate(row, d, pivot_row, pivot_den, col):
     d *= pivot_den
     g = gcd(d, *new)
     return [x // g for x in new], d // g
-
-
-def rank_gf2(matrix):
-    """Rank over GF(2) of an integer matrix given as a list of rows."""
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rows = []
-    for row in matrix:
-        packed = 0
-        for x in row:
-            packed = (packed << 1) | (x & 1)
-        rows.append(packed)
-    rank_ = 0
-    for bit in range(ncols):
-        mask = 1 << (ncols - 1 - bit)
-        pivot = None
-        for i in range(rank_, len(rows)):
-            if rows[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        for i in range(len(rows)):
-            if i != rank_ and rows[i] & mask:
-                rows[i] ^= rows[rank_]
-        rank_ += 1
-    return rank_

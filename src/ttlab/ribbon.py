@@ -170,9 +170,6 @@ class MetricRibbonGraph:
     def n_boundaries(self):
         return len(self._faces)
 
-    def total_length(self):
-        return sum(self.lengths.values())
-
 
 def _orbits(perm):
     """Cycles of a permutation, as tuples starting from the least element."""
@@ -212,11 +209,16 @@ def co_orientable(graph):
     The constraints are s(h) != s(iota h) and s(h) != s(sigma h); around
     an odd-valence vertex the sigma cycle is odd, so this fails there.
     """
-    uf = ParityUnionFind(graph.n_half_edges)
+    return _alternate(ParityUnionFind(graph.n_half_edges), graph, 0)
+
+
+def _alternate(uf, graph, base):
+    """Impose the alternation constraints of graph on uf, whose element
+    base + h stands for half-edge h; False on a contradiction."""
     for h in range(graph.n_half_edges):
-        if not uf.union(h, graph.iota[h], 1):
+        if not uf.union(base + h, base + graph.iota[h], 1):
             return False
-        if not uf.union(h, graph.sigma[h], 1):
+        if not uf.union(base + h, base + graph.sigma[h], 1):
             return False
     return True
 
@@ -281,25 +283,34 @@ def jointly_orientable(q):
     orientations of its two glued faces.  Cross-checked elsewhere
     against double-cover connectivity.
     """
+    return (False, -1) if _bottom_signs(q) is None else (True, 1)
+
+
+def _bottom_signs(q):
+    """Per curve, the sign of its bottom face in a solution of the joint
+    alternation system, relative to curve 0; None when there is none.
+
+    A face's sides all carry one sign, and the two faces of a curve
+    carry opposite signs, so the signs say which cylinders to reverse
+    for the horizontal direction to cross every spine edge intact.
+    """
     graphs = q.sa.graphs
-    offsets = []
-    total = 0
+    offsets = [0]  # half-edge h of piece p is element offsets[p] + h
     for graph in graphs:
-        offsets.append(total)
-        total += graph.n_half_edges
-    uf = ParityUnionFind(total)
-    for p, graph in enumerate(graphs):
-        base = offsets[p]
-        for h in range(graph.n_half_edges):
-            if not uf.union(base + h, base + graph.iota[h], 1):
-                return False, -1
-            if not uf.union(base + h, base + graph.sigma[h], 1):
-                return False, -1
-    for ends in q.glued_faces:
-        a, b = (offsets[p] + graphs[p].faces()[f][0] for p, f in ends)
+        offsets.append(offsets[-1] + graph.n_half_edges)
+    uf = ParityUnionFind(offsets[-1])
+    for graph, base in zip(graphs, offsets):
+        if not _alternate(uf, graph, base):
+            return None
+    firsts = [
+        [offsets[p] + graphs[p].faces()[f][0] for p, f in ends]
+        for ends in q.glued_faces
+    ]
+    for a, b in firsts:
         if not uf.union(a, b, 1):
-            return False, -1
-    return True, 1
+            return None
+    signs = [uf.find(bottom)[1] for bottom, _ in firsts]
+    return tuple(s ^ signs[0] for s in signs)
 
 
 # --- constructors ------------------------------------------------------------

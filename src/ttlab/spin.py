@@ -34,6 +34,13 @@ first, until the pairing matrix reaches full rank 2g, which certifies
 that they span the whole homology.  No claim is made beyond the
 certificate: if the ear cycles are used up below full rank the
 computation refuses rather than extrapolates.
+
+One symplectic reduction on bitmask rows (_SymplecticReduction)
+answers both mod-2 questions.  Each loop is reduced against the
+hyperbolic pairs found so far as it is added, so the rank is known
+after every loop, and the same pairs give the Arf invariant.  The
+orientation bits come from the alternation system that
+ribbon.jointly_orientable solves.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .errors import (
     OutOfRange,
     SpanNotCertified,
 )
-from .linalg import rank_gf2
+from .ribbon import _bottom_signs
 from .surface import EXACT
 
 _KIND_BIT = {"bottom": 0, "top": 1}
@@ -61,42 +68,21 @@ def orientation_bits(q):
     Bit 0 keeps the chart orientation of the cylinder, bit 1 reverses
     it.  Crossing a spine edge preserves the horizontal direction
     exactly when the two sides have opposite kinds, so the bits must
-    differ across an edge whose sides have equal kinds.  The least
-    cylinder of each constraint component keeps its chart orientation,
-    which makes the result deterministic; the other solution on each
-    component is the complement.
+    differ across an edge whose sides have equal kinds.  The bits are
+    the bottom-face signs of the alternation system that
+    jointly_orientable solves, so cylinder 0 keeps its chart
+    orientation; the other solution is the complement.
 
     Raises NotAbelianSquare when the constraints contradict, which
     happens exactly when the surface is not jointly orientable.
     """
-    n = q.n_curves
-    adj = [[] for _ in range(n)]
-    for p, graph in enumerate(q.sa.graphs):
-        for h, k in graph.edges():
-            a = q.side_of(p, h).curve
-            b = q.side_of(p, k).curve
-            flip = q.edge_flip(p, h)
-            adj[a].append((b, flip))
-            adj[b].append((a, flip))
-    bits = [None] * n
-    for start in range(n):
-        if bits[start] is not None:
-            continue
-        bits[start] = 0
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b, flip in adj[a]:
-                want = bits[a] ^ flip
-                if bits[b] is None:
-                    bits[b] = want
-                    stack.append(b)
-                elif bits[b] != want:
-                    raise NotAbelianSquare(
-                        "the horizontal direction cannot be oriented, "
-                        "so the surface carries no spin structure"
-                    )
-    return tuple(bits)
+    bits = _bottom_signs(q)
+    if bits is None:
+        raise NotAbelianSquare(
+            "the horizontal direction cannot be oriented, "
+            "so the surface carries no spin structure"
+        )
+    return bits
 
 
 @dataclass(frozen=True)
@@ -255,6 +241,73 @@ def _crossings(a1, d1, a2, d2, ell):
     return max(0, (math.ceil(hi) - 1) - (math.floor(lo) + 1) + 1)
 
 
+def _mask(bits):
+    """A 0/1 sequence as an int with bit j set when bits[j] is."""
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
+def _pair(x, y):
+    """<x, y> for two vectors of a _SymplecticReduction."""
+    return (x[1] & y[0]).bit_count() & 1
+
+
+def _plus(x, y):
+    """x + y for two vectors of a _SymplecticReduction."""
+    return [x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2] ^ _pair(x, y)]
+
+
+class _SymplecticReduction:
+    """Hyperbolic pairs and a radical basis of a growing family, mod 2.
+
+    Generators arrive one at a time, each with its pairings against the
+    earlier ones and its form value.  A vector is kept as [generators,
+    pairings, value]: two bitmasks over the generators, the second with
+    bit j set when the vector pairs to 1 with generator j, and q of the
+    vector, kept current through q(x + y) = q(x) + q(y) + <x, y>.
+
+    A new generator x is reduced against the pairs found so far,
+    x -> x + <x, f> e + <x, e> f, which leaves it orthogonal to all of
+    them.  Then it pairs with the first leftover vector it meets, and
+    the other leftovers are reduced against that new pair; if none
+    pairs with it, it becomes a leftover itself.  So the leftovers stay
+    orthogonal to each other and to every pair: they span the radical,
+    the rank is twice the pair count, and the Arf invariant, when q
+    vanishes on the radical, is the sum of q(e) q(f) over the pairs.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.pairs = []  # (e, f) with <e, f> = 1
+        self.free = []   # the leftover vectors
+
+    @property
+    def rank(self):
+        return 2 * len(self.pairs)
+
+    def add(self, row, value):
+        """Take the next generator: row has bit j set when it pairs to 1
+        with generator j < self.size, and value is its form value."""
+        bit = 1 << self.size
+        self.size += 1
+        for vec in (*self.free, *(v for pair in self.pairs for v in pair)):
+            if (row & vec[0]).bit_count() & 1:
+                vec[1] |= bit
+        x = [bit, row, value]
+        for e, f in self.pairs:
+            if _pair(x, f):
+                x = _plus(x, e)
+            if _pair(x, e):
+                x = _plus(x, f)
+        for k, y in enumerate(self.free):
+            if _pair(x, y):
+                del self.free[k]
+                self.free = [_plus(z, y) if _pair(z, x) else z
+                             for z in self.free]
+                self.pairs.append((y, x))
+                return
+        self.free.append(x)
+
+
 class _FormBuilder:
     """Grows the loop family one staircase at a time.
 
@@ -263,6 +316,7 @@ class _FormBuilder:
     are pairwise distinct no matter how many loops follow and every
     crossing is strictly interior.  The mod-2 matrix does not depend
     on the exact positions; they only pin down representatives.
+    Every loop also enters `span`, whose rank is the matrix's.
     """
 
     def __init__(self, q, bits, edata):
@@ -275,6 +329,9 @@ class _FormBuilder:
         n = q.n_curves
         self.gram = [[0] * n for _ in range(n)]
         self.q_vals = [1] * n
+        self.span = _SymplecticReduction()
+        for _ in range(n):
+            self.span.add(0, 1)  # the cores are pairwise disjoint
 
     def add(self, cyc):
         params = []
@@ -320,6 +377,7 @@ class _FormBuilder:
             existing.append(entry)
         self.gram.append(row + [0])
         self.q_vals.append((1 + crossings) & 1)
+        self.span.add(_mask(row), self.q_vals[-1])
         self.stairs.append(segs)
         self.cycles.append(cyc)
 
@@ -378,15 +436,14 @@ def winding_form(q, bits=None):
 
     target = 2 * q.cfg.genus
     builder = _FormBuilder(q, bits, edata)
-    rank = 0
     for cyc in _ear_cycles(_staircase_succ(edata)):
         builder.add(cyc)
-        rank = rank_gf2(builder.gram)
-        if rank == target:
+        if builder.span.rank == target:
             break
-    if rank != target:
+    if builder.span.rank != target:
         raise SpanNotCertified(
-            f"staircase loops span a form of rank {rank} < {target}"
+            f"staircase loops span a form of rank {builder.span.rank} "
+            f"< {target}"
         )
     cycles = tuple(
         tuple((edata[node].piece, edata[node].half) for node in cyc)
@@ -398,20 +455,6 @@ def winding_form(q, bits=None):
         n_cores=q.n_curves,
         cycles=cycles,
     )
-
-
-def form_value(q_vals, gram, members):
-    """Value of the quadratic form on the sum of the listed generators.
-
-    Follows from q(x + y) = q(x) + q(y) + <x, y> applied repeatedly.
-    """
-    members = sorted(set(members))
-    val = 0
-    for i, a in enumerate(members):
-        val ^= q_vals[a]
-        for b in members[i + 1:]:
-            val ^= gram[a][b]
-    return val
 
 
 def _check_form(q_vals, gram):
@@ -431,62 +474,20 @@ def _check_form(q_vals, gram):
 def arf_invariant(q_vals, gram):
     """Arf invariant of a quadratic form given on a generating family.
 
-    The family may be larger than a basis.  Hyperbolic pairs are
-    extracted greedily; whatever remains pairs to zero with everything
-    and must carry form value zero, otherwise the form has no Arf
-    invariant and OutOfRange is raised.
+    The family may be larger than a basis.  It runs through the
+    symplectic reduction (_SymplecticReduction); whatever is left over
+    pairs to zero with everything and must carry form value zero,
+    otherwise the form has no Arf invariant and OutOfRange is raised.
     """
     _check_form(q_vals, gram)
-    size = len(q_vals)
-    rows = [
-        sum(bit << j for j, bit in enumerate(row)) for row in gram
-    ]
-
-    def pair(x, y):
-        acc = 0
-        while x:
-            low = x & -x
-            acc ^= (rows[low.bit_length() - 1] & y).bit_count() & 1
-            x ^= low
-        return acc
-
-    def q_of(mask):
-        members = []
-        m = mask
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        return form_value(q_vals, gram, members)
-
-    vecs = [1 << i for i in range(size)]
-    arf = 0
-    while True:
-        found = None
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if pair(vecs[i], vecs[j]) == 1:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        i, j = found
-        a, b = vecs[i], vecs[j]
-        arf ^= q_of(a) & q_of(b)
-        rest = [vecs[k] for k in range(len(vecs)) if k not in (i, j)]
-        vecs = [
-            v ^ (a if pair(v, b) else 0) ^ (b if pair(v, a) else 0)
-            for v in rest
-        ]
-    for v in vecs:
-        if q_of(v):
-            raise OutOfRange(
-                "a radical vector has form value 1, so the parity is "
-                "undefined"
-            )
-    return arf
+    span = _SymplecticReduction()
+    for i, (row, value) in enumerate(zip(gram, q_vals)):
+        span.add(_mask(row[:i]), value)
+    if any(value for _, _, value in span.free):
+        raise OutOfRange(
+            "a radical vector has form value 1, so the parity is undefined"
+        )
+    return sum(e[2] & f[2] for e, f in span.pairs) & 1
 
 
 def spin_parity(q):

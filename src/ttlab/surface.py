@@ -101,8 +101,6 @@ class FlatTwistSurface:
         self.glued_faces = tuple(
             tuple((p, face_of_slot[p][s]) for p, s in ends) for ends in cfg.gluing
         )
-        self._layout = None
-        self._side_index_cache = None
 
     # -- effective (scale-applied) data --------------------------------
 
@@ -122,12 +120,6 @@ class FlatTwistSurface:
     def area(self):
         total = sum(l * h for l, h in zip(self.base_lengths, self.heights))
         return self.scale[0] * self.scale[1] * total
-
-    @property
-    def unit_area(self):
-        if self.mode == EXACT:
-            return self.area() == 1
-        return abs(self.area() - 1.0) <= 1e-12
 
     @cached_property
     def orientability(self):
@@ -152,11 +144,11 @@ class FlatTwistSurface:
 
     def layout(self):
         """Per-cylinder side tables, computed once."""
-        if self._layout is None:
-            self._layout = tuple(
-                self._lay_out_cylinder(i) for i in range(self.n_curves)
-            )
         return self._layout
+
+    @cached_property
+    def _layout(self):
+        return tuple(self._lay_out_cylinder(i) for i in range(self.n_curves))
 
     def _lay_out_cylinder(self, i):
         (p_bot, f_bot), (p_top, f_top) = self.glued_faces[i]
@@ -192,13 +184,15 @@ class FlatTwistSurface:
 
     def side_of(self, piece, half_edge):
         """The Side record where (piece, half_edge) appears on a boundary."""
-        if self._side_index_cache is None:
-            index = {}
-            for cyl in self.layout():
-                for side in cyl.bottom + cyl.top:
-                    index[(side.piece, side.half_edge)] = side
-            self._side_index_cache = index
-        return self._side_index_cache[(piece, half_edge)]
+        return self._side_index[(piece, half_edge)]
+
+    @cached_property
+    def _side_index(self):
+        return {
+            (side.piece, side.half_edge): side
+            for cyl in self._layout
+            for side in cyl.bottom + cyl.top
+        }
 
     @cached_property
     def _on_top(self):
@@ -311,38 +305,13 @@ def cylinder_twist(q, i, s):
     return q._replace(twists=tuple(twists))
 
 
-def horizontal_period_data(q):
-    """Holonomy vectors of the horizontal presentation.
-
-    Each spine edge maps to (its effective length, 0); each cylinder
-    contributes one crossing saddle from bottom marked corner to top
-    marked corner, with holonomy (effective twist, effective height).
-    """
-    zero = Fraction(0) if q.mode == EXACT else 0.0
-    data = {}
-    for p, graph in enumerate(q.sa.graphs):
-        for h, _ in graph.edges():
-            length = q.scale[0] * _convert(graph.length_of(h), q.mode, "length")
-            data[("edge", p, h)] = (length, zero)
-    for i in range(q.n_curves):
-        data[("cross", i)] = (q.twist_of_curve(i), q.height_of_curve(i))
-    return data
-
-
-# -- isomorphism ---------------------------------------------------------
+# -- ribbon isomorphisms, for the involution search ----------------------
 
 
 def _eq(a, b, mode):
     if mode == EXACT:
         return a == b
     return abs(a - b) <= TOL
-
-
-def _eq_mod(a, b, modulus, mode):
-    d = (a - b) % modulus
-    if mode == EXACT:
-        return d == 0
-    return min(d, modulus - d) <= TOL
 
 
 def _ribbon_isos(g1, g2, scale1, scale2, mode):
@@ -375,96 +344,3 @@ def _ribbon_isos(g1, g2, scale1, scale2, mode):
             continue
         if all(_eq(sized1[h], sized2[image[h]], mode) for h, _ in g1.edges()):
             yield image
-
-
-def _walk_offset(graph, face_index, half_edge, scale, mode):
-    """Cumulative side length from the face's marked corner to the
-    corner at v(half_edge), along the face cycle."""
-    total = Fraction(0) if mode == EXACT else 0.0
-    for h in graph.faces()[face_index]:
-        if h == half_edge:
-            return total
-        total = total + scale * _convert(graph.length_of(h), mode, "length")
-    raise BadIndex(f"half-edge {half_edge} not on face {face_index}")
-
-
-def _curve_match(q1, q2, piece_map, isos):
-    """Extend piece-level ribbon isos to a full surface isomorphism."""
-    curve_of_face = {}
-    for j, (bottom, top) in enumerate(q2.glued_faces):
-        curve_of_face[bottom] = (j, "bottom")
-        curve_of_face[top] = (j, "top")
-
-    used = set()
-    for i, glued in enumerate(q1.glued_faces):
-        ends = []
-        for p, f in glued:
-            h_min = q1.sa.graphs[p].faces()[f][0]
-            h_img = isos[p][h_min]
-            p_img = piece_map[p]
-            f_img = q2.sa.graphs[p_img].face_of(h_img)
-            hit = curve_of_face.get((p_img, f_img))
-            if hit is None:
-                return False
-            ends.append((hit, p_img, f_img, h_img))
-        (ja, kind_a), (jb, kind_b) = ends[0][0], ends[1][0]
-        if ja != jb or kind_a == kind_b or ja in used:
-            return False
-        used.add(ja)
-        j = ja
-        if not _eq(q1.height_of_curve(i), q2.height_of_curve(j), q1.mode):
-            return False
-        # Walk offsets of the two marked-corner images, in whichever of
-        # q2's faces each landed on; a bottom/top swap of the whole
-        # cylinder keeps the twist value, so the congruence below covers
-        # both kinds of match.
-        off = q1.length_of_curve(i) * 0
-        for (_, p_img, f_img, h_img) in ends:
-            off = off + _walk_offset(
-                q2.sa.graphs[p_img], f_img, h_img, q2.scale[0], q2.mode
-            )
-        if not _eq_mod(
-            q2.twist_of_curve(j),
-            q1.twist_of_curve(i) + off,
-            q2.length_of_curve(j),
-            q1.mode,
-        ):
-            return False
-    return True
-
-
-def is_isomorphic(q1, q2):
-    """Whether some relabeling of pieces, half-edges and curves carries
-    q1 onto q2, matching all effective lengths, heights and twists."""
-    if q1.mode != q2.mode:
-        return False
-    if len(q1.sa.graphs) != len(q2.sa.graphs) or q1.n_curves != q2.n_curves:
-        return False
-
-    n_pieces = len(q1.sa.graphs)
-
-    def assign(piece_map, isos):
-        p = len(piece_map)
-        if p == n_pieces:
-            return _curve_match(q1, q2, piece_map, isos)
-        for target in range(n_pieces):
-            if target in piece_map.values():
-                continue
-            if q1.cfg.pieces[p] != q2.cfg.pieces[target]:
-                continue
-            for iso in _ribbon_isos(
-                q1.sa.graphs[p],
-                q2.sa.graphs[target],
-                q1.scale[0],
-                q2.scale[0],
-                q1.mode,
-            ):
-                piece_map[p] = target
-                isos[p] = iso
-                if assign(piece_map, isos):
-                    return True
-                del piece_map[p]
-                del isos[p]
-        return False
-
-    return assign({}, {})

@@ -1,0 +1,349 @@
+"""Second routes that only the tests take.
+
+Each function here recomputes something `ttlab` computes another way,
+or exposes a dense view the package never needs: the boundary matrices
+of the double cover, the intersection form, an isomorphism test for
+surfaces, rank over GF(2) by plain elimination.  None of it is reached
+from the commands or the library API.
+"""
+
+import functools
+from fractions import Fraction
+
+from ttlab.errors import BadIndex, CrossCheckFailed
+from ttlab.linalg import Echelon
+from ttlab.ribbon import ParityUnionFind
+from ttlab.surface import EXACT, TOL, _convert, _eq, _ribbon_isos
+
+# -- linear algebra ------------------------------------------------------------
+
+
+def solve_square(matrix, rhs_columns):
+    """Solve M X = B for an invertible square M; returns X's columns.
+
+    `rhs_columns` is a list of right-hand-side column vectors.
+    Raises ValueError if M is singular.
+    """
+    n = len(matrix)
+    k = len(rhs_columns)
+    echelon = Echelon(
+        list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)
+    )
+    if echelon.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    # [M | B] (x, -e_c) = 0 is M x = b_c
+    return [echelon.back_substitute([Fraction(0)] * n + [-int(j == c) for j in range(k)])[:n]
+            for c in range(k)]
+
+
+def rank_gf2(matrix):
+    """Rank over GF(2) of an integer matrix given as a list of rows."""
+    if not matrix:
+        return 0
+    ncols = len(matrix[0])
+    rows = []
+    for row in matrix:
+        packed = 0
+        for x in row:
+            packed = (packed << 1) | (x & 1)
+        rows.append(packed)
+    rank_ = 0
+    for bit in range(ncols):
+        mask = 1 << (ncols - 1 - bit)
+        pivot = None
+        for i in range(rank_, len(rows)):
+            if rows[i] & mask:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        for i in range(len(rows)):
+            if i != rank_ and rows[i] & mask:
+                rows[i] ^= rows[rank_]
+        rank_ += 1
+    return rank_
+
+
+# -- ribbon graphs and surfaces --------------------------------------------------
+
+
+def total_length(graph):
+    """Sum of the edge lengths of a metric ribbon graph."""
+    return sum(graph.lengths.values())
+
+
+def unit_area(q):
+    """Whether the surface has area 1 (to 1e-12 in numeric mode)."""
+    if q.mode == EXACT:
+        return q.area() == 1
+    return abs(q.area() - 1.0) <= 1e-12
+
+
+def horizontal_period_data(q):
+    """Holonomy vectors of the horizontal presentation.
+
+    Each spine edge maps to (its effective length, 0); each cylinder
+    contributes one crossing saddle from bottom marked corner to top
+    marked corner, with holonomy (effective twist, effective height).
+    """
+    zero = Fraction(0) if q.mode == EXACT else 0.0
+    data = {}
+    for p, graph in enumerate(q.sa.graphs):
+        for h, _ in graph.edges():
+            length = q.scale[0] * _convert(graph.length_of(h), q.mode, "length")
+            data[("edge", p, h)] = (length, zero)
+    for i in range(q.n_curves):
+        data[("cross", i)] = (q.twist_of_curve(i), q.height_of_curve(i))
+    return data
+
+
+def _eq_mod(a, b, modulus, mode):
+    d = (a - b) % modulus
+    if mode == EXACT:
+        return d == 0
+    return min(d, modulus - d) <= TOL
+
+
+def _walk_offset(graph, face_index, half_edge, scale, mode):
+    """Cumulative side length from the face's marked corner to the
+    corner at v(half_edge), along the face cycle."""
+    total = Fraction(0) if mode == EXACT else 0.0
+    for h in graph.faces()[face_index]:
+        if h == half_edge:
+            return total
+        total = total + scale * _convert(graph.length_of(h), mode, "length")
+    raise BadIndex(f"half-edge {half_edge} not on face {face_index}")
+
+
+def _curve_match(q1, q2, piece_map, isos):
+    """Extend piece-level ribbon isos to a full surface isomorphism."""
+    curve_of_face = {}
+    for j, (bottom, top) in enumerate(q2.glued_faces):
+        curve_of_face[bottom] = (j, "bottom")
+        curve_of_face[top] = (j, "top")
+
+    used = set()
+    for i, glued in enumerate(q1.glued_faces):
+        ends = []
+        for p, f in glued:
+            h_min = q1.sa.graphs[p].faces()[f][0]
+            h_img = isos[p][h_min]
+            p_img = piece_map[p]
+            f_img = q2.sa.graphs[p_img].face_of(h_img)
+            hit = curve_of_face.get((p_img, f_img))
+            if hit is None:
+                return False
+            ends.append((hit, p_img, f_img, h_img))
+        (ja, kind_a), (jb, kind_b) = ends[0][0], ends[1][0]
+        if ja != jb or kind_a == kind_b or ja in used:
+            return False
+        used.add(ja)
+        j = ja
+        if not _eq(q1.height_of_curve(i), q2.height_of_curve(j), q1.mode):
+            return False
+        # Walk offsets of the two marked-corner images, in whichever of
+        # q2's faces each landed on; a bottom/top swap of the whole
+        # cylinder keeps the twist value, so the congruence below covers
+        # both kinds of match.
+        off = q1.length_of_curve(i) * 0
+        for (_, p_img, f_img, h_img) in ends:
+            off = off + _walk_offset(
+                q2.sa.graphs[p_img], f_img, h_img, q2.scale[0], q2.mode
+            )
+        if not _eq_mod(
+            q2.twist_of_curve(j),
+            q1.twist_of_curve(i) + off,
+            q2.length_of_curve(j),
+            q1.mode,
+        ):
+            return False
+    return True
+
+
+def is_isomorphic(q1, q2):
+    """Whether some relabeling of pieces, half-edges and curves carries
+    q1 onto q2, matching all effective lengths, heights and twists."""
+    if q1.mode != q2.mode:
+        return False
+    if len(q1.sa.graphs) != len(q2.sa.graphs) or q1.n_curves != q2.n_curves:
+        return False
+
+    n_pieces = len(q1.sa.graphs)
+
+    def assign(piece_map, isos):
+        p = len(piece_map)
+        if p == n_pieces:
+            return _curve_match(q1, q2, piece_map, isos)
+        for target in range(n_pieces):
+            if target in piece_map.values():
+                continue
+            if q1.cfg.pieces[p] != q2.cfg.pieces[target]:
+                continue
+            for iso in _ribbon_isos(
+                q1.sa.graphs[p],
+                q2.sa.graphs[target],
+                q1.scale[0],
+                q2.scale[0],
+                q1.mode,
+            ):
+                piece_map[p] = target
+                isos[p] = iso
+                if assign(piece_map, isos):
+                    return True
+                del piece_map[p]
+                del isos[p]
+        return False
+
+    return assign({}, {})
+
+
+# -- the double cover, densely -----------------------------------------------------
+
+# The dense boundary maps are cached for the life of the test process,
+# which keeps every cover they were asked about alive: about 14 MB for
+# the acceptance sweep, whose fixture holds those covers anyway.
+
+
+@functools.cache
+def boundary_1(cover):
+    """d1 of the cover as a tuple of vertex rows, built once per cover
+    and shared afterwards; callers must not change it."""
+    d1 = [[0] * cover.n_cover_edges for _ in cover.cover_vertices]
+    for col, (tail, head) in enumerate(cover._ends):
+        d1[head][col] += 1
+        d1[tail][col] -= 1
+    return tuple(map(tuple, d1))
+
+
+@functools.cache
+def boundary_2(cover):
+    """d2 of the cover as a tuple of edge rows, built once per cover and
+    shared afterwards; callers must not change it."""
+    d2 = [[0] * cover.n_cover_faces for _ in range(cover.n_cover_edges)]
+    for col, face in enumerate(cover._face_cols):
+        for row, x in face.items():
+            d2[row][col] = x
+    return tuple(map(tuple, d2))
+
+
+def involution_on_edges(cover, vector):
+    """Push a 1-chain across the deck transformation."""
+    return [vector[r ^ 1] for r in range(cover.n_cover_edges)]
+
+
+def involution_vertices(cover):
+    """The deck transformation on cover vertices, as a list of images."""
+    return [
+        cover._orbit_of[(p, h, 1 - s)]
+        for members in cover.cover_vertices
+        for (p, h, s) in members[:1]
+    ]
+
+
+def piece_preimage_connected(cover, p):
+    """Whether the cover preimage of piece p's spine is connected."""
+    graph = cover.surface.sa.graphs[p]
+    vertices = {
+        cover._orbit_of[(p, h, s)]
+        for h in range(graph.n_half_edges)
+        for s in (0, 1)
+    }
+    uf = ParityUnionFind(len(cover.cover_vertices))
+    for h, _ in graph.edges():
+        for s in (0, 1):
+            uf.union(*cover._lift_endpoints(("e", p, h), s), 0)
+    return len({uf.find(v)[0] for v in vertices}) == 1
+
+
+def homology_cycle_basis(cover):
+    """Dense cycles whose classes form a basis of H_1 of the cover: the
+    tree-cotree fundamental cycles, in generator order."""
+    cycles = []
+    for support in cover.homology._supports:
+        gamma = [0] * cover.n_cover_edges
+        for r, x in support:
+            gamma[r] = x
+        cycles.append(gamma)
+    return cycles
+
+
+def cocycle(cover, j):
+    """The 1-cocycle dual to generator j: 1 on its edge, 0 on T and on
+    the other generators, and set on C leaves first so that it vanishes
+    on every face.  It takes the value delta_jk on the k-th fundamental
+    cycle.
+    """
+    homology = cover.homology
+    alpha = [0] * cover.n_cover_edges
+    alpha[homology.generators[j]] = 1
+    for f, c, sign in reversed(homology._clearing):
+        alpha[c] = -sign * sum(x * alpha[r] for r, x in homology._faces[f])
+    if any(sum(x * alpha[r] for r, x in face) for face in homology._faces):
+        raise CrossCheckFailed(f"dual of generator {j} is not a cocycle")
+    return alpha
+
+
+def cup(cover, alpha, beta):
+    """Cup product of two 1-cocycles on the fundamental class: the sum
+    over the polygonal 2-cells of the cover."""
+    total = 0
+    for i, word in enumerate(cover.words):
+        for s in (0, 1):
+            rows = [2 * cover._edge_index[x.key] + (s ^ x.sheet_bit) for x in word]
+            for a, (ra, la) in enumerate(zip(rows, word)):
+                for rb, lb in zip(rows[a + 1:], word[a + 1:]):
+                    total += la.sign * lb.sign * alpha[ra] * beta[rb]
+                if la.sign < 0:
+                    total += alpha[ra] * beta[ra]
+    return total
+
+
+def intersection_matrix(cover, cycles):
+    """Pairwise algebraic intersection numbers of the given 1-cycles.
+
+    Computed through the cup product on the cocycles dual to the
+    tree-cotree generators; the global sign depends on orientation
+    conventions and is consistent across entries.
+    """
+    homology = cover.homology
+    dim = len(homology.generators)
+    c_basis = [cocycle(cover, j) for j in range(dim)]
+
+    cup_matrix = [[cup(cover, a, b) for b in c_basis] for a in c_basis]
+    # the cocycles evaluate to the identity on the generators, so
+    # PD(gamma_j) = sum_k lambda_kj alpha_k with C^T Lambda = I, and the
+    # pairing Lambda^T C Lambda on the generators is Lambda itself
+    lam = solve_square(
+        [[cup_matrix[k][l] for k in range(dim)] for l in range(dim)],
+        [[int(i == j) for i in range(dim)] for j in range(dim)],
+    )
+    coords = [homology.coords(z) for z in cycles]
+    return [
+        [
+            sum(
+                coords[a][i] * lam[j][i] * coords[b][j]
+                for i in range(dim)
+                for j in range(dim)
+            )
+            for b in range(len(cycles))
+        ]
+        for a in range(len(cycles))
+    ]
+
+
+# -- spin --------------------------------------------------------------------------
+
+
+def form_value(q_vals, gram, members):
+    """Value of the quadratic form on the sum of the listed generators.
+
+    Follows from q(x + y) = q(x) + q(y) + <x, y> applied repeatedly.
+    """
+    members = sorted(set(members))
+    val = 0
+    for i, a in enumerate(members):
+        val ^= q_vals[a]
+        for b in members[i + 1:]:
+            val ^= gram[a][b]
+    return val

@@ -1,10 +1,10 @@
 """Acceptance gate: one test per numbered criterion, run in order.
 
-Criteria 1, 2, 3, 5, 10 and 11 share one sweep of instances, built once
-per module: the exhaustive pants catalogs in genus 2 and 3 under a
-length battery that realizes every spine type on every piece, 200
-random pants decompositions up to genus 5, a census of one-cylinder
-surfaces, and a handful of plumbing arrangements.  Each test prints a
+Criteria 1, 2, 3, 5, 7, 8 and 10 to 13 share one sweep of instances,
+built once per module: the exhaustive pants catalogs in genus 2 and 3
+under a length battery that realizes every spine type on every piece,
+200 random pants decompositions up to genus 5, a census of
+one-cylinder surfaces, and a handful of plumbing arrangements.  Each test prints a
 single `criterion N: PASS` line with its headline numbers.
 """
 
@@ -29,13 +29,11 @@ from ttlab.cover import (
     cover_genus,
     h1_anti_invariant,
     holonomy_double_cover,
-    piece_preimage_connected,
     rank_lower_bound,
     relations_formula,
 )
 import ttlab.classify as classify_module
 from ttlab.errors import InvalidAssignment, NoSpinStructure
-from ttlab.linalg import rank_gf2
 from ttlab.probe import run_probe
 from ttlab.ribbon import (
     SpineAssignment,
@@ -62,6 +60,7 @@ from ttlab.topology import (
     validate_config,
 )
 
+from oracles import piece_preimage_connected, rank_gf2
 from test_classify import (
     RING3,
     RING3_LENGTHS,
@@ -73,7 +72,13 @@ from test_classify import (
 )
 from test_ribbon import nabla_assignment
 from test_saddle import origami_surface
-from test_spin import all_pairings, census_form, transported
+from test_spin import (
+    all_pairings,
+    assert_bits_match_joint_orientability,
+    census_form,
+    rank_checked_form,
+    transported,
+)
 from test_topology import TWO_PANTS
 
 F = Fraction
@@ -683,3 +688,25 @@ def test_criterion_12_core_lift_closure_matches_the_dense_oracle(sweep):
         assert_closure_oracle_agrees(inst.cover, inst.cfg)
     note(12, f"PASS sparse core-lift closure check matches the dense d1 "
              f"product on {len(sweep.instances)} covers")
+
+
+def test_criterion_13_spin_solvers_match_their_oracles(sweep, monkeypatch):
+    # the orientation bits read off the alternation system, checked edge
+    # by edge against the gluing flips, and the rank of the symplectic
+    # reduction against rank_gf2 after every loop winding_form adds
+    oriented = formed = 0
+    for inst in sweep.instances:
+        assert assert_bits_match_joint_orientability(inst.q) == inst.jo, inst.name
+        if not inst.jo:
+            continue
+        oriented += 1
+        try:
+            form = winding_form(inst.q)
+        except NoSpinStructure:
+            continue
+        formed += 1
+        assert rank_checked_form(inst.q, monkeypatch) == form, inst.name
+    assert oriented > 0 and formed > 0
+    note(13, f"PASS orientation bits respect every gluing on {oriented} "
+             f"oriented surfaces; the reduction's rank is the GF(2) rank "
+             f"after every loop of {formed} forms")

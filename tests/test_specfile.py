@@ -21,6 +21,7 @@ from ttlab.specfile import (
 )
 from ttlab.surface import EXACT, NUMERIC, geodesic_flow, horocycle_flow
 
+from oracles import unit_area
 from test_acceptance import random_pants_cfg
 from test_classify import plumbing_pair
 from test_saddle import origami_surface
@@ -177,7 +178,7 @@ def test_validate_builds_normalized():
     text = ORIGAMI_TEXT.replace("normalize = false", "normalize = true")
     spec = parse_spec(text)
     assert spec.normalize
-    assert spec.build().unit_area
+    assert unit_area(spec.build())
 
 
 def test_mismatched_perimeters_stay_a_mismatch():

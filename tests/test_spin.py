@@ -12,7 +12,6 @@ from ttlab.errors import (
     OutOfRange,
     TTLabError,
 )
-from ttlab.linalg import rank_gf2
 from ttlab.ribbon import (
     SpineAssignment,
     jointly_orientable,
@@ -25,7 +24,6 @@ from ttlab.spin import (
     _edge_table,
     _staircase_succ,
     arf_invariant,
-    form_value,
     orientation_bits,
     spin_parity,
     winding_form,
@@ -33,6 +31,7 @@ from ttlab.spin import (
 from ttlab.surface import EXACT, NUMERIC, build_surface
 from ttlab.topology import make_config
 
+from oracles import form_value, rank_gf2
 from test_classify import odd_plumbing, plumbing_pair, plumbing_ring, relabeled
 from test_ribbon import nabla_assignment, theta_assignment
 from test_saddle import origami_surface
@@ -502,12 +501,27 @@ def test_unorientable_surface_has_no_parity():
         orientation_bits(q2)
 
 
-def test_orientation_bits_match_joint_orientability():
-    """The bit solver and the sign-constraint solver must agree.
+def assert_bits_match_joint_orientability(q):
+    """orientation_bits refuses exactly when jointly_orientable does, and
+    its bits are checked edge by edge against the gluing flips, not just
+    trusted for coming back without error.  True when q is oriented."""
+    flag, _ = jointly_orientable(q)
+    if not flag:
+        with pytest.raises(NotAbelianSquare):
+            orientation_bits(q)
+        return False
+    bits = orientation_bits(q)
+    assert len(bits) == q.n_curves and bits[0] == 0
+    for p, graph in enumerate(q.sa.graphs):
+        for h in range(len(graph.sigma)):
+            a = q.side_of(p, h).curve
+            b = q.side_of(p, graph.iota[h]).curve
+            assert bits[a] ^ bits[b] == q.edge_flip(p, h)
+    return True
 
-    When they orient, the bits are checked edge by edge against the
-    gluing flips, not just trusted for coming back without error.
-    """
+
+def test_orientation_bits_match_joint_orientability():
+    """The bits and the sign-constraint solver must agree."""
     catalog = [
         (ONE_CYLINDER, one_cylinder_surface(SYMMETRIC_PAIRS)[1]),
         (TWO_PANTS, theta_assignment()),
@@ -520,19 +534,7 @@ def test_orientation_bits_match_joint_orientability():
     oriented = 0
     for cfg, sa in catalog:
         q = build_surface(cfg, sa, [1] * cfg.n_curves, mode=EXACT)
-        flag, _ = jointly_orientable(q)
-        if not flag:
-            with pytest.raises(NotAbelianSquare):
-                orientation_bits(q)
-            continue
-        bits = orientation_bits(q)
-        oriented += 1
-        assert len(bits) == cfg.n_curves
-        for p, graph in enumerate(sa.graphs):
-            for h in range(len(graph.sigma)):
-                a = q.side_of(p, h).curve
-                b = q.side_of(p, graph.iota[h]).curve
-                assert bits[a] ^ bits[b] == q.edge_flip(p, h)
+        oriented += assert_bits_match_joint_orientability(q)
     assert oriented == 5
 
 
@@ -652,6 +654,34 @@ def assert_ear_basis(succ):
     short |= {(u, v) for u in range(n) for v in succ[u] if u < v and u in succ[v]}
     assert short <= set(cycles)
     return cycles
+
+
+def rank_checked_form(q, monkeypatch):
+    """winding_form, with the rank of its symplectic reduction checked
+    against rank_gf2 of the pairing matrix after every loop it adds."""
+    add = _FormBuilder.add
+    added = []
+
+    def checked_add(builder, cyc):
+        add(builder, cyc)
+        assert builder.span.rank == rank_gf2(builder.gram)
+        added.append(cyc)
+
+    with monkeypatch.context() as m:
+        m.setattr(_FormBuilder, "add", checked_add)
+        form = winding_form(q)
+    assert len(added) == len(form.cycles) > 0
+    return form
+
+
+def test_reduction_rank_is_the_gf2_rank_after_every_loop(monkeypatch):
+    defined = 0
+    for q in spin_fixtures():
+        form = form_or_refusal(lambda: winding_form(q))
+        if not isinstance(form, type):
+            assert rank_checked_form(q, monkeypatch) == form
+            defined += 1
+    assert defined == 22
 
 
 def test_ear_basis_spans_the_cycle_space():

@@ -14,11 +14,10 @@ from ttlab.surface import (
     build_surface,
     cylinder_twist,
     geodesic_flow,
-    horizontal_period_data,
     horocycle_flow,
-    is_isomorphic,
 )
 
+from oracles import horizontal_period_data, is_isomorphic, unit_area
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
 
@@ -47,7 +46,7 @@ def test_normalize_gives_unit_area():
         TWO_PANTS, theta_assignment(), (1, 1, 1), normalize=True
     )
     assert area(q) == 1
-    assert q.unit_area
+    assert unit_area(q)
     assert q.heights == (F(1, 12), F(1, 12), F(1, 12))
 
 
