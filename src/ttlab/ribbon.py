@@ -11,6 +11,7 @@ wall for four-valent spines) depends on exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,65 +61,65 @@ class MetricRibbonGraph:
     """Immutable ribbon graph with rational edge lengths.
 
     lengths maps the smaller half-edge of each pair to the edge length.
-    names, if given, are per-half-edge labels used by the file format.
     """
 
-    def __init__(self, sigma, iota, lengths, names=None):
-        self.sigma = tuple(sigma)
-        self.iota = tuple(iota)
-        n = len(self.sigma)
-        self.lengths = {min(h, self.iota[h]) if h < len(self.iota) else h:
-                        Fraction(v) for h, v in lengths.items()}
-        if names is None:
-            names = tuple(f"h{i}" for i in range(n))
-        self.names = tuple(names)
+    def __init__(self, sigma, iota, lengths):
+        self.sigma = sigma = tuple(sigma)
+        self.iota = iota = tuple(iota)
+        n = len(iota)
+        self.lengths = {min(h, iota[h]) if h < n else h:
+                        v if type(v) is Fraction else Fraction(v)
+                        for h, v in lengths.items()}
         self._check()
-        self._vertices = _orbits(self.sigma)
-        self._faces = _orbits(tuple(self.sigma[self.iota[h]] for h in range(n)))
-        self._vertex_index = {}
-        for vi, orbit in enumerate(self._vertices):
-            for h in orbit:
-                self._vertex_index[h] = vi
-        self._face_index = {}
-        for fi, orbit in enumerate(self._faces):
-            for h in orbit:
-                self._face_index[h] = fi
-        self._perimeters = tuple(sum(self.length_of(h) for h in face)
-                                 for face in self._faces)
+        self._vertices, self._vertex_index = _orbits(sigma)
+        if not self._connected():
+            raise MalformedGraph("graph is not connected")
+        self._faces, self._face_index = _orbits([sigma[k] for k in iota])
+        # each perimeter is one integer sum over a common denominator
+        d = math.lcm(*[v.denominator for v in self.lengths.values()])
+        scaled = [0] * n
+        for e, v in self.lengths.items():
+            scaled[e] = scaled[iota[e]] = v.numerator * (d // v.denominator)
+        self._perimeters = tuple([Fraction(sum(map(scaled.__getitem__, f)), d)
+                                  for f in self._faces])
 
     def _check(self):
-        n = len(self.sigma)
+        """Raise MalformedGraph or NonPositiveLength for the first check
+        below that fails, in O(n); connectivity is checked last, once
+        the vertices are known."""
+        sigma, iota, n = self.sigma, self.iota, len(self.sigma)
         if n % 2:
             raise MalformedGraph("odd number of half-edges")
-        if sorted(self.sigma) != list(range(n)):
+        everyone = set(range(n))
+        if set(sigma) != everyone:
             raise MalformedGraph("sigma is not a permutation")
-        if sorted(self.iota) != list(range(n)):
+        if len(iota) != n or set(iota) != everyone:
             raise MalformedGraph("iota is not a permutation")
-        for h in range(n):
-            if self.iota[h] == h:
+        for h, k in enumerate(iota):
+            if k == h:
                 raise MalformedGraph(f"iota fixes half-edge {h}")
-            if self.iota[self.iota[h]] != h:
+            if iota[k] != h:
                 raise MalformedGraph("iota is not an involution")
-        expected = {min(h, self.iota[h]) for h in range(n)}
-        if set(self.lengths) != expected:
+        if self.lengths.keys() != {h for h, k in enumerate(iota) if h < k}:
             raise MalformedGraph("lengths keyed by wrong half-edges")
         for e, val in self.lengths.items():
-            if val <= 0:
+            if val.numerator <= 0:
                 raise NonPositiveLength(f"edge {e} has length {val}")
-        if len(self.names) != n or len(set(self.names)) != n:
-            raise MalformedGraph("half-edge names missing or duplicated")
-        # connectivity under <sigma, iota>
-        if n:
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                h = frontier.pop()
-                for g in (self.sigma[h], self.iota[h]):
-                    if g not in seen:
-                        seen.add(g)
-                        frontier.append(g)
-            if len(seen) != n:
-                raise MalformedGraph("graph is not connected")
+
+    def _connected(self):
+        """Whether the edges join every vertex to vertex 0."""
+        vertices, index, iota = self._vertices, self._vertex_index, self.iota
+        if not vertices:
+            return True
+        reached = [True] + [False] * (len(vertices) - 1)
+        stack = [0]
+        while stack:
+            for h in vertices[stack.pop()]:
+                w = index[iota[h]]
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
+        return all(reached)
 
     # --- basic structure -------------------------------------------------
 
@@ -172,20 +173,22 @@ class MetricRibbonGraph:
 
 
 def _orbits(perm):
-    """Cycles of a permutation, as tuples starting from the least element."""
-    seen = [False] * len(perm)
+    """Cycles of a permutation, as tuples starting from the least element,
+    and the index of each element's cycle."""
+    index = [None] * len(perm)
     out = []
     for start in range(len(perm)):
-        if seen[start]:
+        if index[start] is not None:
             continue
+        k = len(out)
         cyc = []
         h = start
-        while not seen[h]:
-            seen[h] = True
+        while index[h] is None:
+            index[h] = k
             cyc.append(h)
             h = perm[h]
         out.append(tuple(cyc))
-    return out
+    return out, index
 
 
 def boundary_cycles(graph):

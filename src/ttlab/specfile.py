@@ -66,34 +66,44 @@ class TorusSpecFile:
 _PLAIN_SECTIONS = ("surface", "curves", "pieces", "gluing",
                    "heights", "twists", "options")
 
+# line patterns, compiled once
+_INDEXED = re.compile(r"(\d+)\s*:\s*(.*)")
+_EDGE = re.compile(r"edge:\s*(\d+)\s+(\d+)\s+length\s+(\S+)")
+_FACE_SLOT = re.compile(r"face->slot:\s*(\d+)\s+(\d+)")
+_PIECE = re.compile(r"genus\s*=\s*(\d+)\s+slots\s*=\s*(\d+)")
+_GLUING = re.compile(
+    r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TWIST = re.compile(r"(\d+)\s*:\s*(\S+)$")
+_KEY_VALUE = re.compile(r"(\w+)\s*=\s*(\S+)")
+
 
 def _split_sections(text):
     """Map section key -> (header line number, [(lineno, line), ...])."""
     sections = {}
-    current = None
+    body = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(lineno, "unterminated section header")
-            name = line[1:-1].strip()
-            parts = name.split()
-            if len(parts) == 2 and parts[0] == "ribbon" and parts[1].isdigit():
-                key = ("ribbon", int(parts[1]))
-            elif name in _PLAIN_SECTIONS:
-                key = name
-            else:
-                raise ParseError(lineno, f"unknown section [{name}]")
-            if key in sections:
-                raise ParseError(lineno, f"duplicate section [{name}]")
-            sections[key] = (lineno, [])
-            current = key
+        if line[0] != "[":
+            if body is None:
+                raise ParseError(lineno, "content before the first section header")
+            body.append((lineno, line))
             continue
-        if current is None:
-            raise ParseError(lineno, "content before the first section header")
-        sections[current][1].append((lineno, line))
+        if line[-1] != "]":
+            raise ParseError(lineno, "unterminated section header")
+        name = line[1:-1].strip()
+        parts = name.split()
+        if len(parts) == 2 and parts[0] == "ribbon" and parts[1].isdigit():
+            key = ("ribbon", int(parts[1]))
+        elif name in _PLAIN_SECTIONS:
+            key = name
+        else:
+            raise ParseError(lineno, f"unknown section [{name}]")
+        if key in sections:
+            raise ParseError(lineno, f"duplicate section [{name}]")
+        body = []
+        sections[key] = (lineno, body)
     return sections
 
 
@@ -104,7 +114,16 @@ def _need(sections, key, shown=None):
 
 
 def _rational(token, lineno):
+    # int() also reads spaces, underscores, signs and non-ASCII digits,
+    # so only plain ASCII digits, or two runs of them around one slash,
+    # take the integer route; Fraction(token) reads everything else.
     try:
+        if token.isascii():
+            if token.isdigit():
+                return Fraction(int(token))
+            p, _, q = token.partition("/")
+            if p.isdigit() and q.isdigit():
+                return Fraction(int(p), int(q))
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, f"expected a rational number, got {token!r}")
@@ -114,29 +133,28 @@ def _single_kv(lines, header, key):
     if len(lines) != 1:
         raise ParseError(header, f"expected exactly one line: {key} = ...")
     lineno, line = lines[0]
-    m = re.fullmatch(rf"{key}\s*=\s*(\S+)", line)
-    if not m:
+    m = _KEY_VALUE.fullmatch(line)
+    if not m or m[1] != key:
         raise ParseError(lineno, f"expected {key} = ...")
-    return lineno, m.group(1)
+    return lineno, m[2]
 
 
 def _indexed(lines, what, n_expected=None):
     """Parse `i: rest` lines into a dense list, rejecting gaps and repeats."""
     found = {}
     for lineno, line in lines:
-        m = re.match(r"(\d+)\s*:\s*(.*)", line)
+        m = _INDEXED.match(line)
         if not m:
             raise ParseError(lineno, f"expected an indexed line 'i: ...'")
-        idx = int(m.group(1))
+        idx, rest = int(m[1]), m[2]
         if idx in found:
             raise ParseError(lineno, f"{what} {idx} defined twice")
-        found[idx] = (lineno, m.group(2).strip())
+        found[idx] = (lineno, rest.strip())
     n = n_expected if n_expected is not None else len(found)
-    out = []
-    for i in range(n):
-        if i not in found:
-            raise ParseError(0, f"{what} {i} is missing")
-        out.append(found[i])
+    try:
+        out = [found[i] for i in range(n)]
+    except KeyError as exc:
+        raise ParseError(0, f"{what} {exc.args[0]} is missing")
     if len(found) > n:
         extra = min(k for k in found if k >= n)
         raise ParseError(found[extra][0], f"{what} {extra} out of range")
@@ -145,46 +163,48 @@ def _indexed(lines, what, n_expected=None):
 
 def _parse_ribbon(lines, header, piece):
     cycles = []
+    listed = []
     edge_pairs = []
     lengths = {}
     fts_pairs = []
     for lineno, line in lines:
         if line.startswith("vertex:"):
             try:
-                cycle = tuple(int(t) for t in line[len("vertex:"):].split())
+                cycle = tuple(map(int, line[len("vertex:"):].split()))
             except ValueError:
                 raise ParseError(lineno, "vertex line needs half-edge numbers")
             if not cycle:
                 raise ParseError(lineno, "empty vertex line")
             cycles.append(cycle)
+            listed += cycle
         elif line.startswith("edge:"):
-            m = re.fullmatch(
-                r"edge:\s*(\d+)\s+(\d+)\s+length\s+(\S+)", line)
+            m = _EDGE.fullmatch(line)
             if not m:
                 raise ParseError(lineno, "expected edge: h k length p/q")
-            a, b = int(m.group(1)), int(m.group(2))
+            a, b, token = int(m[1]), int(m[2]), m[3]
             if a == b:
                 raise ParseError(lineno, "an edge needs two distinct sides")
             edge_pairs.append((lineno, a, b))
-            lengths[min(a, b)] = _rational(m.group(3), lineno)
+            lengths[min(a, b)] = _rational(token, lineno)
         elif line.startswith("face->slot:"):
-            m = re.fullmatch(r"face->slot:\s*(\d+)\s+(\d+)", line)
+            m = _FACE_SLOT.fullmatch(line)
             if not m:
                 raise ParseError(lineno, "expected face->slot: f s")
-            fts_pairs.append((lineno, int(m.group(1)), int(m.group(2))))
+            fts_pairs.append((lineno, int(m[1]), int(m[2])))
         else:
             raise ParseError(lineno, f"unknown ribbon line {line!r}")
 
-    n = sum(len(c) for c in cycles)
-    listed = sorted(h for c in cycles for h in c)
-    if listed != list(range(n)):
+    n = len(listed)
+    if sorted(listed) != list(range(n)):
         raise ParseError(header,
                          f"piece {piece}: vertex lines must cover each "
                          f"half-edge 0..{n - 1} exactly once")
     sigma = [None] * n
     for cycle in cycles:
-        for i, h in enumerate(cycle):
-            sigma[h] = cycle[(i + 1) % len(cycle)]
+        prev = cycle[-1]
+        for h in cycle:
+            sigma[prev] = h
+            prev = h
     iota = [None] * n
     for lineno, a, b in edge_pairs:
         if a >= n or b >= n:
@@ -192,7 +212,7 @@ def _parse_ribbon(lines, header, piece):
         if iota[a] is not None or iota[b] is not None:
             raise ParseError(lineno, "half-edge paired twice")
         iota[a], iota[b] = b, a
-    if any(v is None for v in iota):
+    if None in iota:
         raise ParseError(header, f"piece {piece}: some half-edge has no edge line")
     try:
         graph = MetricRibbonGraph(sigma, iota, lengths)
@@ -208,7 +228,7 @@ def _parse_ribbon(lines, header, piece):
         if fts[f] is not None:
             raise ParseError(lineno, f"face {f} mapped twice")
         fts[f] = s
-    if any(v is None for v in fts):
+    if None in fts:
         raise ParseError(header, f"piece {piece}: a face has no slot")
     return graph, tuple(fts)
 
@@ -232,22 +252,21 @@ def parse_spec(text):
     piece_header, piece_lines = _need(sections, "pieces")
     pieces = []
     for lineno, rest in _indexed(piece_lines, "piece"):
-        m = re.fullmatch(r"genus\s*=\s*(\d+)\s+slots\s*=\s*(\d+)", rest)
+        m = _PIECE.fullmatch(rest)
         if not m:
             raise ParseError(lineno, "expected genus = G slots = B")
-        pieces.append((int(m.group(1)), int(m.group(2))))
+        pieces.append(tuple(map(int, m.groups())))
     if not pieces:
         raise ParseError(piece_header, "at least one piece is required")
 
     glue_header, glue_lines = _need(sections, "gluing")
     gluing = []
     for lineno, rest in _indexed(glue_lines, "curve", n_curves):
-        m = re.fullmatch(
-            r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest)
+        m = _GLUING.fullmatch(rest)
         if not m:
             raise ParseError(lineno, "expected (piece, slot) (piece, slot)")
-        a = (int(m.group(1)), int(m.group(2)))
-        b = (int(m.group(3)), int(m.group(4)))
+        p1, s1, p2, s2 = map(int, m.groups())
+        a, b = (p1, s1), (p2, s2)
         for p, s in (a, b):
             if p >= len(pieces):
                 raise ParseError(lineno, f"piece {p} does not exist")
@@ -286,26 +305,26 @@ def parse_spec(text):
         _, t_lines = sections["twists"]
         seen = set()
         for lineno, line in t_lines:
-            m = re.match(r"(\d+)\s*:\s*(\S+)$", line)
+            m = _TWIST.match(line)
             if not m:
                 raise ParseError(lineno, "expected 'i: value'")
-            i = int(m.group(1))
+            i, token = int(m[1]), m[2]
             if i >= n_curves:
                 raise ParseError(lineno, f"curve {i} out of range")
             if i in seen:
                 raise ParseError(lineno, f"twist {i} defined twice")
             seen.add(i)
-            twists[i] = _rational(m.group(2), lineno)
+            twists[i] = _rational(token, lineno)
 
     normalize = False
     mode = EXACT
     if "options" in sections:
         _, o_lines = sections["options"]
         for lineno, line in o_lines:
-            m = re.fullmatch(r"(\w+)\s*=\s*(\S+)", line)
+            m = _KEY_VALUE.fullmatch(line)
             if not m:
                 raise ParseError(lineno, "expected key = value")
-            key, value = m.group(1), m.group(2)
+            key, value = m.groups()
             if key == "normalize":
                 if value not in ("true", "false"):
                     raise ParseError(lineno, "normalize must be true or false")

@@ -284,6 +284,13 @@ class _SymplecticReduction:
     def rank(self):
         return 2 * len(self.pairs)
 
+    def arf(self):
+        """The Arf invariant; OutOfRange when q is 1 on the radical."""
+        if any(value for _, _, value in self.free):
+            raise OutOfRange("a radical vector has form value 1, "
+                             "so the parity is undefined")
+        return sum(e[2] & f[2] for e, f in self.pairs) & 1
+
     def add(self, row, value):
         """Take the next generator: row has bit j set when it pairs to 1
         with generator j < self.size, and value is its form value."""
@@ -413,6 +420,11 @@ def winding_form(q, bits=None):
     complement of a component is also valid); the parity does not
     depend on the choice.
     """
+    return _winding_form(q, bits)[0]
+
+
+def _winding_form(q, bits):
+    """winding_form and the symplectic reduction of its loops."""
     if q.mode != EXACT:
         raise ModeMismatch(
             "spin data needs exact arithmetic; build the surface in "
@@ -449,12 +461,13 @@ def winding_form(q, bits=None):
         tuple((edata[node].piece, edata[node].half) for node in cyc)
         for cyc in builder.cycles
     )
-    return WindingForm(
+    form = WindingForm(
         q_vals=tuple(builder.q_vals),
         gram=tuple(tuple(r) for r in builder.gram),
         n_cores=q.n_curves,
         cycles=cycles,
     )
+    return form, builder.span
 
 
 def _check_form(q_vals, gram):
@@ -483,11 +496,7 @@ def arf_invariant(q_vals, gram):
     span = _SymplecticReduction()
     for i, (row, value) in enumerate(zip(gram, q_vals)):
         span.add(_mask(row[:i]), value)
-    if any(value for _, _, value in span.free):
-        raise OutOfRange(
-            "a radical vector has form value 1, so the parity is undefined"
-        )
-    return sum(e[2] & f[2] for e, f in span.pairs) & 1
+    return span.arf()
 
 
 def spin_parity(q):
@@ -496,7 +505,7 @@ def spin_parity(q):
     Only defined when the horizontal direction is orientable; raises
     NotAbelianSquare otherwise.  The result is "even" or "odd" and does
     not depend on the chosen orientation, the loop order, or
-    the symplectic basis extracted from it.
+    the symplectic basis extracted from it.  The Arf invariant comes
+    from the reduction winding_form runs as it adds the loops.
     """
-    form = winding_form(q)
-    return "odd" if arf_invariant(form.q_vals, form.gram) else "even"
+    return "odd" if _winding_form(q, None)[1].arf() else "even"

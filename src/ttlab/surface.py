@@ -118,6 +118,7 @@ class FlatTwistSurface:
         return self.cfg.n_curves
 
     def area(self):
+        """Flat area: scale_x * scale_y * sum of l_i * h_i."""
         total = sum(l * h for l, h in zip(self.base_lengths, self.heights))
         return self.scale[0] * self.scale[1] * total
 
@@ -245,11 +246,6 @@ def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
         heights = [h / total for h in heights]
     one = Fraction(1) if mode == EXACT else 1.0
     return FlatTwistSurface(cfg, sa, heights, twists, mode, (one, one), lengths)
-
-
-def area(q):
-    """Flat area: scale_x * scale_y * sum of l_i * h_i."""
-    return q.area()
 
 
 def geodesic_flow(q, t):

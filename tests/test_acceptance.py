@@ -1,6 +1,6 @@
 """Acceptance gate: one test per numbered criterion, run in order.
 
-Criteria 1, 2, 3, 5, 7, 8 and 10 to 13 share one sweep of instances,
+Criteria 1, 2, 3, 5, 7, 8 and 10 to 14 share one sweep of instances,
 built once per module: the exhaustive pants catalogs in genus 2 and 3
 under a length battery that realizes every spine type on every piece,
 200 random pants decompositions up to genus 5, a census of
@@ -70,11 +70,12 @@ from test_classify import (
     reference_involution_search,
     relabeled,
 )
-from test_ribbon import nabla_assignment
+from test_ribbon import assert_integer_perimeters, nabla_assignment
 from test_saddle import origami_surface
 from test_spin import (
     all_pairings,
     assert_bits_match_joint_orientability,
+    assert_parity_matches_both_oracles,
     census_form,
     rank_checked_form,
     transported,
@@ -625,6 +626,7 @@ def test_criterion_10_spin_parity_well_defined(sweep):
                 spin_parity(relabeled_build(inst, rng))
             continue
         defined += 1
+        assert_parity_matches_both_oracles(inst.q)
         form = winding_form(inst.q)
         want = arf_invariant(form.q_vals, form.gram)
         assert parity == ("odd" if want else "even")
@@ -710,3 +712,13 @@ def test_criterion_13_spin_solvers_match_their_oracles(sweep, monkeypatch):
     note(13, f"PASS orientation bits respect every gluing on {oriented} "
              f"oriented surfaces; the reduction's rank is the GF(2) rank "
              f"after every loop of {formed} forms")
+
+
+def test_criterion_14_integer_perimeters_match_the_fraction_sums(sweep):
+    # each face perimeter is one integer sum over a common denominator;
+    # on every spine graph of the sweep it must be the Fraction sum
+    graphs = [graph for inst in sweep.instances for graph in inst.sa.graphs]
+    for graph in graphs:
+        assert_integer_perimeters(graph)
+    note(14, f"PASS integer perimeters equal the Fraction sums on "
+             f"{len(graphs)} spine graphs")

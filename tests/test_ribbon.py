@@ -191,17 +191,87 @@ def test_single_vertex_graph_rejects_odd():
         single_vertex_graph([1, 0, 2], {0: 1})
 
 
-def test_malformed_graphs_are_rejected():
-    with pytest.raises(MalformedGraph):
-        MetricRibbonGraph(sigma=[0, 1], iota=[0, 1], lengths={0: 1})
-    with pytest.raises(MalformedGraph):
-        MetricRibbonGraph(sigma=[1, 0, 2], iota=[1, 0, 2], lengths={0: 1})
-    with pytest.raises(NonPositiveLength):
-        single_vertex_graph([1, 0, 3, 2], {0: 0, 2: 1})
+# (sigma, iota, lengths, error type, message); where a graph has several
+# faults, the one MetricRibbonGraph checks first is reported
+MALFORMED_GRAPHS = [
+    ([0, 1], [0, 1], {0: 1}, MalformedGraph, "iota fixes half-edge 0"),
+    ([1, 0, 2], [1, 0, 2], {0: 1}, MalformedGraph, "odd number of half-edges"),
+    ([1, 2, 3, 0], [1, 0, 3, 2], {0: 0, 2: 1}, NonPositiveLength,
+     "edge 0 has length 0"),
+    ([1, 2, 3, 0], [1, 0, 3, 2], {0: 1, 2: Fraction(-1, 2)}, NonPositiveLength,
+     "edge 2 has length -1/2"),
     # two disjoint loops: not connected
-    with pytest.raises(MalformedGraph):
-        MetricRibbonGraph(sigma=[1, 0, 3, 2], iota=[1, 0, 3, 2],
-                          lengths={0: 1, 2: 1})
+    ([1, 0, 3, 2], [1, 0, 3, 2], {0: 1, 2: 1}, MalformedGraph,
+     "graph is not connected"),
+    ([1, 2, 3, 0], [1, 2, 3, 0], {0: 1, 1: 1}, MalformedGraph,
+     "iota is not an involution"),
+    ([1, 2, 3, 0], [1, 0, 3, 2], {0: 1}, MalformedGraph,
+     "lengths keyed by wrong half-edges"),
+    ([1, 2, 3, 0], [1, 0, 3, 2], {0: 1, 2: 1, 5: 1}, MalformedGraph,
+     "lengths keyed by wrong half-edges"),
+    ([0, 0], [1, 0], {0: 1}, MalformedGraph, "sigma is not a permutation"),
+    ([1, 0], [1, 1], {0: 1}, MalformedGraph, "iota is not a permutation"),
+    ([1, 0], [1, 0, 2], {0: 1}, MalformedGraph, "iota is not a permutation"),
+    ([0, 0], [0, 0], {0: 0}, MalformedGraph, "sigma is not a permutation"),
+    # a non-involution at half-edge 0 comes before the fixed point at 3
+    ([1, 2, 3, 0], [1, 2, 0, 3], {0: 1}, MalformedGraph,
+     "iota is not an involution"),
+    ([1, 2, 3, 0], [0, 2, 1, 3], {0: 1}, MalformedGraph,
+     "iota fixes half-edge 0"),
+    # wrong keys before a bad length, a bad length before connectivity
+    ([1, 2, 3, 0], [1, 0, 3, 2], {0: 1, 4: 0}, MalformedGraph,
+     "lengths keyed by wrong half-edges"),
+    ([1, 0, 3, 2], [1, 0, 3, 2], {0: 1, 2: 0}, NonPositiveLength,
+     "edge 2 has length 0"),
+]
+
+
+def test_malformed_graphs_are_rejected():
+    for sigma, iota, lengths, error, message in MALFORMED_GRAPHS:
+        with pytest.raises(error) as info:
+            MetricRibbonGraph(sigma, iota, lengths)
+        assert str(info.value) == message, (sigma, iota, lengths)
+    with pytest.raises(NonPositiveLength) as info:
+        single_vertex_graph([1, 0, 3, 2], {0: 0, 2: 1})
+    assert str(info.value) == "edge 0 has length 0"
+
+
+def fraction_perimeters(graph):
+    """Face perimeters summed as Fractions, one edge at a time."""
+    return tuple(sum((graph.length_of(h) for h in face), Fraction(0))
+                 for face in graph.faces())
+
+
+def assert_integer_perimeters(graph):
+    """The perimeters, one integer sum per face, are the Fraction sums."""
+    per = graph.perimeters()
+    assert per == fraction_perimeters(graph)
+    assert all(type(p) is Fraction for p in per)
+    assert all(type(v) is Fraction for v in graph.lengths.values())
+
+
+def test_integer_perimeters_are_the_fraction_sums():
+    F = Fraction
+    graphs = [pants_spine(*trip)[0] for trip in [
+        (3, 4, 5), (5, 3, 2), (2, 3, 5), (10, 3, 2),
+        (F(1, 2), F(1, 3), F(5, 6)), (F(7, 2), F(3, 2), 2),
+        (F(9, 4), F(3, 4), F(3, 2)), (F(1, 6), F(1, 10), F(1, 15)),
+    ]]
+    graphs += [plumbing_fixture(p, length)
+               for p in (3, 4, 6) for length in (1, F(3, 7), F(10, 9))]
+    graphs += [
+        single_vertex_graph([1, 0, 3, 2, 5, 4],
+                            {0: F(1, 2), 2: F(2, 3), 4: F(5, 7)}),
+        single_vertex_graph([3, 4, 5, 0, 1, 2],
+                            {3: F(1, 6), 1: F(4, 9), 2: 2}),
+        single_vertex_graph([2, 3, 0, 1], {0: F(1, 4), 1: F(5, 12)}),
+        single_vertex_graph([1, 0, 3, 2], {0: 3, 2: 2}),
+    ]
+    for graph in graphs:
+        assert_integer_perimeters(graph)
+    # a length that is already a Fraction is kept as it is
+    half = F(1, 2)
+    assert single_vertex_graph([1, 0], {0: half}).lengths[0] is half
 
 
 # --- spine assignments --------------------------------------------------------

@@ -13,6 +13,7 @@ from ttlab.rng import CounterRandom
 from ttlab.ribbon import SpineAssignment, boundary_cycles, pants_spine
 from ttlab.specfile import (
     TorusSpecFile,
+    _rational,
     forced_zero_lengths,
     parse_spec,
     spec_from_surface,
@@ -371,6 +372,45 @@ def test_ribbon_for_nonexistent_piece():
 def test_malformed_lines(old, new, needle):
     assert old in ORIGAMI_TEXT
     expect_parse_error(ORIGAMI_TEXT.replace(old, new), needle)
+
+
+# tokens for the rational reader: plain ASCII digits take the integer
+# route; everything else, which int() alone might read differently, goes
+# to Fraction(token)
+RATIONAL_TOKENS = ("0", "007", "3", "17/6", "0/5", "-0", "+1", "-1", "1.5",
+                   "1e400", "1_000", "\u0663", "3/\u0663", "\u00b2", "1 / 2",
+                   "1/ 2", "3 ", "1/2/3", "/2", "2/", "", "2/0")
+
+
+def reference_rational(token, lineno):
+    """The reader as it was: Fraction(token) for every token."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(lineno, f"expected a rational number, got {token!r}")
+
+
+def read_outcome(read, *args):
+    try:
+        value = read(*args)
+    except ParseError as exc:
+        return "error", str(exc), exc.lineno
+    return "value", type(value), value
+
+
+@pytest.mark.parametrize("token", RATIONAL_TOKENS)
+def test_rational_reader_agrees_with_fraction(token):
+    want = read_outcome(reference_rational, token, 7)
+    assert read_outcome(_rational, token, 7) == want
+    # as a height, where the line number comes from the file
+    text = ORIGAMI_TEXT.replace("[heights]\n0: 1", f"[heights]\n0: {token}")
+    lineno = text.splitlines().index(f"0: {token}") + 1
+
+    def height(text):
+        return parse_spec(text).heights[0]
+
+    want = read_outcome(reference_rational, token.strip(), lineno)
+    assert read_outcome(height, text) == want
 
 
 def test_heights_must_cover_every_curve():

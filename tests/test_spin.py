@@ -325,6 +325,24 @@ def test_counting_oracle_agrees(build):
     )
 
 
+def assert_parity_matches_both_oracles(q):
+    """spin_parity reads the Arf invariant off the reduction winding_form
+    ran; it must match arf_invariant of the finished form, which reduces
+    it again, and counting the zeros of the form."""
+    form = winding_form(q)
+    want = arf_invariant(form.q_vals, form.gram)
+    assert arf_by_counting(form.q_vals, form.gram) == want
+    assert spin_parity(q) == ("odd" if want else "even")
+
+
+def test_parity_from_the_form_reduction_matches_both_oracles():
+    defined = 0
+    for q in spin_defined_fixtures():
+        assert_parity_matches_both_oracles(q)
+        defined += 1
+    assert defined == 22
+
+
 def direct_sum(f1, f2):
     n1, n2 = len(f1.q_vals), len(f2.q_vals)
     q_vals = f1.q_vals + f2.q_vals

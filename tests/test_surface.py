@@ -10,7 +10,6 @@ from ttlab.errors import (
 )
 from ttlab.rng import CounterRandom
 from ttlab.surface import (
-    area,
     build_surface,
     cylinder_twist,
     geodesic_flow,
@@ -38,14 +37,14 @@ def separating_surface(heights=(1, 1, 1), twists=None):
 def test_area_is_length_dot_height():
     q = theta_surface()
     # curve lengths are (3, 4, 5)
-    assert area(q) == 3 * 1 + 4 * F(1, 2) + 5 * 2
+    assert q.area() == 3 * 1 + 4 * F(1, 2) + 5 * 2
 
 
 def test_normalize_gives_unit_area():
     q = build_surface(
         TWO_PANTS, theta_assignment(), (1, 1, 1), normalize=True
     )
-    assert area(q) == 1
+    assert q.area() == 1
     assert unit_area(q)
     assert q.heights == (F(1, 12), F(1, 12), F(1, 12))
 
@@ -84,7 +83,7 @@ def test_geodesic_flow_scales_exactly():
         assert g.length_of_curve(i) == 2 * q.length_of_curve(i)
         assert g.height_of_curve(i) == q.height_of_curve(i) / 2
         assert g.twist_of_curve(i) == 2 * q.twist_of_curve(i)
-    assert area(g) == area(q)
+    assert g.area() == q.area()
     back = geodesic_flow(g, F(1, 2))
     assert back.scale == (1, 1)
     assert back.twists == q.twists
@@ -97,7 +96,7 @@ def test_geodesic_flow_numeric_mode():
     g = geodesic_flow(q, math.log(2))
     assert abs(g.length_of_curve(0) - 6.0) < 1e-12
     assert abs(g.height_of_curve(2) - 1.0) < 1e-12
-    assert abs(area(g) - area(q)) <= 1e-12 * area(q)
+    assert abs(g.area() - q.area()) <= 1e-12 * q.area()
 
 
 def test_geodesic_flow_exact_mode_guards():
@@ -317,6 +316,6 @@ def test_area_invariance_random_sweep():
         heights = [rng.fraction() + F(1, 3) for _ in range(3)]
         twists = [rng.fraction() for _ in range(3)]
         q = theta_surface(heights=heights, twists=twists)
-        a = area(q)
-        assert area(geodesic_flow(q, rng.fraction() + 1)) == a
-        assert area(horocycle_flow(q, rng.fraction())) == a
+        a = q.area()
+        assert geodesic_flow(q, rng.fraction() + 1).area() == a
+        assert horocycle_flow(q, rng.fraction()).area() == a
