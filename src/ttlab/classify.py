@@ -15,8 +15,8 @@ from itertools import groupby
 
 from .cover import _counting_terms, holonomy_double_cover, rank_lower_bound
 from .errors import BadPartition, CrossCheckFailed, ModeMismatch, NotPants
-from .ribbon import cone_orders, pants_assignment
-from .surface import build_surface, EXACT, _exact_number, _ribbon_isos
+from .ribbon import cone_orders, pants_assignment, ribbon_isomorphisms
+from .surface import build_surface, EXACT, _exact_number
 from .topology import _is_pants, is_pants_decomposition
 
 FULL_STRATUM = "FullStratumComponent"
@@ -306,15 +306,14 @@ def hyperelliptic_involution_search(q):
         partner[a] = b
         partner[b] = a
 
-    one = Fraction(1)
-
     def matching_isos(p, t):
-        g_t = sa.graphs[t]
+        g_p, g_t = sa.graphs[p], sa.graphs[t]
         return [
-            iso for iso in _ribbon_isos(sa.graphs[p], g_t, one, one, EXACT)
-            if all(
+            iso for iso in ribbon_isomorphisms(g_p, g_t)
+            if all(g_p.length_of(h) == g_t.length_of(iso[h]) for h, _ in g_p.edges())
+            and all(
                 partner[(p, f)] == (t, g_t.face_of(iso[face[0]]))
-                for f, face in enumerate(sa.graphs[p].faces())
+                for f, face in enumerate(g_p.faces())
             )
         ]
 

@@ -226,6 +226,34 @@ def _alternate(uf, graph, base):
     return True
 
 
+def ribbon_isomorphisms(g1, g2):
+    """Half-edge bijections g1 -> g2 commuting with sigma and iota, as
+    dicts, by increasing image of half-edge 0; lengths are not compared.
+    Connectedness makes each one determined by that image."""
+    n = g1.n_half_edges
+    if n != g2.n_half_edges:
+        return
+    for start in range(n):
+        image = {0: start}
+        queue = [0]
+        ok = True
+        while queue and ok:
+            h = queue.pop()
+            for nxt, nxt_img in (
+                (g1.sigma[h], g2.sigma[image[h]]),
+                (g1.iota[h], g2.iota[image[h]]),
+            ):
+                if nxt in image:
+                    if image[nxt] != nxt_img:
+                        ok = False
+                        break
+                else:
+                    image[nxt] = nxt_img
+                    queue.append(nxt)
+        if ok and len(set(image.values())) == n:
+            yield image
+
+
 # --- spine assignments -------------------------------------------------------
 
 
@@ -249,6 +277,22 @@ class SpineAssignment:
 
 def validate_assignment(cfg, sa):
     """Raise InvalidAssignment unless sa fits cfg; return curve lengths."""
+    _check_pieces(cfg, sa)
+    lengths = []
+    for ci, (side_a, side_b) in enumerate(cfg.gluing):
+        per = []
+        for p, s in (side_a, side_b):
+            per.append(sa.graphs[p].perimeters()[sa.slot_to_face(p, s)])
+        if per[0] != per[1]:
+            raise InvalidAssignment(
+                f"curve {ci}: glued faces have perimeters {per[0]} != {per[1]}")
+        lengths.append(per[0])
+    return lengths
+
+
+def _check_pieces(cfg, sa):
+    """The checks of validate_assignment that precede the perimeters:
+    raise InvalidAssignment unless each spine fits its piece."""
     if len(sa.graphs) != len(cfg.pieces):
         raise InvalidAssignment("piece count mismatch")
     for p, (graph, piece) in enumerate(zip(sa.graphs, cfg.pieces)):
@@ -266,16 +310,6 @@ def validate_assignment(cfg, sa):
             if len(orbit) <= 2:
                 raise InvalidAssignment(
                     f"piece {p}: spine vertex of valence {len(orbit)}")
-    lengths = []
-    for ci, (side_a, side_b) in enumerate(cfg.gluing):
-        per = []
-        for p, s in (side_a, side_b):
-            per.append(sa.graphs[p].perimeters()[sa.slot_to_face(p, s)])
-        if per[0] != per[1]:
-            raise InvalidAssignment(
-                f"curve {ci}: glued faces have perimeters {per[0]} != {per[1]}")
-        lengths.append(per[0])
-    return lengths
 
 
 def jointly_orientable(q):
@@ -347,8 +381,7 @@ def pants_spine(a, b, c):
             lengths={0: x1, 1: x2, 2: x3},
         )
         # faces sorted by least half-edge: (0,5)->c, (1,3)->a, (2,4)->b
-        face_order = (1, 2, 0)
-        expected = (c, a, b)
+        order = (2, 0, 1)
     elif trip[big] == rest:
         # single 4-valent vertex, two nested loops
         graph = MetricRibbonGraph(
@@ -357,12 +390,7 @@ def pants_spine(a, b, c):
             lengths={0: trip[others[0]], 2: trip[others[1]]},
         )
         # faces: (0,2)->big, (1)->first other, (3)->second other
-        face_order = [None, None, None]
-        face_order[big] = 0
-        face_order[others[0]] = 1
-        face_order[others[1]] = 2
-        face_order = tuple(face_order)
-        expected = (trip[big], trip[others[0]], trip[others[1]])
+        order = (big, *others)
     else:
         # dumbbell: two loops joined by a bar
         bar = (trip[big] - rest) / 2
@@ -372,13 +400,11 @@ def pants_spine(a, b, c):
             lengths={0: trip[others[0]], 2: bar, 3: trip[others[1]]},
         )
         # faces: (0,2,3,5)->big, (1)->first other, (4)->second other
-        face_order = [None, None, None]
-        face_order[big] = 0
-        face_order[others[0]] = 1
-        face_order[others[1]] = 2
-        face_order = tuple(face_order)
-        expected = (trip[big], trip[others[0]], trip[others[1]])
+        order = (big, *others)
 
+    # face f carries input boundary order[f]
+    face_order = tuple(order.index(k) for k in range(3))
+    expected = tuple(trip[k] for k in order)
     if graph.perimeters() != expected:
         raise CrossCheckFailed(
             f"pants spine perimeters {graph.perimeters()} != {expected}")

@@ -194,7 +194,7 @@ def _triangulate_cylinder(cx, q, cyl, arc_slot):
 def _build_complex(q):
     cx = _Complex()
     arc_slot = {}
-    for cyl in q.layout():
+    for cyl in q.layout:
         _triangulate_cylinder(cx, q, cyl, arc_slot)
     for (piece, h), (t1, e1) in arc_slot.items():
         h2 = q.sa.graphs[piece].iota[h]

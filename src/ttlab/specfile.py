@@ -27,11 +27,7 @@ from .errors import (
     ZeroLengthForced,
 )
 from .linalg import feasible_nonneg
-from .ribbon import (
-    MetricRibbonGraph,
-    SpineAssignment,
-    boundary_cycles,
-)
+from .ribbon import MetricRibbonGraph, SpineAssignment, _check_pieces
 from .surface import EXACT, NUMERIC, build_surface
 from .topology import make_config, validate_config
 
@@ -66,8 +62,10 @@ class TorusSpecFile:
 _PLAIN_SECTIONS = ("surface", "curves", "pieces", "gluing",
                    "heights", "twists", "options")
 
-# line patterns, compiled once
+# line patterns, compiled once; every integer field is \d+, which is
+# what str.isdecimal() accepts and what int() reads
 _INDEXED = re.compile(r"(\d+)\s*:\s*(.*)")
+_VERTEX = re.compile(r"vertex:([\d\s]*)")
 _EDGE = re.compile(r"edge:\s*(\d+)\s+(\d+)\s+length\s+(\S+)")
 _FACE_SLOT = re.compile(r"face->slot:\s*(\d+)\s+(\d+)")
 _PIECE = re.compile(r"genus\s*=\s*(\d+)\s+slots\s*=\s*(\d+)")
@@ -75,6 +73,11 @@ _GLUING = re.compile(
     r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 _TWIST = re.compile(r"(\d+)\s*:\s*(\S+)$")
 _KEY_VALUE = re.compile(r"(\w+)\s*=\s*(\S+)")
+
+# int() refuses a decimal string longer than sys.get_int_max_str_digits();
+# in each try block that turns its ValueError into this message, int()
+# is the only call that raises one
+_TOO_LONG = "integer has too many digits"
 
 
 def _split_sections(text):
@@ -94,8 +97,11 @@ def _split_sections(text):
             raise ParseError(lineno, "unterminated section header")
         name = line[1:-1].strip()
         parts = name.split()
-        if len(parts) == 2 and parts[0] == "ribbon" and parts[1].isdigit():
-            key = ("ribbon", int(parts[1]))
+        if len(parts) == 2 and parts[0] == "ribbon" and parts[1].isdecimal():
+            try:
+                key = ("ribbon", int(parts[1]))
+            except ValueError:
+                raise ParseError(lineno, _TOO_LONG)
         elif name in _PLAIN_SECTIONS:
             key = name
         else:
@@ -129,14 +135,20 @@ def _rational(token, lineno):
         raise ParseError(lineno, f"expected a rational number, got {token!r}")
 
 
-def _single_kv(lines, header, key):
+def _single_int(header, lines, key):
+    """The integer of a section that holds one `key = N` line."""
     if len(lines) != 1:
         raise ParseError(header, f"expected exactly one line: {key} = ...")
     lineno, line = lines[0]
     m = _KEY_VALUE.fullmatch(line)
     if not m or m[1] != key:
         raise ParseError(lineno, f"expected {key} = ...")
-    return lineno, m[2]
+    if not m[2].isdecimal():
+        raise ParseError(lineno, f"{key} must be a nonnegative integer")
+    try:
+        return int(m[2])
+    except ValueError:
+        raise ParseError(lineno, _TOO_LONG)
 
 
 def _indexed(lines, what, n_expected=None):
@@ -146,7 +158,10 @@ def _indexed(lines, what, n_expected=None):
         m = _INDEXED.match(line)
         if not m:
             raise ParseError(lineno, f"expected an indexed line 'i: ...'")
-        idx, rest = int(m[1]), m[2]
+        try:
+            idx, rest = int(m[1]), m[2]
+        except ValueError:
+            raise ParseError(lineno, _TOO_LONG)
         if idx in found:
             raise ParseError(lineno, f"{what} {idx} defined twice")
         found[idx] = (lineno, rest.strip())
@@ -167,32 +182,35 @@ def _parse_ribbon(lines, header, piece):
     edge_pairs = []
     lengths = {}
     fts_pairs = []
-    for lineno, line in lines:
-        if line.startswith("vertex:"):
-            try:
-                cycle = tuple(map(int, line[len("vertex:"):].split()))
-            except ValueError:
-                raise ParseError(lineno, "vertex line needs half-edge numbers")
-            if not cycle:
-                raise ParseError(lineno, "empty vertex line")
-            cycles.append(cycle)
-            listed += cycle
-        elif line.startswith("edge:"):
-            m = _EDGE.fullmatch(line)
-            if not m:
-                raise ParseError(lineno, "expected edge: h k length p/q")
-            a, b, token = int(m[1]), int(m[2]), m[3]
-            if a == b:
-                raise ParseError(lineno, "an edge needs two distinct sides")
-            edge_pairs.append((lineno, a, b))
-            lengths[min(a, b)] = _rational(token, lineno)
-        elif line.startswith("face->slot:"):
-            m = _FACE_SLOT.fullmatch(line)
-            if not m:
-                raise ParseError(lineno, "expected face->slot: f s")
-            fts_pairs.append((lineno, int(m[1]), int(m[2])))
-        else:
-            raise ParseError(lineno, f"unknown ribbon line {line!r}")
+    try:
+        for lineno, line in lines:
+            if line.startswith("vertex:"):
+                m = _VERTEX.fullmatch(line)
+                if not m:
+                    raise ParseError(lineno, "vertex line needs half-edge numbers")
+                cycle = tuple(map(int, m[1].split()))
+                if not cycle:
+                    raise ParseError(lineno, "empty vertex line")
+                cycles.append(cycle)
+                listed += cycle
+            elif line.startswith("edge:"):
+                m = _EDGE.fullmatch(line)
+                if not m:
+                    raise ParseError(lineno, "expected edge: h k length p/q")
+                a, b, token = int(m[1]), int(m[2]), m[3]
+                if a == b:
+                    raise ParseError(lineno, "an edge needs two distinct sides")
+                edge_pairs.append((lineno, a, b))
+                lengths[min(a, b)] = _rational(token, lineno)
+            elif line.startswith("face->slot:"):
+                m = _FACE_SLOT.fullmatch(line)
+                if not m:
+                    raise ParseError(lineno, "expected face->slot: f s")
+                fts_pairs.append((lineno, int(m[1]), int(m[2])))
+            else:
+                raise ParseError(lineno, f"unknown ribbon line {line!r}")
+    except ValueError:
+        raise ParseError(lineno, _TOO_LONG)
 
     n = len(listed)
     if sorted(listed) != list(range(n)):
@@ -237,42 +255,36 @@ def parse_spec(text):
     """Parse spec text into a TorusSpecFile; structure errors carry lines."""
     sections = _split_sections(text)
 
-    surf_header, surf_lines = _need(sections, "surface")
-    lineno, token = _single_kv(surf_lines, surf_header, "genus")
-    if not token.isdigit():
-        raise ParseError(lineno, f"genus must be a nonnegative integer")
-    genus = int(token)
-
-    cur_header, cur_lines = _need(sections, "curves")
-    lineno, token = _single_kv(cur_lines, cur_header, "count")
-    if not token.isdigit():
-        raise ParseError(lineno, "count must be a nonnegative integer")
-    n_curves = int(token)
+    genus = _single_int(*_need(sections, "surface"), "genus")
+    n_curves = _single_int(*_need(sections, "curves"), "count")
 
     piece_header, piece_lines = _need(sections, "pieces")
     pieces = []
-    for lineno, rest in _indexed(piece_lines, "piece"):
-        m = _PIECE.fullmatch(rest)
-        if not m:
-            raise ParseError(lineno, "expected genus = G slots = B")
-        pieces.append(tuple(map(int, m.groups())))
-    if not pieces:
-        raise ParseError(piece_header, "at least one piece is required")
-
-    glue_header, glue_lines = _need(sections, "gluing")
     gluing = []
-    for lineno, rest in _indexed(glue_lines, "curve", n_curves):
-        m = _GLUING.fullmatch(rest)
-        if not m:
-            raise ParseError(lineno, "expected (piece, slot) (piece, slot)")
-        p1, s1, p2, s2 = map(int, m.groups())
-        a, b = (p1, s1), (p2, s2)
-        for p, s in (a, b):
-            if p >= len(pieces):
-                raise ParseError(lineno, f"piece {p} does not exist")
-            if s >= pieces[p][1]:
-                raise ParseError(lineno, f"piece {p} has no slot {s}")
-        gluing.append((a, b))
+    try:
+        for lineno, rest in _indexed(piece_lines, "piece"):
+            m = _PIECE.fullmatch(rest)
+            if not m:
+                raise ParseError(lineno, "expected genus = G slots = B")
+            pieces.append(tuple(map(int, m.groups())))
+        if not pieces:
+            raise ParseError(piece_header, "at least one piece is required")
+
+        glue_header, glue_lines = _need(sections, "gluing")
+        for lineno, rest in _indexed(glue_lines, "curve", n_curves):
+            m = _GLUING.fullmatch(rest)
+            if not m:
+                raise ParseError(lineno, "expected (piece, slot) (piece, slot)")
+            p1, s1, p2, s2 = map(int, m.groups())
+            a, b = (p1, s1), (p2, s2)
+            for p, s in (a, b):
+                if p >= len(pieces):
+                    raise ParseError(lineno, f"piece {p} does not exist")
+                if s >= pieces[p][1]:
+                    raise ParseError(lineno, f"piece {p} has no slot {s}")
+            gluing.append((a, b))
+    except ValueError:
+        raise ParseError(lineno, _TOO_LONG)
 
     cfg = make_config(genus, pieces, gluing)
     audit = validate_config(cfg)
@@ -308,7 +320,10 @@ def parse_spec(text):
             m = _TWIST.match(line)
             if not m:
                 raise ParseError(lineno, "expected 'i: value'")
-            i, token = int(m[1]), m[2]
+            try:
+                i, token = int(m[1]), m[2]
+            except ValueError:
+                raise ParseError(lineno, _TOO_LONG)
             if i >= n_curves:
                 raise ParseError(lineno, f"curve {i} out of range")
             if i in seen:
@@ -427,9 +442,7 @@ def forced_zero_lengths(cfg, sa):
     for a, b in cfg.gluing:
         row = [0] * nvars
         for sign, (p, s) in ((1, a), (-1, b)):
-            f = sa.slot_to_face(p, s)
-            cycle, _ = boundary_cycles(sa.graphs[p])[f]
-            for h in cycle:
+            for h in sa.graphs[p].faces()[sa.slot_to_face(p, s)]:
                 row[index[(p, sa.graphs[p].edge_of(h))]] += sign
         rows.append(row)
     undecided = set(range(nvars))
@@ -444,8 +457,7 @@ def forced_zero_lengths(cfg, sa):
     forced_curves = []
     for c, (end, _) in enumerate(cfg.gluing):
         p, s = end
-        f = sa.slot_to_face(p, s)
-        cycle, _ = boundary_cycles(sa.graphs[p])[f]
+        cycle = sa.graphs[p].faces()[sa.slot_to_face(p, s)]
         if all((p, sa.graphs[p].edge_of(h)) in forced_set for h in cycle):
             forced_curves.append(c)
     return forced_curves, forced_edges
@@ -459,10 +471,13 @@ def validate_spec(spec):
     perimeters against each other, and heights against the build.  When
     perimeters cannot match, the forced-zero probe tells a length that
     is impossible to satisfy apart from one that is merely mismatched.
+    The probe runs only when the perimeters are the one fault, so every
+    other fault reads as it does in the other commands.
     """
     try:
         q = spec.build()
     except InvalidAssignment:
+        _check_pieces(spec.cfg, spec.sa)  # raises a piece fault again
         curves, edges = forced_zero_lengths(spec.cfg, spec.sa)
         if curves:
             raise ZeroLengthForced(

@@ -107,13 +107,16 @@ class WindingForm:
     The first n_cores entries are cylinder core circles, the rest are
     the staircase loops listed in cycles, each a tuple of spine edge
     ids (piece, half_edge).  gram is the mod-2 intersection pairing
-    and q_vals the values of the quadratic refinement.
+    and q_vals the values of the quadratic refinement.  arf is the Arf
+    invariant the symplectic reduction of the loops found, or None
+    when a radical vector has form value 1.
     """
 
     q_vals: tuple
     gram: tuple
     n_cores: int
     cycles: tuple
+    arf: object
 
 
 def _edge_table(q, bits):
@@ -285,10 +288,9 @@ class _SymplecticReduction:
         return 2 * len(self.pairs)
 
     def arf(self):
-        """The Arf invariant; OutOfRange when q is 1 on the radical."""
+        """The Arf invariant, or None when q is 1 on the radical."""
         if any(value for _, _, value in self.free):
-            raise OutOfRange("a radical vector has form value 1, "
-                             "so the parity is undefined")
+            return None
         return sum(e[2] & f[2] for e, f in self.pairs) & 1
 
     def add(self, row, value):
@@ -420,11 +422,6 @@ def winding_form(q, bits=None):
     complement of a component is also valid); the parity does not
     depend on the choice.
     """
-    return _winding_form(q, bits)[0]
-
-
-def _winding_form(q, bits):
-    """winding_form and the symplectic reduction of its loops."""
     if q.mode != EXACT:
         raise ModeMismatch(
             "spin data needs exact arithmetic; build the surface in "
@@ -461,13 +458,13 @@ def _winding_form(q, bits):
         tuple((edata[node].piece, edata[node].half) for node in cyc)
         for cyc in builder.cycles
     )
-    form = WindingForm(
+    return WindingForm(
         q_vals=tuple(builder.q_vals),
         gram=tuple(tuple(r) for r in builder.gram),
         n_cores=q.n_curves,
         cycles=cycles,
+        arf=builder.span.arf(),
     )
-    return form, builder.span
 
 
 def _check_form(q_vals, gram):
@@ -496,7 +493,7 @@ def arf_invariant(q_vals, gram):
     span = _SymplecticReduction()
     for i, (row, value) in enumerate(zip(gram, q_vals)):
         span.add(_mask(row[:i]), value)
-    return span.arf()
+    return _defined(span.arf())
 
 
 def spin_parity(q):
@@ -508,4 +505,12 @@ def spin_parity(q):
     the symplectic basis extracted from it.  The Arf invariant comes
     from the reduction winding_form runs as it adds the loops.
     """
-    return "odd" if _winding_form(q, None)[1].arf() else "even"
+    return "odd" if _defined(winding_form(q).arf) else "even"
+
+
+def _defined(arf):
+    """arf, unless it is None: then the form has no Arf invariant."""
+    if arf is None:
+        raise OutOfRange("a radical vector has form value 1, "
+                         "so the parity is undefined")
+    return arf

@@ -32,8 +32,6 @@ from .ribbon import jointly_orientable, validate_assignment
 EXACT = "exact"
 NUMERIC = "numeric"
 
-TOL = 1e-9
-
 
 def _exact_number(value, what):
     if isinstance(value, float) or isinstance(value, bool):
@@ -72,10 +70,8 @@ class Side:
 
 @dataclass(frozen=True)
 class CylinderLayout:
-    curve: int
     length: object
     height: object
-    twist: object
     bottom: tuple
     top: tuple
 
@@ -143,18 +139,14 @@ class FlatTwistSurface:
     def face_cycle(self, piece, face_index):
         return self.sa.graphs[piece].faces()[face_index]
 
+    @cached_property
     def layout(self):
         """Per-cylinder side tables, computed once."""
-        return self._layout
-
-    @cached_property
-    def _layout(self):
         return tuple(self._lay_out_cylinder(i) for i in range(self.n_curves))
 
     def _lay_out_cylinder(self, i):
         (p_bot, f_bot), (p_top, f_top) = self.glued_faces[i]
         ell = self.length_of_curve(i)
-        twist = self.twist_of_curve(i)
 
         bottom = []
         x = ell * 0
@@ -166,7 +158,7 @@ class FlatTwistSurface:
             x = x + length
 
         top = []
-        x = twist
+        x = self.twist_of_curve(i)
         for h in self.face_cycle(p_top, f_top):
             length = self.scale[0] * _convert(
                 self.sa.graphs[p_top].length_of(h), self.mode, "length"
@@ -175,10 +167,8 @@ class FlatTwistSurface:
             x = x - length
 
         return CylinderLayout(
-            curve=i,
             length=ell,
             height=self.height_of_curve(i),
-            twist=twist,
             bottom=tuple(bottom),
             top=tuple(top),
         )
@@ -191,7 +181,7 @@ class FlatTwistSurface:
     def _side_index(self):
         return {
             (side.piece, side.half_edge): side
-            for cyl in self._layout
+            for cyl in self.layout
             for side in cyl.bottom + cyl.top
         }
 
@@ -275,68 +265,21 @@ def geodesic_flow(q, t):
 
 def horocycle_flow(q, s):
     """Shear: every twist advances by s * h_i, mod the circumference."""
-    if q.mode == EXACT:
-        s = _exact_number(s, "shear time")
-    else:
-        s = float(s)
-    sx, sy = q.scale
-    twists = [
-        (tau + s * h * sy / sx) % l
-        for tau, h, l in zip(q.twists, q.heights, q.base_lengths)
-    ]
-    return q._replace(twists=tuple(twists))
+    return _shear(q, range(q.n_curves), s)
 
 
 def cylinder_twist(q, i, s):
     """Shear a single cylinder; composing over all i gives horocycle_flow."""
     if not 0 <= i < q.n_curves:
         raise BadIndex(f"curve index {i} out of range 0..{q.n_curves - 1}")
-    if q.mode == EXACT:
-        s = _exact_number(s, "shear time")
-    else:
-        s = float(s)
+    return _shear(q, (i,), s)
+
+
+def _shear(q, curves, s):
+    """Advance the twist of each listed curve by s * h_i, mod l_i."""
+    s = _convert(s, q.mode, "shear time")
     sx, sy = q.scale
     twists = list(q.twists)
-    twists[i] = (twists[i] + s * q.heights[i] * sy / sx) % q.base_lengths[i]
+    for i in curves:
+        twists[i] = (twists[i] + s * q.heights[i] * sy / sx) % q.base_lengths[i]
     return q._replace(twists=tuple(twists))
-
-
-# -- ribbon isomorphisms, for the involution search ----------------------
-
-
-def _eq(a, b, mode):
-    if mode == EXACT:
-        return a == b
-    return abs(a - b) <= TOL
-
-
-def _ribbon_isos(g1, g2, scale1, scale2, mode):
-    """All half-edge bijections g1 -> g2 commuting with sigma and iota
-    and matching effective edge lengths.  Connectedness makes each one
-    determined by the image of half-edge 0."""
-    n = g1.n_half_edges
-    if n != g2.n_half_edges:
-        return
-    sized1 = [scale1 * _convert(g1.length_of(h), mode, "length") for h in range(n)]
-    sized2 = [scale2 * _convert(g2.length_of(h), mode, "length") for h in range(n)]
-    for start in range(n):
-        image = {0: start}
-        queue = [0]
-        ok = True
-        while queue and ok:
-            h = queue.pop()
-            for nxt, nxt_img in (
-                (g1.sigma[h], g2.sigma[image[h]]),
-                (g1.iota[h], g2.iota[image[h]]),
-            ):
-                if nxt in image:
-                    if image[nxt] != nxt_img:
-                        ok = False
-                        break
-                else:
-                    image[nxt] = nxt_img
-                    queue.append(nxt)
-        if not ok or len(image) != n or len(set(image.values())) != n:
-            continue
-        if all(_eq(sized1[h], sized2[image[h]], mode) for h, _ in g1.edges()):
-            yield image

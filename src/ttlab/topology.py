@@ -36,7 +36,6 @@ class MulticurveConfig:
     """
 
     genus: int
-    curve_names: tuple
     pieces: tuple
     gluing: tuple  # tuple of ((p, s), (p, s)) pairs, one per curve
 
@@ -45,16 +44,13 @@ class MulticurveConfig:
         return len(self.gluing)
 
 
-def make_config(genus, pieces, gluing, curve_names=None):
+def make_config(genus, pieces, gluing):
     """Build a MulticurveConfig from plain lists.
 
     pieces: list of (genus, n_slots); gluing: list of ((p,s),(p,s)).
     """
-    if curve_names is None:
-        curve_names = tuple(f"g{i}" for i in range(len(gluing)))
     return MulticurveConfig(
         genus=genus,
-        curve_names=tuple(curve_names),
         pieces=tuple(ComplementPiece(g, b) for g, b in pieces),
         gluing=tuple((tuple(a), tuple(b)) for a, b in gluing),
     )
@@ -84,10 +80,6 @@ def validate_config(cfg: MulticurveConfig) -> ValidationReport:
     report = ValidationReport()
     if cfg.genus < 2:
         report.add("genus", f"ambient genus {cfg.genus} < 2")
-    if len(cfg.curve_names) != len(cfg.gluing):
-        report.add("curves", "curve name count differs from gluing count")
-    if len(set(cfg.curve_names)) != len(cfg.curve_names):
-        report.add("curves", "duplicate curve names")
 
     slot_use = {}
     for ci, pair in enumerate(cfg.gluing):

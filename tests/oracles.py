@@ -12,8 +12,10 @@ from fractions import Fraction
 
 from ttlab.errors import BadIndex, CrossCheckFailed
 from ttlab.linalg import Echelon
-from ttlab.ribbon import ParityUnionFind
-from ttlab.surface import EXACT, TOL, _convert, _eq, _ribbon_isos
+from ttlab.ribbon import ParityUnionFind, ribbon_isomorphisms
+from ttlab.surface import EXACT, _convert
+
+TOL = 1e-9
 
 # -- linear algebra ------------------------------------------------------------
 
@@ -98,6 +100,12 @@ def horizontal_period_data(q):
     return data
 
 
+def _eq(a, b, mode):
+    if mode == EXACT:
+        return a == b
+    return abs(a - b) <= TOL
+
+
 def _eq_mod(a, b, modulus, mode):
     d = (a - b) % modulus
     if mode == EXACT:
@@ -114,6 +122,17 @@ def _walk_offset(graph, face_index, half_edge, scale, mode):
             return total
         total = total + scale * _convert(graph.length_of(h), mode, "length")
     raise BadIndex(f"half-edge {half_edge} not on face {face_index}")
+
+
+def _sized_isos(g1, g2, scale1, scale2, mode):
+    """The ribbon isomorphisms g1 -> g2 that match effective edge lengths."""
+    sized1, sized2 = (
+        [scale * _convert(g.length_of(h), mode, "length") for h in range(g.n_half_edges)]
+        for g, scale in ((g1, scale1), (g2, scale2))
+    )
+    for iso in ribbon_isomorphisms(g1, g2):
+        if all(_eq(sized1[h], sized2[iso[h]], mode) for h, _ in g1.edges()):
+            yield iso
 
 
 def _curve_match(q1, q2, piece_map, isos):
@@ -180,7 +199,7 @@ def is_isomorphic(q1, q2):
                 continue
             if q1.cfg.pieces[p] != q2.cfg.pieces[target]:
                 continue
-            for iso in _ribbon_isos(
+            for iso in _sized_isos(
                 q1.sa.graphs[p],
                 q2.sa.graphs[target],
                 q1.scale[0],

@@ -20,8 +20,13 @@ from ttlab.errors import (
     ModeMismatch,
     NotPants,
 )
-from ttlab.ribbon import SpineAssignment, pants_assignment, plumbing_fixture
-from ttlab.surface import EXACT, NUMERIC, _ribbon_isos, build_surface
+from ttlab.ribbon import (
+    SpineAssignment,
+    pants_assignment,
+    plumbing_fixture,
+    ribbon_isomorphisms,
+)
+from ttlab.surface import NUMERIC, build_surface
 from ttlab.topology import (
     enumerate_pants_configs,
     is_pants_decomposition,
@@ -134,10 +139,11 @@ def reference_involution_search(q):
     for a, b in q.glued_faces:
         partner[a] = b
         partner[b] = a
-    one = Fraction(1)
 
-    def faces_ok(p, t, iso):
+    def iso_ok(p, t, iso):
         g_p, g_t = sa.graphs[p], sa.graphs[t]
+        if any(g_p.length_of(h) != g_t.length_of(iso[h]) for h, _ in g_p.edges()):
+            return False
         return all(
             partner[(p, f)] == (t, g_t.face_of(iso[face[0]]))
             for f, face in enumerate(g_p.faces())
@@ -173,8 +179,8 @@ def reference_involution_search(q):
         for t in unassigned:
             if cfg.pieces[p] != cfg.pieces[t]:
                 continue
-            for iso in _ribbon_isos(sa.graphs[p], sa.graphs[t], one, one, EXACT):
-                if not faces_ok(p, t, iso):
+            for iso in ribbon_isomorphisms(sa.graphs[p], sa.graphs[t]):
+                if not iso_ok(p, t, iso):
                     continue
                 if p == t:
                     if any(iso[iso[h]] != h for h in iso):

@@ -522,6 +522,62 @@ def test_validate_parse_error_carries_the_line(capsys, tmp_path):
     assert "error.line = 2" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("genus = 2", "genus = \u00b2"),
+    ("[ribbon 0]", "[ribbon \u00b2]"),
+    ("0: 1\n\n[twists]", "0: 1\n" + "9" * 5000 + ": 1\n\n[twists]"),
+], ids=["superscript genus", "superscript ribbon", "5000-digit index"])
+def test_odd_integers_are_parse_errors(capsys, tmp_path, old, new):
+    path = tmp_path / "odd.spec"
+    path.write_text(ORIGAMI_TEXT.replace(old, new), encoding="utf-8")
+    code, _, err = run(capsys, "validate", path)
+    assert code == 2
+    assert "error.type = ParseError" in err
+
+
+def with_ribbon0(text, body):
+    """text with the lines of its [ribbon 0] section replaced by body."""
+    start = text.index("[ribbon 0]\n") + len("[ribbon 0]\n")
+    end = text.index("\n[", start)
+    return text[:start] + body + text[end:]
+
+
+LOOP = "vertex: 0 1\nedge: 0 1 length 3\nface->slot: 0 0\nface->slot: 1 1\n"
+THETA_FACES = "face->slot: 0 2\nface->slot: 1 0\nface->slot: 2 1\n"
+THETA_EDGES = "edge: 0 3 length 2\nedge: 1 4 length 1\n"
+
+
+@pytest.mark.parametrize("base, body, needle", [
+    ("pants", "vertex: 0 1 2\nvertex: 3 5 4\n" + THETA_EDGES
+     + "edge: 2 5 length 2\nface->slot: 0 2\nface->slot: 1 2\n"
+     "face->slot: 2 1\n", "face->slot is not a bijection"),
+    ("pants", LOOP, "2 faces for 3 slots"),
+    ("pants", "vertex: 0 1 2\nvertex: 3 5 4\nvertex: 6 7\n" + THETA_EDGES
+     + "edge: 2 6 length 1\nedge: 5 7 length 1\n" + THETA_FACES,
+     "spine vertex of valence 2"),
+    ("origami", LOOP, "spine genus 0 != 1"),
+    ("pants", "vertex: 0 1 2\nvertex: 3 5 4\nedge: 0 3 length 3\n"
+     "edge: 1 4 length 1\nedge: 2 5 length 2\n" + THETA_FACES,
+     "glued faces have perimeters"),
+], ids=["two faces on one slot", "too few faces", "valence 2", "spine genus",
+        "perimeters"])
+def test_validate_diagnoses_as_the_other_reporters(capsys, tmp_path, base,
+                                                    body, needle):
+    if base == "pants":
+        code, text, _ = run(capsys, "pants", 2, "--lengths", "3,4,5")
+        assert code == 0
+    else:
+        text = ORIGAMI_TEXT
+    path = tmp_path / "fault.spec"
+    path.write_text(with_ribbon0(text, body), encoding="utf-8")
+    code, _, err = run(capsys, "validate", path)
+    assert code == 2
+    assert "error.type = InvalidAssignment" in err
+    assert needle in err
+    for command in ("classify", "spin", "rank"):
+        assert run(capsys, command, path) == (2, "", err), command
+
+
 def test_missing_file_is_a_validation_failure(capsys, tmp_path):
     code, _, err = run(capsys, "validate", tmp_path / "nope.spec")
     assert code == 2

@@ -24,29 +24,47 @@ def exported_names(init):
     }
 
 
+def module_bindings(tree, modules):
+    """Names that a module binds to a module of the package, as
+    `from . import linalg` or `import ttlab.linalg as la` do."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "ttlab" or (node.level == 1 and node.module is None)):
+            bound.update(a.asname or a.name for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            bound.update(a.asname for a in node.names
+                         if a.asname and a.name.startswith("ttlab."))
+    return bound
+
+
 def unreferenced_definitions(trees):
     """(module, name) of each module-level def or class that no other
-    node of the package names and `ttlab/__init__.py` does not export."""
+    node of the package uses and `ttlab/__init__.py` does not export.
+
+    A use is a bare name, an imported name, or an attribute of a name
+    bound to a module of the package (`linalg.rank`); an attribute of
+    anything else, such as a method call `q.area()`, is not one.
+    """
     exported = exported_names(trees["__init__"])
-    uses = {}
+    uses = set()
     for module, tree in trees.items():
         if module == "__init__":
             continue
+        bound = module_bindings(tree, trees)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
+                uses.add(node.id)
             elif isinstance(node, ast.alias):
-                name = node.asname or node.name
-            else:
-                continue
-            uses[name] = uses.get(name, 0) + 1
+                uses.add(node.name)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in bound):
+                uses.add(node.attr)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name not in exported and not uses.get(node.name):
+                if node.name not in exported and node.name not in uses:
                     found.append((module, node.name))
     return found
 
@@ -59,3 +77,18 @@ def test_the_scan_sees_an_unused_definition():
     trees = package_trees()
     trees["linalg"].body.append(ast.parse("def only_for_tests():\n    pass\n").body[0])
     assert ("linalg", "only_for_tests") in unreferenced_definitions(trees)
+
+
+def test_the_scan_does_not_count_a_method_call():
+    trees = package_trees()
+    trees["linalg"].body.append(ast.parse("def only_as_method():\n    pass\n").body[0])
+    trees["cover"].body.append(ast.parse("obj.only_as_method()\n").body[0])
+    assert ("linalg", "only_as_method") in unreferenced_definitions(trees)
+
+
+def test_the_scan_counts_an_attribute_of_a_package_module():
+    trees = package_trees()
+    trees["linalg"].body.append(ast.parse("def reached_by_module():\n    pass\n").body[0])
+    trees["spin"].body.extend(ast.parse("from ttlab import linalg as la\n"
+                                        "la.reached_by_module()\n").body)
+    assert ("linalg", "reached_by_module") not in unreferenced_definitions(trees)

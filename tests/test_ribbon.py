@@ -22,6 +22,7 @@ from ttlab.ribbon import (
     jointly_orientable,
     pants_spine,
     plumbing_fixture,
+    ribbon_isomorphisms,
     single_vertex_graph,
     validate_assignment,
 )
@@ -347,3 +348,29 @@ def test_coorientable_pieces_can_still_fail_jointly():
     assert all(co_orientable(g) for g in sa.graphs)
     flag, eps = jointly_orientable(build_surface(SEPARATING, sa, [1] * 3))
     assert (flag, eps) == (False, -1)
+
+
+def brute_isomorphisms(g1, g2):
+    """Every bijection g1 -> g2 commuting with sigma and iota, by trying
+    all permutations of the half-edges."""
+    n = g1.n_half_edges
+    found = []
+    for perm in itertools.permutations(range(n)):
+        if all(perm[g1.sigma[h]] == g2.sigma[perm[h]]
+               and perm[g1.iota[h]] == g2.iota[perm[h]] for h in range(n)):
+            found.append(dict(enumerate(perm)))
+    return found
+
+
+@pytest.mark.parametrize("trips", [
+    ((3, 4, 5), (5, 4, 3)),   # theta, lengths differ
+    ((2, 1, 1), (1, 1, 2)),   # four-valent
+    ((5, 1, 1), (1, 7, 2)),   # dumbbell
+    ((3, 4, 5), (5, 1, 1)),   # theta against dumbbell: none
+])
+def test_ribbon_isomorphisms_match_the_brute_force(trips):
+    g1, _ = pants_spine(*trips[0])
+    g2, _ = pants_spine(*trips[1])
+    isos = list(ribbon_isomorphisms(g1, g2))
+    assert isos == brute_isomorphisms(g1, g2)
+    assert [iso[0] for iso in isos] == sorted(iso[0] for iso in isos)

@@ -155,7 +155,7 @@ def test_shortest_horizontal_is_shortest_spine_edge():
     assert [c.length for c in result] == pytest.approx([1.0, 1.0])
     assert all(c.holonomy[1] == 0.0 for c in result)
     assert {c.endpoints[0][0] for c in result} == {0, 1}
-    min_side = min(side.length for cyl in q.layout()
+    min_side = min(side.length for cyl in q.layout
                    for side in cyl.bottom + cyl.top)
     assert result[0].length == pytest.approx(min_side)
 
@@ -215,7 +215,7 @@ def test_connection_cells_are_valid_certificates():
 def test_complex_gluing_is_involutive(make):
     q = make()
     cx = _build_complex(q)
-    n_sides = sum(len(cyl.bottom) + len(cyl.top) for cyl in q.layout())
+    n_sides = sum(len(cyl.bottom) + len(cyl.top) for cyl in q.layout)
     assert len(cx.pts) == n_sides
     for t in range(len(cx.pts)):
         for e in range(3):
@@ -241,10 +241,10 @@ def misspaced_origami():
     """The origami with one bottom side longer than its circle leaves
     room for, so the corner spacing check must fire."""
     q = origami_surface(twist=0.25)
-    cyl = q.layout()[0]
+    cyl = q.layout[0]
     side = cyl.bottom[0]
     bad = dataclasses.replace(side, length=side.length + 0.5)
-    q._layout = (dataclasses.replace(cyl, bottom=(bad,) + cyl.bottom[1:]),)
+    q.layout = (dataclasses.replace(cyl, bottom=(bad,) + cyl.bottom[1:]),)
     return q
 
 

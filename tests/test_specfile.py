@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +376,50 @@ def test_malformed_lines(old, new, needle):
     expect_parse_error(ORIGAMI_TEXT.replace(old, new), needle)
 
 
+# An integer field takes exactly the tokens \d+ matches, those for which
+# str.isdecimal() holds; int() alone would also read signs and underscores.
+@pytest.mark.parametrize("old,new", [
+    ("genus = 2", "genus = \u00b2"),
+    ("count = 1", "count = \u00b2"),
+    ("[ribbon 0]", "[ribbon \u00b2]"),
+    ("vertex: 0 1 2 3 4 5", "vertex: +0 1 2 3 4 5"),
+    ("vertex: 0 1 2 3 4 5", "vertex: 0 1 2 3 4 0_5"),
+    ("vertex: 0 1 2 3 4 5", "vertex: 0 1 2 3 4 -5"),
+    ("edge: 2 5 length 1", "edge: +2 5 length 1"),
+])
+def test_integer_fields_take_decimal_digits_only(old, new):
+    text = ORIGAMI_TEXT.replace(old, new)
+    expect_parse_error(text, "", lineno=text.splitlines().index(new) + 1)
+
+
+def test_integer_fields_read_any_decimal_digits():
+    arabic = ORIGAMI_TEXT.replace("vertex: 0 1 2 3 4 5",
+                                  "vertex: \u0660 1 2 3 4 \u0665")
+    assert write_spec(parse_spec(arabic)) == write_spec(parse_spec(ORIGAMI_TEXT))
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                    reason="int() reads decimal strings of any length")
+@pytest.mark.parametrize("old,new", [
+    ("genus = 2", "genus = {N}"),
+    ("count = 1", "count = {N}"),
+    ("[ribbon 0]", "[ribbon {N}]"),
+    ("0: genus = 1 slots = 2", "{N}: genus = 1 slots = 2"),
+    ("0: genus = 1 slots = 2", "0: genus = {N} slots = 2"),
+    ("0: (0, 0) (0, 1)", "0: (0, 0) (0, {N})"),
+    ("vertex: 0 1 2 3 4 5", "vertex: 0 1 2 3 4 {N}"),
+    ("edge: 2 5 length 1", "edge: 2 {N} length 1"),
+    ("face->slot: 1 1", "face->slot: 1 {N}"),
+    ("[heights]\n0: 1", "[heights]\n0: 1\n{N}: 1"),
+    ("[twists]\n0: 0", "[twists]\n{N}: 0"),
+], ids=lambda text: text.replace("{N}", "N"))
+def test_an_integer_too_long_for_int_is_a_parse_error(old, new):
+    long = "9" * (sys.get_int_max_str_digits() + 1)
+    text = ORIGAMI_TEXT.replace(old, new.replace("{N}", long))
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if long in line)
+    expect_parse_error(text, "too many digits", lineno=lineno)
+
+
 # tokens for the rational reader: plain ASCII digits take the integer
 # route; everything else, which int() alone might read differently, goes
 # to Fraction(token)
@@ -424,3 +470,13 @@ def test_bad_graph_is_a_parse_error():
     expect_parse_error(
         ORIGAMI_TEXT.replace("edge: 0 3 length 1", "edge: 0 3 length 0"),
         "piece 0")
+
+
+def test_the_readme_file_block_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## The file format"):]
+    start = section.index("```\n") + len("```\n")
+    block = section[start:section.index("```", start)]
+    spec = parse_spec(block)
+    assert write_spec(spec) == block
+    assert validate_spec(spec)["genus"] == 2

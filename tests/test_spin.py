@@ -748,6 +748,29 @@ def test_ear_family_pairs_like_the_whole_census(build):
     assert rank == 2 * q.cfg.genus
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: origami_surface(twist=0, mode=EXACT),
+        lambda: one_cylinder_surface(ASYMMETRIC_PAIRS)[0],
+        lambda: plumbing_surface(6),
+    ],
+)
+def test_spin_parity_reads_the_arf_of_one_winding_form(build, monkeypatch):
+    q = build()
+    form = winding_form(q)
+    assert form.arf == arf_invariant(form.q_vals, form.gram)
+    forms = []
+
+    def recorded(*args):
+        forms.append(winding_form(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(ttlab.spin, "winding_form", recorded)
+    assert spin_parity(q) == ("odd" if form.arf else "even")
+    assert forms == [form]
+
+
 def test_winding_form_takes_no_budget():
     # the ear basis is polynomial, so no step budget bounds the search
     assert list(inspect.signature(winding_form).parameters) == ["q", "bits"]

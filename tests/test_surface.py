@@ -146,6 +146,20 @@ def test_cylinder_twists_compose_to_horocycle():
         cylinder_twist(q, 3, 1)
 
 
+def test_numeric_shear_time_must_be_a_finite_float():
+    # these used to give NaN twists or escape as OverflowError
+    q = theta_surface(heights=(1, 0.5, 2), mode="numeric")
+    for s in (float("inf"), float("nan"), 10 ** 400):
+        with pytest.raises(OutOfRange):
+            horocycle_flow(q, s)
+        with pytest.raises(OutOfRange):
+            cylinder_twist(q, 0, s)
+    assert horocycle_flow(q, 0.5).twists == cylinder_twist(
+        cylinder_twist(cylinder_twist(q, 0, 0.5), 1, 0.5), 2, 0.5).twists
+    with pytest.raises(ModeMismatch):
+        horocycle_flow(theta_surface(), 0.5)
+
+
 def test_commutation_relation_on_twists():
     rng = CounterRandom(411, "commute")
     for case in range(20):
@@ -200,7 +214,7 @@ def _left_end(side, circumference):
 def test_layout_tiles_each_circle():
     for q in (theta_surface(twists=(1, 2, 3)), separating_surface()):
         seen = set()
-        for cyl in q.layout():
+        for cyl in q.layout:
             for sides in (cyl.bottom, cyl.top):
                 assert sum(s.length for s in sides) == cyl.length
                 intervals = sorted(
@@ -243,11 +257,18 @@ def test_isomorphic_to_itself_and_not_to_perturbation():
     assert not is_isomorphic(q, taller)
 
 
+def test_not_isomorphic_across_spine_shapes():
+    # theta spines have six half-edges, four-valent ones four
+    theta = theta_surface()
+    nabla = build_surface(TWO_PANTS, nabla_assignment(TWO_PANTS, (0, 0)), (1,) * 3)
+    assert not is_isomorphic(theta, nabla)
+    assert not is_isomorphic(nabla, theta)
+
+
 def test_isomorphic_under_piece_swap():
     q1 = theta_surface(twists=(1, 2, 3))
     swapped_cfg = type(TWO_PANTS)(
         genus=2,
-        curve_names=TWO_PANTS.curve_names,
         pieces=TWO_PANTS.pieces,
         gluing=tuple(((1, s1), (0, s2)) for ((_, s1), (_, s2)) in TWO_PANTS.gluing),
     )
@@ -261,7 +282,6 @@ def test_isomorphic_under_cylinder_flip():
     # reversing a gluing pair presents the same cylinder upside down
     flipped = type(TWO_PANTS)(
         genus=2,
-        curve_names=TWO_PANTS.curve_names,
         pieces=TWO_PANTS.pieces,
         gluing=(
             (TWO_PANTS.gluing[0][1], TWO_PANTS.gluing[0][0]),
