@@ -6,16 +6,22 @@ whose vertices are the marked corners on its two boundary circles, and
 the search develops triangles into the plane along sight lines from
 each corner.  Every gluing map of the surface has the shape z -> z + c
 or z -> -z + c, so a placement is a sign and an offset and the whole
-computation stays in plane geometry.  The sweep is driven by a table
-with one row per state, a triangle with its entry edge and a sign: the
-row holds the signed corners in entry order, their vertex ids and the
-two exits with their successor states, so placing a triangle is six
-additions.  The floats are those of applying the sign in the loop,
-since a multiply by +-1 is exact, and the corners are tested in entry
+computation stays in plane geometry.  The triangulation is built
+straight into the lists the search reads, and the sweep is driven by a
+table with one row per state, a triangle with its entry edge and a
+sign: the row holds the signed corners in entry order, their vertex
+ids and the two exits with their successor states, so placing a
+triangle is six additions.  Both rows of a (triangle, entry edge) pair
+come from one pass, the sign -1 row by negating the sign +1 row.  The
+floats are those of applying the sign in the loop, since negating is
+multiplying by -1 bit for bit, and the corners are tested in entry
 order rather than vertex order, which cannot change what is found: the
 final sort is a total order on the dedup keys, and the corners one
 placement records are distinct points of an open cone narrower than a
-half-turn, at least a triangle edge apart, so they share no key.
+half-turn, at least a triangle edge apart, so they share no key.  A
+queued placement links to its parent by a (triangle, parent) pair, and
+the exits clip their edge to the window in the loop itself, with the
+operations of _clipped_dist2 in the same order.
 
 The search handles numeric surfaces only, and exact-mode callers are
 told to build a numeric twin first.  Floats are a speed choice, not a
@@ -83,42 +89,20 @@ class SaddleSearch:
         return self.connections[index]
 
 
+@dataclass(frozen=True)
 class _Complex:
     """Triangulated surface with per-edge transition maps.
 
     pts[t] holds the corner coordinates of triangle t in its cylinder
-    chart, counterclockwise.  nbrs[t][e] is (t2, e2, sign, tx, ty):
-    edge e of t (corner e to corner e+1) is glued to edge e2 of t2, and
-    psi(z) = sign*z + (tx, ty) maps the chart of t2 into the chart of t.
+    chart, counterclockwise, and vids[t] their spine vertex ids.
+    nbrs[t][e] is (t2, e2, sign, tx, ty): edge e of t (corner e to
+    corner e+1) is glued to edge e2 of t2, and psi(z) = sign*z + (tx, ty)
+    maps the chart of t2 into the chart of t.
     """
 
-    def __init__(self):
-        self.pts = []
-        self.vids = []
-        self.nbrs = []
-
-    def add_triangle(self, pts, vids):
-        self.pts.append(pts)
-        self.vids.append(vids)
-        self.nbrs.append([None, None, None])
-        return len(self.pts) - 1
-
-    def link(self, t1, e1, t2, e2, sign, tx, ty):
-        self.nbrs[t1][e1] = (t2, e2, sign, tx, ty)
-        if sign == 1:
-            self.nbrs[t2][e2] = (t1, e1, 1, -tx, -ty)
-        else:
-            # a point reflection is its own inverse
-            self.nbrs[t2][e2] = (t1, e1, -1, tx, ty)
-
-    def min_edge(self):
-        best = None
-        for pts in self.pts:
-            for e in range(3):
-                d = math.dist(pts[e], pts[(e + 1) % 3])
-                if best is None or d < best:
-                    best = d
-        return best
+    pts: list
+    vids: list
+    nbrs: list
 
 
 def _check_spacing(gap, arc, tol):
@@ -130,14 +114,16 @@ def _check_spacing(gap, arc, tol):
 
 
 def _triangulate_cylinder(cx, q, cyl, arc_slot):
-    """Cut one cylinder into corner-to-corner triangles.
+    """Cut one cylinder into corner-to-corner triangles of cx.
 
     Corners of both boundary circles are merged by x position and swept
     once around; each event closes a triangle against the most recent
     corner seen on the opposite circle.  Every triangle gets exactly
     one boundary arc, recorded in arc_slot keyed by (piece, half_edge),
     and the sweep's first and last diagonals are glued across the seam
-    with a one-period shift.
+    with a one-period shift.  A translation glued one way is stored
+    negated the other way, so a diagonal glued by (0.0, 0.0) one way
+    reads (-0.0, -0.0) the other way.
     """
     ell = cyl.length
     height = cyl.height
@@ -168,34 +154,40 @@ def _triangulate_cylinder(cx, q, cyl, arc_slot):
     ct_x, ct_vid, ct_arc = last_t[0] - ell, last_t[3], last_t[4]
 
     tol = 1e-7 * (1.0 + ell)
-    first = len(cx.pts)
+    pts, vids, nbrs = cx.pts, cx.vids, cx.nbrs
+    first = len(pts)
     prev = None
     for x, rank, _idx, vid, arc in events:
+        t = len(pts)
+        vids.append((cb_vid, vid, ct_vid))
         if rank == 0:
             _check_spacing(x - cb_x, cb_arc, tol)
-            pts = ((cb_x, 0.0), (x, 0.0), (ct_x, height))
-            vids = (cb_vid, vid, ct_vid)
-            arc_side, arc_e, new_diag = cb_arc, 0, 1
+            pts.append(((cb_x, 0.0), (x, 0.0), (ct_x, height)))
+            arc_slot[(cb_arc.piece, cb_arc.half_edge)] = (t, 0)
+            new_diag = 1
             cb_x, cb_vid, cb_arc = x, vid, arc
         else:
             _check_spacing(x - ct_x, ct_arc, tol)
-            pts = ((cb_x, 0.0), (x, height), (ct_x, height))
-            vids = (cb_vid, vid, ct_vid)
-            arc_side, arc_e, new_diag = ct_arc, 1, 0
+            pts.append(((cb_x, 0.0), (x, height), (ct_x, height)))
+            arc_slot[(ct_arc.piece, ct_arc.half_edge)] = (t, 1)
+            new_diag = 0
             ct_x, ct_vid, ct_arc = x, vid, arc
-        t = cx.add_triangle(pts, vids)
-        arc_slot[(arc_side.piece, arc_side.half_edge)] = (t, arc_e)
-        if prev is not None:
-            cx.link(t, 2, prev[0], prev[1], 1, 0.0, 0.0)
+        if prev is None:
+            nbrs.append([None, None, None])
+        else:
+            nbrs.append([None, None, (prev[0], prev[1], 1, 0.0, 0.0)])
+            nbrs[prev[0]][prev[1]] = (t, 2, 1, -0.0, -0.0)
         prev = (t, new_diag)
-    cx.link(first, 2, prev[0], prev[1], 1, -ell, 0.0)
+    nbrs[first][2] = (prev[0], prev[1], 1, -ell, 0.0)
+    nbrs[prev[0]][prev[1]] = (first, 2, 1, ell, -0.0)
 
 
 def _build_complex(q):
-    cx = _Complex()
+    cx = _Complex([], [], [])
     arc_slot = {}
     for cyl in q.layout:
         _triangulate_cylinder(cx, q, cyl, arc_slot)
+    pts, nbrs = cx.pts, cx.nbrs
     for (piece, h), (t1, e1) in arc_slot.items():
         h2 = q.sa.graphs[piece].iota[h]
         if h2 < h:
@@ -203,15 +195,18 @@ def _build_complex(q):
         t2, e2 = arc_slot[(piece, h2)]
         # the tail corner of a side is identified with the head corner
         # of its partner, so psi sends tail2 -> head1 and head2 -> tail1
-        head1 = cx.pts[t1][(e1 + 1) % 3]
-        tail2 = cx.pts[t2][e2]
+        head1 = pts[t1][(e1 + 1) % 3]
+        tail2 = pts[t2][e2]
         if q.edge_flip(piece, h):
-            cx.link(t1, e1, t2, e2, -1,
-                    head1[0] + tail2[0], head1[1] + tail2[1])
+            # a point reflection is its own inverse
+            tx, ty = head1[0] + tail2[0], head1[1] + tail2[1]
+            nbrs[t1][e1] = (t2, e2, -1, tx, ty)
+            nbrs[t2][e2] = (t1, e1, -1, tx, ty)
         else:
-            cx.link(t1, e1, t2, e2, 1,
-                    head1[0] - tail2[0], head1[1] - tail2[1])
-    for t, row in enumerate(cx.nbrs):
+            tx, ty = head1[0] - tail2[0], head1[1] - tail2[1]
+            nbrs[t1][e1] = (t2, e2, 1, tx, ty)
+            nbrs[t2][e2] = (t1, e1, 1, -tx, -ty)
+    for t, row in enumerate(nbrs):
         if None in row:
             raise CrossCheckFailed(
                 f"triangle {t} has an unglued edge: {row.index(None)}")
@@ -225,6 +220,8 @@ def _clipped_dist2(ax, ay, bx, by, lox, loy, hix, hiy):
     through lo and hi before measuring, so a corridor whose edge sweeps
     near the origin outside its own window does not keep the search
     alive.  Returns None when nothing of the segment lies in the cone.
+    The search calls it once per starting corner; its exit loop does
+    the same operations in the same order without the call.
     """
     t0 = 0.0
     t1 = 1.0
@@ -272,50 +269,48 @@ def _clipped_dist2(ax, ay, bx, by, lox, loy, hix, hiy):
     return px * px + py * py
 
 
-# Exit edges of a triangle entered through edge in_e, in increasing
-# edge order: edge in_e + 1 runs from the entry head b to the far
-# corner w, edge in_e + 2 from w back to the entry tail a.
-_EXITS = (((1, True), (2, False)),
-          ((0, False), (2, True)),
-          ((0, True), (1, False)))
-
-
-def _state(t, in_e, sign):
-    """Row index of triangle t entered through edge in_e under sign."""
-    return 6 * t + 2 * in_e + (sign < 0)
-
-
 def _state_table(cx):
     """One row per sweep state: a triangle, its entry edge and a sign.
 
     A placement maps a triangle's chart into the origin's plane by
-    z -> sign * z + (mx, my).  The row of (t, in_e, sign) holds
-    (ax, ay, bx, by, wx, wy, va, vb, vw, exits): the corners in entry
-    order, with the sign applied (a is the tail of the entry edge, b its
-    head, w the far corner), their vertex ids, and the two exits in
-    _EXITS order.  An exit is (from_b, state, t2, ox, oy): whether it is
-    the edge b -> w rather than w -> a, the state of the triangle t2
-    glued across it, and that gluing's offset with the sign applied, so
-    the child placement is (ox + mx, oy + my).  Multiplying by sign = +-1
-    is exact, so a placed corner ax + mx is bit for bit the
-    sign * p + mx of a loop that applies the sign itself.
+    z -> sign * z + (mx, my).  The row of triangle t entered through
+    edge in_e under sign sits at index 6 * t + 2 * in_e + (sign < 0) and
+    holds (ax, ay, bx, by, wx, wy, va, vb, vw, exits): the corners in
+    entry order, with the sign applied (a is the tail of the entry edge,
+    b its head, w the far corner), their vertex ids, and the two exit
+    edges in increasing edge order.  An exit is (from_b, state, t2, ox,
+    oy): whether it is the edge b -> w rather than w -> a, the index of
+    the state of the triangle t2 glued across it, and that gluing's
+    offset with the sign applied, so the child placement is (ox + mx,
+    oy + my).  The sign -1 row is the sign +1 row negated, which has the
+    bits of multiplying by -1, signed zeros included, so a placed corner
+    ax + mx is bit for bit the sign * p + mx of a loop that applies the
+    sign itself.
     """
     table = []
-    for t, pts in enumerate(cx.pts):
-        vids = cx.vids[t]
-        nbrs = cx.nbrs[t]
-        for in_e in range(3):
-            ia, ib, iw = in_e, (in_e + 1) % 3, (in_e + 2) % 3
-            for sign in (1, -1):
-                exits = []
-                for e, from_b in _EXITS[in_e]:
-                    t2, e2, s2, tx2, ty2 = nbrs[e]
-                    exits.append((from_b, _state(t2, e2, sign * s2), t2,
-                                  sign * tx2, sign * ty2))
-                table.append((sign * pts[ia][0], sign * pts[ia][1],
-                              sign * pts[ib][0], sign * pts[ib][1],
-                              sign * pts[iw][0], sign * pts[iw][1],
-                              vids[ia], vids[ib], vids[iw], tuple(exits)))
+    for t, p in enumerate(cx.pts):
+        v = cx.vids[t]
+        n = cx.nbrs[t]
+        for ia, ib, iw in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            (ax, ay), (bx, by), (wx, wy) = p[ia], p[ib], p[iw]
+            # edge ib runs b -> w and edge iw runs w -> a; the sign +1
+            # state of a neighbour is odd exactly when its gluing flips,
+            # and its sign -1 state is the other one of the pair
+            t1, e1, s1, tx1, ty1 = n[ib]
+            t2, e2, s2, tx2, ty2 = n[iw]
+            n1 = 6 * t1 + 2 * e1 + (s1 < 0)
+            n2 = 6 * t2 + 2 * e2 + (s2 < 0)
+            bw = (True, n1, t1, tx1, ty1)
+            wa = (False, n2, t2, tx2, ty2)
+            bw_neg = (True, n1 ^ 1, t1, -tx1, -ty1)
+            wa_neg = (False, n2 ^ 1, t2, -tx2, -ty2)
+            if ib < iw:
+                plus, minus = (bw, wa), (bw_neg, wa_neg)
+            else:
+                plus, minus = (wa, bw), (wa_neg, bw_neg)
+            table.append((ax, ay, bx, by, wx, wy, v[ia], v[ib], v[iw], plus))
+            table.append((-ax, -ay, -bx, -by, -wx, -wy,
+                          v[ia], v[ib], v[iw], minus))
     return table
 
 
@@ -334,13 +329,19 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     finite positive float.
 
     The sweep from each corner is breadth first.  A queued placement is
-    a state of _state_table plus its offset (mx, my), its window and a
-    parent index into a per-corner trail instead of a copy of its cell
-    path: node i holds a triangle and the node it was reached from, and
-    the path is read back only when a placement records a new
-    connection.  Placing a triangle adds (mx, my) to the six stored
-    corner floats of its row, with no branch on the entry edge and no
-    sign multiply.
+    a row index of _state_table plus its offset (mx, my), its window and
+    a parent link instead of a copy of its cell path: the link is a pair
+    (triangle, parent link), ending in None at the starting triangle,
+    and the path is read back only when a placement records a new
+    connection.  One deque serves every starting corner, and a spent
+    budget empties it.  Placing a triangle adds (mx, my) to the six
+    stored corner floats of its row, with no branch on the entry edge
+    and no sign multiply.  Each corner runs its most selective test
+    first: the entry tail a mostly sits on or past the hi ray, the entry
+    head b on or past the lo ray, and the far corner w beyond the
+    radius.  The tests are plain comparisons, so their order cannot
+    change what is found.  The exits clip with the operations of
+    _clipped_dist2, written out in the loop, in the same order.
     """
     if q.mode != NUMERIC:
         raise ModeMismatch("saddle search needs a numeric-mode surface")
@@ -360,10 +361,11 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     nbrs = cx.nbrs
     table = _state_table(cx)
     found = {}
-    trail_t = []
-    trail_up = []
     remaining = cap
     cap_exceeded = False
+    queue = deque()
+    popleft = queue.popleft
+    push = queue.append
 
     def record(origin, target, hx, hy, node):
         if hy < 0.0 or (hy == 0.0 and hx < 0.0):
@@ -379,9 +381,9 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                min(ends), max(ends))
         if key not in found:
             cells = []
-            while node >= 0:
-                cells.append(trail_t[node])
-                node = trail_up[node]
+            while node is not None:
+                t, node = node
+                cells.append(t)
             cells.reverse()
             found[key] = SaddleConnection((hx, hy), ends, tuple(cells))
 
@@ -393,33 +395,23 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
             origin = vids[t0][corner]
             lox, loy = nx - ox, ny - oy
             hix, hiy = fx - ox, fy - oy
-            # a fresh trail per starting corner, so it never holds more
-            # than two nodes per placement of one corner's sweep
-            trail_t[:] = (t0,)
-            trail_up[:] = (-1,)
+            root = (t0, None)
             # the two triangle edges at this corner are themselves
             # saddle connections, and the open window below excludes
             # exactly their directions, so record them as seeds
             if lox * lox + loy * loy <= r2:
-                record(origin, vids[t0][(corner + 1) % 3], lox, loy, 0)
+                record(origin, vids[t0][(corner + 1) % 3], lox, loy, root)
             if hix * hix + hiy * hiy <= r2:
-                record(origin, vids[t0][(corner + 2) % 3], hix, hiy, 0)
+                record(origin, vids[t0][(corner + 2) % 3], hix, hiy, root)
             d2 = _clipped_dist2(lox, loy, hix, hiy, lox, loy, hix, hiy)
             if d2 is None or d2 > r2:
                 continue
-            e0 = (corner + 1) % 3
-            t1, e1, s1, tx1, ty1 = nbrs[t0][e0]
-            trail_t.append(t1)
-            trail_up.append(0)
-            queue = deque()
-            queue.append((_state(t1, e1, s1), tx1 - ox, ty1 - oy,
-                          lox, loy, hix, hiy, 1))
-            while queue:
-                if remaining <= 0:
-                    cap_exceeded = True
-                    break
+            t1, e1, s1, tx1, ty1 = nbrs[t0][(corner + 1) % 3]
+            push((6 * t1 + 2 * e1 + (s1 < 0), tx1 - ox, ty1 - oy,
+                  lox, loy, hix, hiy, (t1, root)))
+            while queue and remaining > 0:
                 remaining -= 1
-                state, mx, my, lx, ly, hx, hy, node = queue.popleft()
+                state, mx, my, lx, ly, hx, hy, node = popleft()
                 ax, ay, bx, by, wx, wy, va, vb, vw, exits = table[state]
                 ax += mx
                 ay += my
@@ -437,17 +429,17 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                 side_w = (bx - ax) * (wy - ay) - (by - ay) * (wx - ax)
                 if side_o * side_w >= 0.0:
                     continue
-                if (lx * ay - ly * ax > 0.0
-                        and ax * hy - ay * hx > 0.0
-                        and ax * ax + ay * ay <= r2):
+                if (ax * hy - ay * hx > 0.0
+                        and ax * ax + ay * ay <= r2
+                        and lx * ay - ly * ax > 0.0):
                     record(origin, va, ax, ay, node)
                 if (lx * by - ly * bx > 0.0
-                        and bx * hy - by * hx > 0.0
-                        and bx * bx + by * by <= r2):
+                        and bx * bx + by * by <= r2
+                        and bx * hy - by * hx > 0.0):
                     record(origin, vb, bx, by, node)
-                if (lx * wy - ly * wx > 0.0
-                        and wx * hy - wy * hx > 0.0
-                        and wx * wx + wy * wy <= r2):
+                if (wx * wx + wy * wy <= r2
+                        and lx * wy - ly * wx > 0.0
+                        and wx * hy - wy * hx > 0.0):
                     record(origin, vw, wx, wy, node)
                 for from_b, nxt, t2, ox2, oy2 in exits:
                     if from_b:
@@ -477,19 +469,63 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                         nhx, nhy = hx, hy
                     if nlx * nhy - nly * nhx <= 0.0:
                         continue
-                    d2 = _clipped_dist2(pax, pay, pbx, pby,
-                                        nlx, nly, nhx, nhy)
-                    if d2 is None or d2 > r2:
+                    # skip when _clipped_dist2(pax, pay, pbx, pby, nlx,
+                    # nly, nhx, nhy) is None or > r2, written out here
+                    u0 = 0.0
+                    u1 = 1.0
+                    c0 = nlx * pay - nly * pax
+                    c1 = nlx * pby - nly * pbx
+                    if c0 < 0.0:
+                        if c1 < 0.0:
+                            continue
+                        u = c0 / (c0 - c1)
+                        if u > u0:
+                            u0 = u
+                    elif c1 < 0.0:
+                        u = c0 / (c0 - c1)
+                        if u < u1:
+                            u1 = u
+                    c0 = -(nhx * pay - nhy * pax)
+                    c1 = -(nhx * pby - nhy * pbx)
+                    if c0 < 0.0:
+                        if c1 < 0.0:
+                            continue
+                        u = c0 / (c0 - c1)
+                        if u > u0:
+                            u0 = u
+                    elif c1 < 0.0:
+                        u = c0 / (c0 - c1)
+                        if u < u1:
+                            u1 = u
+                    if u0 > u1:
                         continue
-                    queue.append((nxt, ox2 + mx, oy2 + my,
-                                  nlx, nly, nhx, nhy, len(trail_t)))
-                    trail_t.append(t2)
-                    trail_up.append(node)
+                    dx = pbx - pax
+                    dy = pby - pay
+                    dd = dx * dx + dy * dy
+                    if dd > 0.0:
+                        u = -(pax * dx + pay * dy) / dd
+                        if u0 > u:
+                            u = u0
+                        if u1 < u:
+                            u = u1
+                    else:
+                        u = u0
+                    px = pax + u * dx
+                    py = pay + u * dy
+                    if px * px + py * py > r2:
+                        continue
+                    push((nxt, ox2 + mx, oy2 + my, nlx, nly, nhx, nhy,
+                          (t2, node)))
+            if queue:
+                cap_exceeded = True
+                queue.clear()
 
     conns = sorted(found.values(),
                    key=lambda c: (c.length, c.holonomy, c.endpoints))
     if not conns and not cap_exceeded:
+        shortest = min(math.dist(p[e], p[(e + 1) % 3])
+                       for p in pts for e in range(3))
         raise RadiusTooSmall(
             f"no saddle connection has length <= {radius}; the shortest "
-            f"triangulation edge is {cx.min_edge():.6g}")
+            f"triangulation edge is {shortest:.6g}")
     return SaddleSearch(tuple(conns), cap_exceeded, radius, cap - remaining)

@@ -366,3 +366,45 @@ def form_value(q_vals, gram, members):
         for b in members[i + 1:]:
             val ^= gram[a][b]
     return val
+
+
+# -- the saddle search ----------------------------------------------------------------
+
+
+# Exit edges of a triangle entered through edge in_e, in increasing
+# edge order: edge in_e + 1 runs from the entry head b to the far
+# corner w, edge in_e + 2 from w back to the entry tail a.
+_EXITS = (((1, True), (2, False)),
+          ((0, False), (2, True)),
+          ((0, True), (1, False)))
+
+
+def _state(t, in_e, sign):
+    """Row index of triangle t entered through edge in_e under sign."""
+    return 6 * t + 2 * in_e + (sign < 0)
+
+
+def state_table(cx):
+    """The saddle search's state table, built one state at a time.
+
+    Each row applies the sign by multiplying with it, as the search
+    once did in its loop, and takes the exits from _EXITS; the search
+    builds the same rows in one pass.
+    """
+    table = []
+    for t, pts in enumerate(cx.pts):
+        vids = cx.vids[t]
+        nbrs = cx.nbrs[t]
+        for in_e in range(3):
+            ia, ib, iw = in_e, (in_e + 1) % 3, (in_e + 2) % 3
+            for sign in (1, -1):
+                exits = []
+                for e, from_b in _EXITS[in_e]:
+                    t2, e2, s2, tx2, ty2 = nbrs[e]
+                    exits.append((from_b, _state(t2, e2, sign * s2), t2,
+                                  sign * tx2, sign * ty2))
+                table.append((sign * pts[ia][0], sign * pts[ia][1],
+                              sign * pts[ib][0], sign * pts[ib][1],
+                              sign * pts[iw][0], sign * pts[iw][1],
+                              vids[ia], vids[ib], vids[iw], tuple(exits)))
+    return table

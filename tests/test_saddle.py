@@ -25,16 +25,19 @@ from ttlab.errors import (
     OutOfRange,
     RadiusTooSmall,
 )
+from ttlab.probe import NARROW_RADIUS
 from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
 from ttlab.saddle import (
     DEDUP_TOL,
     DEFAULT_CAP,
     _build_complex,
+    _state_table,
     saddle_connections_up_to,
 )
 from ttlab.surface import EXACT, NUMERIC, build_surface, geodesic_flow
 from ttlab.topology import make_config
 
+from oracles import state_table
 from test_classify import GENERIC6, plumbing_ring
 from test_ribbon import nabla_assignment, theta_assignment
 from test_topology import SEPARATING, TWO_PANTS
@@ -444,17 +447,43 @@ REFERENCE_FAMILIES = {
 }
 
 
+def _bits(value):
+    """A value with every float replaced by its hex form, so that two
+    floats compare equal only when their bits do (0.0 != -0.0)."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return (type(value).__name__, value)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
+def test_state_table_matches_the_one_state_at_a_time_build(family):
+    # the one-pass table negates the sign +1 row where the oracle
+    # multiplies by -1: the same bits, signed zeros included
+    rng = random.Random(f"saddle-reference/{family}")
+    make = REFERENCE_FAMILIES[family]
+    for time in range(5):
+        cx = _build_complex(geodesic_flow(make(rng), time))
+        table = _state_table(cx)
+        expected = state_table(cx)
+        assert len(table) == len(expected) == 6 * len(cx.pts)
+        for index, (row, want) in enumerate(zip(table, expected)):
+            assert _bits(row) == _bits(want), (family, time, index)
+
+
 @pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
 def test_search_matches_reference_exactly(family):
     # exact equality, floats and all: the search loop must do the same
     # float operations in the same order as the reference, so every
     # holonomy, every cell path and the placement count agree bit for
-    # bit, also when the budget truncates the search
+    # bit, also when the budget truncates the search.  NARROW_RADIUS is
+    # where every probe sample above it searches first
     rng = random.Random(f"saddle-reference/{family}")
     make = REFERENCE_FAMILIES[family]
     for time in range(5):
         q = geodesic_flow(make(rng), time)
-        for radius in (0.7, 1.0, 1.5, 2.0):
+        for radius in (0.7, 1.0, NARROW_RADIUS, 1.5, 2.0):
             for cap in (DEFAULT_CAP, 300):
                 assert (_search_outcome(q, radius, cap)
                         == _reference_search(q, radius, cap)), (
