@@ -30,6 +30,13 @@ integer matrices.  Chains stay
 sparse on this path: a core lift is checked closed from its edges' end
 points, and the fundamental cycles come from the forest's parent
 pointers.
+
+The anti-invariant part of H_1 needs no elimination.  The deck
+involution's matrix M is checked to square to the identity, so its
+eigenvalues are +-1 and the (-1)-eigenspace has dimension
+(2 g_hat - tr M) / 2.  By Lefschetz, tr M = 2 - #branch points on a
+connected cover, so that number is also 2 g_hat - 2 g (Riemann-Hurwitz),
+which the cell count checks independently.
 """
 
 from dataclasses import dataclass
@@ -345,26 +352,35 @@ def holonomy_double_cover(q):
 
 
 def cover_genus(cover):
-    """Genus of a connected cover; per-component genera when split."""
+    """Genus of a connected cover; per-component genera when split.
+
+    Raises CrossCheckFailed when the cell count disagrees with the
+    branching: 2g + #branch points/2 - 1 for a connected cover, two
+    unbranched copies of the base for a disconnected one.
+    """
     genera = cover.genus_of_components()
+    g = cover.surface.cfg.genus
     if cover.connected:
-        g = cover.surface.cfg.genus
         expected = 2 * g + len(cover.branch_set) // 2 - 1
         if genera[0] != expected:
             raise CrossCheckFailed(
                 f"cover genus {genera[0]} from cells, {expected} from branching"
             )
         return genera[0]
+    if genera != [g, g] or cover.branch_set:
+        raise CrossCheckFailed(
+            f"disconnected cover of genera {genera} with "
+            f"{len(cover.branch_set)} branch points; expected two copies of genus {g}"
+        )
     return genera
 
 
 @dataclass(frozen=True)
 class AntiInvariantH1:
-    """Basis (as 1-chain vectors) of the (-1)-eigenspace of the deck
-    involution on first homology."""
+    """The (-1)-eigenspace of the deck involution on first homology,
+    by its dimension: the trace count (2 g_hat - tr M) / 2."""
 
     dimension: int
-    basis: tuple
 
 
 def lifted_curve_classes(cover, cfg):
@@ -411,45 +427,44 @@ def h1_anti_invariant(cover):
 
     In the tree-cotree coordinates of `HomologyCoordinates`, the deck
     involution is the integer 2g_hat x 2g_hat matrix M whose column j
-    holds the coordinates of iota(gamma_j).  Over Q, (1 - iota)/2
-    projects H_1 onto the eigenspace, so its dimension is rank(I - M),
-    and the basis is (1 - iota) gamma_j for the columns of I - M that
-    raise the rank.
+    holds the coordinates of iota(gamma_j); its columns are kept sparse.
+    M^2 = I is checked column by column.  It makes M diagonalisable over
+    Q with eigenvalues +-1, so the (-1)-eigenspace has dimension
+    (2g_hat - tr M)/2, the Lefschetz count: tr M = 2 - #branch points on
+    a connected cover.
 
-    Two cross-checks raise CrossCheckFailed when they disagree: the
-    dimension must equal 2g_hat - rank(I + M), as it does for an
-    involution; and, for a connected cover, Riemann-Hurwitz
-    2 g_hat - 2 g.
+    CrossCheckFailed is raised when M^2 != I, when 2g_hat - tr M is odd,
+    or when the dimension disagrees with the cell count: 2g_hat - 2g by
+    Riemann-Hurwitz on a connected cover, 2g on a disconnected one.
     """
     homology = cover.homology
-    minus = linalg.Echelon()
-    basis = []
-    plus = []
-    for j, support in enumerate(homology._supports):
+    columns = []
+    for support in homology._supports:
         flipped = [0] * cover.n_cover_edges  # iota(gamma_j)
         for r, x in support:
             flipped[r ^ 1] = x
-        m = homology.coords(flipped)
-        if minus.add([(i == j) - x for i, x in enumerate(m)]):
-            anti = [-x for x in flipped]  # (1 - iota) gamma_j
-            for r, x in support:
-                anti[r] += x
-            basis.append(tuple(anti))
-        plus.append([(i == j) + x for i, x in enumerate(m)])
-
-    dim = len(basis)
-    check = len(homology.generators) - linalg.rank(plus)
-    if dim != check:
+        columns.append([(i, x) for i, x in enumerate(homology.coords(flipped)) if x])
+    trace = 0
+    for j, column in enumerate(columns):
+        square = {}  # column j of M^2
+        for i, x in column:
+            if i == j:
+                trace += x
+            for k, y in columns[i]:
+                square[k] = square.get(k, 0) + x * y
+        if {k: y for k, y in square.items() if y} != {j: 1}:
+            raise CrossCheckFailed(f"deck involution: M^2 != I in column {j}")
+    excess = len(columns) - trace
+    if excess % 2:
+        raise CrossCheckFailed(f"deck involution: 2g_hat - tr M = {excess} is odd")
+    dim = excess // 2
+    g = cover.surface.cfg.genus
+    expected = 2 * cover_genus(cover) - 2 * g if cover.connected else 2 * g
+    if dim != expected:
         raise CrossCheckFailed(
-            f"anti-invariant dimension {dim}, rank identity gives {check}"
+            f"anti-invariant dimension {dim}, Riemann-Hurwitz gives {expected}"
         )
-    if cover.connected:
-        expected = 2 * cover_genus(cover) - 2 * cover.surface.cfg.genus
-        if dim != expected:
-            raise CrossCheckFailed(
-                f"anti-invariant dimension {dim}, Riemann-Hurwitz gives {expected}"
-            )
-    return AntiInvariantH1(dimension=dim, basis=tuple(basis))
+    return AntiInvariantH1(dimension=dim)
 
 
 def relations_formula(q):

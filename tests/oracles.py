@@ -287,6 +287,41 @@ def homology_cycle_basis(cover):
     return cycles
 
 
+def anti_invariant_basis(cover):
+    """The (-1)-eigenspace of the deck involution on H_1 of the cover by
+    two eliminations, the route `h1_anti_invariant` took before it read
+    the dimension off the trace.
+
+    With M the deck involution in tree-cotree coordinates (column j the
+    coordinates of iota(gamma_j)), (1 - iota)/2 projects H_1 onto the
+    eigenspace over Q, so its dimension is rank(I - M).  Returns the
+    dense chains (1 - iota) gamma_j for the columns of I - M that raise
+    the rank; raises CrossCheckFailed unless their number is the rank
+    identity's 2g_hat - rank(I + M).
+    """
+    homology = cover.homology
+    minus = Echelon()
+    basis = []
+    plus = []
+    for j, support in enumerate(homology._supports):
+        flipped = [0] * cover.n_cover_edges  # iota(gamma_j)
+        for r, x in support:
+            flipped[r ^ 1] = x
+        m = homology.coords(flipped)
+        if minus.add([(i == j) - x for i, x in enumerate(m)]):
+            anti = [-x for x in flipped]  # (1 - iota) gamma_j
+            for r, x in support:
+                anti[r] += x
+            basis.append(tuple(anti))
+        plus.append([(i == j) + x for i, x in enumerate(m)])
+    check = len(homology.generators) - Echelon(plus).rank
+    if len(basis) != check:
+        raise CrossCheckFailed(
+            f"anti-invariant dimension {len(basis)}, rank identity gives {check}"
+        )
+    return basis
+
+
 def cocycle(cover, j):
     """The 1-cocycle dual to generator j: 1 on its edge, 0 on T and on
     the other generators, and set on C leaves first so that it vanishes

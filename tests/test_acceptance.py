@@ -1,6 +1,6 @@
 """Acceptance gate: one test per numbered criterion, run in order.
 
-Criteria 1, 2, 3, 5, 7, 8 and 10 to 14 share one sweep of instances,
+Criteria 1, 2, 3, 5, 7, 8 and 10 to 15 share one sweep of instances,
 built once per module: the exhaustive pants catalogs in genus 2 and 3
 under a length battery that realizes every spine type on every piece,
 200 random pants decompositions up to genus 5, a census of
@@ -722,3 +722,14 @@ def test_criterion_14_integer_perimeters_match_the_fraction_sums(sweep):
         assert_integer_perimeters(graph)
     note(14, f"PASS integer perimeters equal the Fraction sums on "
              f"{len(graphs)} spine graphs")
+
+
+def test_criterion_15_trace_dimension_matches_the_two_elimination_route(sweep):
+    # (2 g_hat - tr M)/2 against the rank(I - M) basis and the rank
+    # identity 2 g_hat - rank(I + M), on every cover of the sweep
+    from oracles import anti_invariant_basis
+
+    for inst in sweep.instances:
+        assert inst.anti_dim == len(anti_invariant_basis(inst.cover)), inst.name
+    note(15, f"PASS anti-invariant dimension from the trace equals the "
+             f"two-elimination count on {len(sweep.instances)} covers")

@@ -370,6 +370,26 @@ def test_rank_on_a_disconnected_cover(capsys, tmp_path):
     assert report["riemann_hurwitz"] == "ok"
 
 
+def test_rank_refuses_a_disconnected_cover_with_wrong_genera(
+        capsys, tmp_path, monkeypatch):
+    # the check lives in cover_genus; the command reports its failure
+    sa = nabla_assignment(TWO_PANTS, (0, 0))
+    path = write_fixture(tmp_path, TWO_PANTS, sa)
+    build = cli.holonomy_double_cover
+
+    def tampered(q):
+        cover = build(q)
+        cover.__dict__["_genera"] = (2, 3)
+        return cover
+
+    monkeypatch.setattr(cli, "holonomy_double_cover", tampered)
+    code, out, err = run(capsys, "rank", path)
+    assert (code, out) == (2, "")
+    assert "error.type = CrossCheckFailed" in err
+    assert "two copies of genus 2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_rank_on_long_plumbing_rings(capsys, tmp_path, n):
     # the cover splits into two copies of the genus n + 1 base
@@ -668,7 +688,7 @@ def test_each_command_validates_its_configuration_once(
 
 
 def test_rank_finds_joint_orientability_once(capsys, tmp_path, monkeypatch):
-    # the surface carries it for relations_formula and identify_stratum
+    # the surface carries it for relations_formula
     path = command_fixture(tmp_path, False)
     calls = count_calls(monkeypatch, ribbon, "jointly_orientable")
     code, _, err = run(capsys, "rank", path)

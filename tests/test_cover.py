@@ -24,6 +24,7 @@ from ttlab.rng import CounterRandom
 from ttlab.surface import build_surface
 
 from oracles import (
+    anti_invariant_basis,
     boundary_1,
     boundary_2,
     homology_cycle_basis,
@@ -224,15 +225,15 @@ def test_deck_involution_is_cellular():
 
 def test_anti_invariant_dimension():
     _, cover = theta_cover()
-    h1m = h1_anti_invariant(cover)
-    assert h1m.dimension == 2 * 5 - 2 * 2
+    basis = anti_invariant_basis(cover)
+    assert h1_anti_invariant(cover).dimension == len(basis) == 2 * 5 - 2 * 2
     d1 = boundary_1(cover)
     boundaries = [
         [F(boundary_2(cover)[row][col]) for row in range(cover.n_cover_edges)]
         for col in range(cover.n_cover_faces)
     ]
     base_rank = rank_of_stack(boundaries)
-    for vec in h1m.basis:
+    for vec in basis:
         # a genuine cycle, not a boundary, with (iota+1) vec a boundary
         assert all(
             sum(d1[v][r] * vec[r] for r in range(len(vec))) == 0
@@ -272,9 +273,11 @@ def test_anti_invariant_basis_matches_nullspace_route():
     for name, fixture in COORDINATE_COVERS.items():
         _, cover = fixture()
         boundaries = [list(col) for col in zip(*boundary_2(cover))]
-        ours = [list(v) for v in h1_anti_invariant(cover).basis]
+        ours = [list(v) for v in anti_invariant_basis(cover)]
         theirs = greedy_anti_invariant_basis(cover)
-        assert len(ours) == len(theirs), name
+        # the trace count, the two-elimination route and the nullspace
+        # route give one dimension
+        assert h1_anti_invariant(cover).dimension == len(ours) == len(theirs), name
         # same span modulo boundaries
         both = ref_rank(boundaries + ours + theirs)
         assert both == ref_rank(boundaries + ours), name
@@ -367,22 +370,32 @@ def test_cross_checks_survive_optimize_mode():
     assert "Riemann-Hurwitz" in out
 
 
-def test_rank_identity_and_genus_checks_survive_optimize_mode():
-    # a rank off by one breaks the rank identity; a genus off by one from
+def test_involution_and_genus_checks_survive_optimize_mode():
+    # one entry of M off by one breaks M^2 = I; a genus off by one from
     # the cell count disagrees with the branching count
     out = run_optimized("""
         import ttlab.cover
+        from ttlab.cover import HomologyCoordinates
         from ttlab.errors import CrossCheckFailed
         from test_cover import theta_cover
 
         assert False, "asserts are on"
-        rank = ttlab.cover.linalg.rank
-        ttlab.cover.linalg.rank = lambda rows: rank(rows) + 1
+        coords = HomologyCoordinates.coords
+        bumped = []
+
+        def bump_one_column(self, z):
+            out = coords(self, z)
+            if not bumped:
+                bumped.append(True)
+                out[0] += 1
+            return out
+
+        HomologyCoordinates.coords = bump_one_column
         try:
             ttlab.cover.h1_anti_invariant(theta_cover()[1])
         except CrossCheckFailed as exc:
             print("caught:", exc)
-        ttlab.cover.linalg.rank = rank
+        HomologyCoordinates.coords = coords
         _, cover = theta_cover()
         cover.__dict__["_genera"] = (6,)
         try:
@@ -390,7 +403,7 @@ def test_rank_identity_and_genus_checks_survive_optimize_mode():
         except CrossCheckFailed as exc:
             print("caught:", exc)
     """)
-    assert "rank identity" in out
+    assert "M^2 != I" in out
     assert "from branching" in out
 
 
@@ -441,6 +454,14 @@ def test_open_core_lift_is_refused_in_optimize_mode():
 def test_anti_invariant_dimension_of_trivial_cover():
     q, cover = orientable_cover()
     assert h1_anti_invariant(cover).dimension == 2 * q.cfg.genus
+
+
+def test_disconnected_cover_with_wrong_genera_is_refused():
+    # a disconnected cover is two unbranched copies of the base
+    _, cover = orientable_cover()
+    cover.__dict__["_genera"] = (2, 3)
+    with pytest.raises(CrossCheckFailed, match="two copies of genus 2"):
+        cover_genus(cover)
 
 
 def test_lifted_classes_are_anti_invariant_cycles():
