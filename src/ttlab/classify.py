@@ -223,17 +223,20 @@ def classify_pants_torus(cfg, lengths, heights):
     """
     if not is_pants_decomposition(cfg):
         raise NotPants("expected a pants decomposition")
-    return _pants_torus_verdict(cfg, lengths, heights)
-
-
-def _pants_torus_verdict(cfg, lengths, heights):
-    """classify_pants_torus on a configuration known to be a valid pants
-    decomposition, such as the one of a parsed spec."""
     exact = [_exact_number(x, f"length of curve {i}") for i, x in enumerate(lengths)]
     q = build_surface(cfg, pants_assignment(cfg, exact), heights)
-    verdict = classify_orbit_closure(q)
+    return _refine_pants_verdict(classify_orbit_closure(q), cfg.genus)
+
+
+def _refine_pants_verdict(verdict, g):
+    """Sharpen the verdict of classify_orbit_closure on a genus-g pants
+    surface with the nabla rules.
+
+    Its boundary triples fix each pants spine up to a face-preserving
+    isometry (theta, figure-eight or dumbbell), so the verdict holds for
+    any valid spines on those lengths, not only pants_assignment's.
+    """
     nabla = verdict.certificate["nabla"]
-    g = cfg.genus
 
     if g == 2:
         if verdict.kind == INCONCLUSIVE:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .classify import _pants_torus_verdict, classify_orbit_closure
+from .classify import _refine_pants_verdict, classify_orbit_closure
 from .cover import (
     cover_genus,
     h1_anti_invariant,
@@ -80,10 +80,22 @@ def _rational_list(text, what, count):
 
 
 def _read_text(path):
+    """The spec file at path, or on stdin for "-", decoded as UTF-8.
+
+    A byte that is not UTF-8 is a ParseError at its line, numbered as
+    parse_spec numbers lines.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        lineno = len((before + ".").splitlines())
+        raise ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def _load(args):
@@ -119,13 +131,11 @@ def cmd_classify(args):
     # The verdict is decided in exact arithmetic whatever the file's mode.
     q = build_surface(spec.cfg, spec.sa, spec.heights)
     # parse_spec validated the configuration, so the checks below skip it.
+    verdict = classify_orbit_closure(q)
     if _is_pants(spec.cfg):
-        # The spine type of a pants piece is pinned down by its boundary
-        # triple, so rebuilding the spines from the file's curve lengths
-        # loses nothing and unlocks the sharper pants verdicts.
-        verdict = _pants_torus_verdict(spec.cfg, q.base_lengths, spec.heights)
-    else:
-        verdict = classify_orbit_closure(q)
+        # The boundary triples pin down every pants spine, so the sharper
+        # pants verdicts hold for the file's own spines.
+        verdict = _refine_pants_verdict(verdict, spec.cfg.genus)
     pairs = [
         ("verdict", verdict.kind),
         ("stratum", verdict.stratum),

@@ -13,6 +13,14 @@ sigma(h), changing sheet by the flip bit of h's edge.  Going all the way
 around a vertex composes to the identity sheet exactly when the valence
 is even, so the branch set is the set of odd-valence vertices.
 
+The builder runs on flat integer tables.  Half-edges are numbered
+across pieces (piece offset plus h), each with its flip bit, its
+sigma-successor and its letter; corner 2x + s is the corner before
+half-edge x on sheet s, and the corner orbits fill one list indexed by
+corner.  A letter (2k, sign, sheet_bit) names base 1-cell k, the
+direction it is crossed in, and which of its lifts the step uses, so
+every cell of the cover is read off by integer indexing.
+
 The cover is built from combinatorics alone.  Each 2-cell's boundary
 word is read off the two face cycles glued along its curve
 (`q.glued_faces`, bottom face first), so no cylinder layout is needed,
@@ -41,7 +49,6 @@ which the cell count checks independently.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
@@ -54,115 +61,131 @@ def _require(ok, what):
         raise CrossCheckFailed(f"cover cell structure: {what}")
 
 
-class Letter(NamedTuple):
-    """One step of a 2-cell boundary word.
-
-    key names a base 1-cell; sign is the traversal direction; sheet_bit
-    says which lift the letter uses in a sheet-s cell (s xor sheet_bit).
-    """
-
-    key: tuple
-    sign: int
-    sheet_bit: int
-
-
 class BranchedDoubleCover:
     """Explicit two-sheeted branched cover of a FlatTwistSurface.
 
-    Edge lift 2k + s and face lift 2i + s are the sheet-s lifts of base
-    1-cell k and of cylinder i.  `_ends[r]` is the (tail, head) of edge
-    lift r, `_face_cols[c]` the boundary of face lift c as a dict
+    Half-edge h of piece p is numbered `_offset[p] + h` globally, and
+    the corner before it on sheet s is corner 2 (_offset[p] + h) + s;
+    `_orbit[c]` is the cover vertex of corner c, and
+    `cover_vertices[v]` the first corner of vertex v.  Edge lift
+    2k + s and face lift 2i + s are the sheet-s lifts of base 1-cell k
+    (the spine edges piece by piece, then one crossing edge per curve)
+    and of cylinder i.  `words[i]` is cylinder i's boundary word, one
+    (2k, sign, sheet_bit) letter per step, whose lift in a sheet-s cell
+    is edge lift 2k + (s ^ sheet_bit); its first `bottom_lengths[i]`
+    letters are the bottom walk.  `_ends[r]` is the (tail, head) of
+    edge lift r, `_face_cols[c]` the boundary of face lift c as a dict
     {edge lift: nonzero coefficient}, and `_sides[r]` the two face
     lifts on either side of edge lift r.
     """
 
     def __init__(self, q):
         self.surface = q
-        cfg, sa = q.cfg, q.sa
+        cfg, graphs = q.cfg, q.sa.graphs
 
-        # -- base complex ------------------------------------------------
-        self.base_vertices = [
-            (p, v)
-            for p, graph in enumerate(sa.graphs)
-            for v in range(len(graph.vertices()))
-        ]
-        spine_edges = []
-        self._flip_of = []  # [p][h]: the flip bit of half-edge h's edge
-        for p, graph in enumerate(sa.graphs):
-            bits = [0] * graph.n_half_edges
+        # -- base complex, on global half-edges ----------------------------
+        # per half-edge: the flip bit of its edge, sigma, and its letter,
+        # of sign +1 on the smaller half-edge of the edge
+        self._offset = []
+        flip, succ, letter = [], [], []
+        spine = []  # the two half-edges of spine edge k, smaller first
+        v_base = 0
+        for p, graph in enumerate(graphs):
+            off = len(flip)
+            self._offset.append(off)
+            flip += [0] * graph.n_half_edges
+            letter += [None] * graph.n_half_edges
+            succ += [off + t for t in graph.sigma]
             for h, ih in graph.edges():
-                spine_edges.append(("e", p, h))
-                bits[h] = bits[ih] = q.edge_flip(p, h)
-            self._flip_of.append(bits)
-        cross_edges = [("d", i) for i in range(cfg.n_curves)]  # flip bit 0
-        self.base_edges = spine_edges + cross_edges
-        self._edge_index = {key: k for k, key in enumerate(self.base_edges)}
+                bit = q.edge_flip(p, h)
+                flip[off + h] = flip[off + ih] = bit
+                letter[off + h] = (2 * len(spine), 1, 0)
+                letter[off + ih] = (2 * len(spine), -1, bit)
+                spine.append((off + h, off + ih))
+            v_base += len(graph.vertices())
+        self._letter = letter
 
-        self.words = [self._word(i) for i in range(cfg.n_curves)]
+        # Cylinder i: its bottom face cycle, the crossing edge up, its
+        # top face cycle, the crossing edge down.
+        self.words = []
+        self.bottom_lengths = []
+        marked = []  # the marked corners' half-edges, bottom and top
+        for i, glued in enumerate(q.glued_faces):
+            bottom, top = (
+                [self._offset[p] + h for h in graphs[p].faces()[f]]
+                for p, f in glued
+            )
+            d = 2 * (len(spine) + i)
+            self.words.append((
+                *[letter[x] for x in bottom], (d, 1, 0),
+                *[letter[x] for x in top], (d, -1, 0),
+            ))
+            self.bottom_lengths.append(len(bottom))
+            marked.append((bottom[0], top[0]))
 
-        v_base = len(self.base_vertices)
-        e_base = len(self.base_edges)
-        f_base = cfg.n_curves
-        self.base_euler = v_base - e_base + f_base
+        self.base_euler = v_base - len(spine)
         _require(self.base_euler == 2 - 2 * cfg.genus, "base Euler number")
 
         # -- corner orbits = cover vertices --------------------------------
-        self._orbit_of = orbit_of = {}
+        self._orbit = orbit = [-1] * (2 * len(flip))
         self.cover_vertices = []
-        for p, graph in enumerate(sa.graphs):
-            sigma, bits = graph.sigma, self._flip_of[p]
-            for h in range(graph.n_half_edges):
-                for s in (0, 1):
-                    cur = (p, h, s)
-                    if cur in orbit_of:
-                        continue
-                    vid = len(self.cover_vertices)
-                    members = []
-                    while cur not in orbit_of:
-                        orbit_of[cur] = vid
-                        members.append(cur)
-                        _, ch, cs = cur
-                        cur = (p, sigma[ch], cs ^ bits[ch])
-                    _require(orbit_of[cur] == vid, "open corner orbit")
-                    self.cover_vertices.append(tuple(members))
+        for first in range(len(orbit)):
+            if orbit[first] >= 0:
+                continue
+            vid = len(self.cover_vertices)
+            self.cover_vertices.append(first)
+            c = first
+            while orbit[c] < 0:
+                orbit[c] = vid
+                x = c >> 1
+                c = 2 * succ[x] + ((c & 1) ^ flip[x])
+            _require(orbit[c] == vid, "open corner orbit")
 
         self.branch_set = []
-        for p, graph in enumerate(sa.graphs):
+        for p, graph in enumerate(graphs):
+            off = self._offset[p]
             for v, cycle in enumerate(graph.vertices()):
-                parity = sum(self._flip_of[p][h] for h in cycle) % 2
+                parity = sum(flip[off + h] for h in cycle) % 2
                 _require(parity == len(cycle) % 2, "flip parity vs valence")
-                lifts = {self._orbit_of[(p, cycle[0], s)] for s in (0, 1)}
-                _require(len(lifts) == (1 if parity else 2), "vertex lift count")
+                c = 2 * (off + cycle[0])
+                _require((orbit[c] == orbit[c + 1]) == parity, "vertex lift count")
                 if parity:
                     self.branch_set.append((p, v))
 
         # -- cover 1- and 2-cells ------------------------------------------
         # edge lift 2k + s; face lift 2i + s
-        self.n_cover_edges = 2 * e_base
-        self.n_cover_faces = 2 * f_base
-        self._ends = [
-            self._lift_endpoints(key, s) for key in self.base_edges for s in (0, 1)
-        ]
+        self.n_cover_edges = 2 * (len(spine) + cfg.n_curves)
+        self.n_cover_faces = 2 * cfg.n_curves
+        # lift s of a spine edge runs from its smaller half-edge's
+        # corner to the other's; a crossing edge from the bottom face's
+        # marked corner to the top face's
+        self._ends = ends = []
+        for x, ix in spine:
+            bit = flip[x]
+            ends.append((orbit[2 * x], orbit[2 * ix + bit]))
+            ends.append((orbit[2 * x + 1], orbit[2 * ix + 1 - bit]))
+        for b, t in marked:
+            ends.append((orbit[2 * b], orbit[2 * t]))
+            ends.append((orbit[2 * b + 1], orbit[2 * t + 1]))
         self._face_cols = []
-        self._sides = [[] for _ in range(self.n_cover_edges)]
+        self._sides = sides = [[] for _ in ends]
         for word in self.words:
             for s in (0, 1):
                 col = len(self._face_cols)
                 face = {}
-                starts = []
-                ends = []
-                for letter in word:
-                    row = 2 * self._edge_index[letter.key] + (s ^ letter.sheet_bit)
-                    face[row] = face.get(row, 0) + letter.sign
-                    self._sides[row].append(col)
-                    tail, head = self._ends[row]
-                    if letter.sign < 0:
-                        tail, head = head, tail
-                    starts.append(tail)
-                    ends.append(head)
-                # each step starts where the previous one (cyclically) ended
-                _require(starts == ends[-1:] + ends[:-1],
-                         "face word is not a closed walk")
+                # each step starts where the previous one (cyclically)
+                # ended; a step of sign -1 runs from head to tail
+                k2, sign, bit = word[-1]
+                at = ends[k2 + (s ^ bit)][sign > 0]
+                closed = True
+                for k2, sign, bit in word:
+                    row = k2 + (s ^ bit)
+                    face[row] = face.get(row, 0) + sign
+                    sides[row].append(col)
+                    tail_head = ends[row]
+                    closed = closed and tail_head[sign < 0] == at
+                    at = tail_head[sign > 0]
+                _require(closed, "face word is not a closed walk")
                 self._face_cols.append({r: x for r, x in face.items() if x})
         _require(all(len(f) == 2 for f in self._sides), "edge without two sides")
 
@@ -174,7 +197,7 @@ class BranchedDoubleCover:
 
         # -- connectivity: a breadth-first spanning forest T ----------------
         adjacent = [[] for _ in self.cover_vertices]
-        for r, (tail, head) in enumerate(self._ends):
+        for r, (tail, head) in enumerate(ends):
             adjacent[tail].append((r, head))
             adjacent[head].append((r, tail))
         self._tree = _spanning_forest(adjacent)
@@ -183,47 +206,6 @@ class BranchedDoubleCover:
             self.component_of[v] = self.component_of[parent]
         self.components = sorted(set(self.component_of))
         self.connected = len(self.components) == 1
-
-    # -- construction helpers ---------------------------------------------
-
-    def _edge_key(self, p, h):
-        graph = self.surface.sa.graphs[p]
-        return ("e", p, min(h, graph.iota[h]))
-
-    def _word(self, i):
-        """Boundary word of cylinder i: its bottom face cycle, the
-        crossing edge up, its top face cycle, the crossing edge down."""
-        q = self.surface
-        (p_bot, f_bot), (p_top, f_top) = q.glued_faces[i]
-        return (
-            *(self._side_letter(p_bot, h) for h in q.face_cycle(p_bot, f_bot)),
-            Letter(("d", i), 1, 0),
-            *(self._side_letter(p_top, h) for h in q.face_cycle(p_top, f_top)),
-            Letter(("d", i), -1, 0),
-        )
-
-    def _side_letter(self, p, h):
-        key = self._edge_key(p, h)
-        if h == key[2]:
-            return Letter(key, 1, 0)
-        return Letter(key, -1, self._flip_of[p][h])
-
-    def _lift_endpoints(self, key, s):
-        """(tail, head) cover-vertex ids of lift s of a base 1-cell."""
-        if key[0] == "e":
-            _, p, h = key
-            ih = self.surface.sa.graphs[p].iota[h]
-            return (
-                self._orbit_of[(p, h, s)],
-                self._orbit_of[(p, ih, s ^ self._flip_of[p][h])],
-            )
-        # from the bottom face's marked corner to the top face's
-        q = self.surface
-        (p_bot, f_bot), (p_top, f_top) = q.glued_faces[key[1]]
-        return (
-            self._orbit_of[(p_bot, q.face_cycle(p_bot, f_bot)[0], s)],
-            self._orbit_of[(p_top, q.face_cycle(p_top, f_top)[0], s)],
-        )
 
     @cached_property
     def homology(self):
@@ -242,9 +224,9 @@ class BranchedDoubleCover:
         for tail, _ in self._ends:
             chi[self.component_of[tail]] -= 1
         for word in self.words:
+            k2, _, bit = word[0]
             for s in (0, 1):
-                row = 2 * self._edge_index[word[0].key] + (s ^ word[0].sheet_bit)
-                chi[self.component_of[self._ends[row][0]]] += 1
+                chi[self.component_of[self._ends[k2 + (s ^ bit)][0]]] += 1
         for c in self.components:
             _require(chi[c] % 2 == 0, "odd Euler number of a component")
         return tuple(sorted((2 - chi[c]) // 2 for c in self.components))
@@ -395,11 +377,8 @@ def lifted_curve_classes(cover, cfg):
     classes = []
     for i in range(cfg.n_curves):
         lift = {}
-        for letter in cover.words[i]:
-            if letter.key[0] == "d":
-                break  # the bottom walk ends at the crossing edge
-            row = 2 * cover._edge_index[letter.key] + letter.sheet_bit
-            lift[row] = lift.get(row, 0) + letter.sign
+        for k2, sign, bit in cover.words[i][:cover.bottom_lengths[i]]:
+            lift[k2 + bit] = lift.get(k2 + bit, 0) + sign
         boundary = {}
         for row, x in lift.items():
             tail, head = cover._ends[row]

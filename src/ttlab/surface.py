@@ -34,6 +34,8 @@ NUMERIC = "numeric"
 
 
 def _exact_number(value, what):
+    if type(value) is Fraction:
+        return value  # immutable, so it needs no copy
     if isinstance(value, float) or isinstance(value, bool):
         raise ModeMismatch(f"exact mode needs a rational {what}, got {value!r}")
     return Fraction(value)
@@ -92,7 +94,11 @@ class FlatTwistSurface:
         self.scale = tuple(scale)
         base = [_convert(l, mode, "length") for l in lengths]
         self.base_lengths = tuple(base)
-        self.twists = tuple(t % l for t, l in zip(twists, base))
+        # an exact twist in [0, l) is kept as it is; a float always takes
+        # %, which also turns -0.0 into +0.0
+        exact = mode == EXACT
+        self.twists = tuple(t if exact and 0 <= t < l else t % l
+                            for t, l in zip(twists, base))
         face_of_slot = [{s: f for f, s in enumerate(fts)} for fts in sa.face_to_slot]
         self.glued_faces = tuple(
             tuple((p, face_of_slot[p][s]) for p, s in ends) for ends in cfg.gluing

@@ -252,26 +252,23 @@ def involution_on_edges(cover, vector):
 
 
 def involution_vertices(cover):
-    """The deck transformation on cover vertices, as a list of images."""
-    return [
-        cover._orbit_of[(p, h, 1 - s)]
-        for members in cover.cover_vertices
-        for (p, h, s) in members[:1]
-    ]
+    """The deck transformation on cover vertices, as a list of images:
+    the image of a vertex holds the other sheet's copy of its first
+    corner (corner 2x + s and corner 2x + 1 - s lie over one corner)."""
+    return [cover._orbit[c ^ 1] for c in cover.cover_vertices]
 
 
 def piece_preimage_connected(cover, p):
     """Whether the cover preimage of piece p's spine is connected."""
     graph = cover.surface.sa.graphs[p]
-    vertices = {
-        cover._orbit_of[(p, h, s)]
-        for h in range(graph.n_half_edges)
-        for s in (0, 1)
-    }
+    off = cover._offset[p]
+    corners = range(2 * off, 2 * (off + graph.n_half_edges))
+    vertices = {cover._orbit[c] for c in corners}
     uf = ParityUnionFind(len(cover.cover_vertices))
     for h, _ in graph.edges():
+        k2 = cover._letter[off + h][0]  # 2k for the base 1-cell k of h
         for s in (0, 1):
-            uf.union(*cover._lift_endpoints(("e", p, h), s), 0)
+            uf.union(*cover._ends[k2 + s], 0)
     return len({uf.find(v)[0] for v in vertices}) == 1
 
 
@@ -342,13 +339,13 @@ def cup(cover, alpha, beta):
     """Cup product of two 1-cocycles on the fundamental class: the sum
     over the polygonal 2-cells of the cover."""
     total = 0
-    for i, word in enumerate(cover.words):
+    for word in cover.words:
         for s in (0, 1):
-            rows = [2 * cover._edge_index[x.key] + (s ^ x.sheet_bit) for x in word]
-            for a, (ra, la) in enumerate(zip(rows, word)):
-                for rb, lb in zip(rows[a + 1:], word[a + 1:]):
-                    total += la.sign * lb.sign * alpha[ra] * beta[rb]
-                if la.sign < 0:
+            rows = [(k2 + (s ^ sheet_bit), sign) for k2, sign, sheet_bit in word]
+            for a, (ra, sign_a) in enumerate(rows):
+                for rb, sign_b in rows[a + 1:]:
+                    total += sign_a * sign_b * alpha[ra] * beta[rb]
+                if sign_a < 0:
                     total += alpha[ra] * beta[ra]
     return total
 

@@ -4,6 +4,7 @@ import pytest
 
 import ttlab.classify
 from ttlab.classify import (
+    _refine_pants_verdict,
     FULL_STRATUM,
     HYPERELLIPTIC,
     INCONCLUSIVE,
@@ -21,11 +22,13 @@ from ttlab.errors import (
     NotPants,
 )
 from ttlab.ribbon import (
+    MetricRibbonGraph,
     SpineAssignment,
     pants_assignment,
     plumbing_fixture,
     ribbon_isomorphisms,
 )
+from ttlab.rng import CounterRandom
 from ttlab.surface import NUMERIC, build_surface
 from ttlab.topology import (
     enumerate_pants_configs,
@@ -358,6 +361,51 @@ def test_verdict_invariant_under_relabeling_and_rescaling():
         assert verdict.stratum == base.stratum
         assert verdict.certificate == base.certificate
         assert verdict.limit_label == base.limit_label
+
+
+def moved_spine(graph, slots, rng):
+    """graph with its half-edges renamed at random and, on a coin flip,
+    mirrored (sigma inverted), with the face->slot map that keeps every
+    face on its slot; returns (graph, face->slot)."""
+    n = graph.n_half_edges
+    rename = list(range(n))
+    rng.shuffle(rename)
+    mirror = rng.randint(0, 1)
+    sigma, iota = [None] * n, [None] * n
+    for h in range(n):
+        image = graph.sigma.index(h) if mirror else graph.sigma[h]
+        sigma[rename[h]] = rename[image]
+        iota[rename[h]] = rename[graph.iota[h]]
+    lengths = {min(rename[h], rename[k]): graph.length_of(h)
+               for h, k in graph.edges()}
+    moved = MetricRibbonGraph(sigma, iota, lengths)
+    # the mirror's faces are the old ones with every side swapped for
+    # its partner across the edge
+    back = {rename[h]: graph.iota[h] if mirror else h for h in range(n)}
+    face_to_slot = tuple(slots[graph.face_of(back[face[0]])]
+                         for face in moved.faces())
+    return moved, face_to_slot
+
+
+def test_pants_verdict_on_any_spines_matches_the_rebuilt_one():
+    # the CLI refines the verdict on the file's own spines; the boundary
+    # triples pin them down, so renamed or mirrored spines, with
+    # repeated lengths and a = b + c triples, give the same verdict
+    rng = CounterRandom(0, "pants-spines")
+    catalogs = [cfg for g in (2, 3, 4) for cfg in enumerate_pants_configs(g)]
+    for trial in range(400):
+        cfg = rng.choice(catalogs)
+        lengths = [F(rng.choice((1, 1, 2, 3, 3, 4, 5)), rng.choice((1, 1, 2)))
+                   for _ in range(cfg.n_curves)]
+        heights = [F(rng.randint(1, 5), rng.randint(1, 3))
+                   for _ in range(cfg.n_curves)]
+        expected = classify_pants_torus(cfg, lengths, heights)
+        sa = pants_assignment(cfg, lengths)
+        graphs, fts = zip(*(moved_spine(graph, slots, rng)
+                            for graph, slots in zip(sa.graphs, sa.face_to_slot)))
+        q = build_surface(cfg, SpineAssignment(graphs, fts), heights)
+        got = _refine_pants_verdict(classify_orbit_closure(q), cfg.genus)
+        assert got == expected, (trial, cfg, lengths)
 
 
 # --- plumbing families -------------------------------------------------------

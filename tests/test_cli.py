@@ -34,6 +34,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def piped(data):
+    """A stand-in for sys.stdin holding data (text is UTF-8 encoded),
+    with the byte buffer underneath that a shell pipe has."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def facts(text):
     """The key = value lines of a report, as a dict of strings."""
     result = {}
@@ -615,10 +623,49 @@ def test_out_flag_writes_report_files_too(capsys, tmp_path):
 
 
 def test_dash_reads_the_spec_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(ORIGAMI_TEXT))
+    monkeypatch.setattr(sys, "stdin", piped(ORIGAMI_TEXT))
     code, out, _ = run(capsys, "validate", "-")
     assert code == 0
     assert facts(out)["ok"] == "true"
+
+
+# line 2 of the origami file, with one byte that no UTF-8 text holds
+NOT_UTF8 = ORIGAMI_TEXT.encode("utf-8").replace(b"genus = 2", b"genus = \xff2", 1)
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    assert ORIGAMI_TEXT.splitlines()[1] == "genus = 2"
+    path = tmp_path / "bad.spec"
+    path.write_bytes(NOT_UTF8)
+    for command in ("validate", "classify", "rank", "spin"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and not out
+        assert facts(err) == {
+            "error.type": "ParseError",
+            "error.line": "2",
+            "error": "line 2: byte 0xff is not UTF-8",
+        }
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", piped(NOT_UTF8))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2 and not out
+    assert facts(err)["error.type"] == "ParseError"
+    assert facts(err)["error.line"] == "2"
+
+
+def test_crlf_line_endings_read_like_lf(capsys, tmp_path, monkeypatch):
+    lf = tmp_path / "lf.spec"
+    crlf = tmp_path / "crlf.spec"
+    lf.write_bytes(ORIGAMI_TEXT.encode("utf-8"))
+    crlf.write_bytes(ORIGAMI_TEXT.replace("\n", "\r\n").encode("utf-8"))
+    for command in ("validate", "classify", "rank", "spin"):
+        expected = run(capsys, command, lf)
+        assert expected[0] == 0
+        assert run(capsys, command, crlf) == expected
+        monkeypatch.setattr(sys, "stdin", piped(crlf.read_bytes()))
+        assert run(capsys, command, "-") == expected
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -657,8 +704,8 @@ def command_fixture(tmp_path, pants):
     ("spin", False, 1),
     ("validate", False, 1),
     ("classify", False, 1),
-    # classify_pants_torus rebuilds the spines from the curve lengths
-    ("classify", True, 2),
+    # the pants verdict is refined on the file's own spines
+    ("classify", True, 1),
 ])
 def test_each_command_validates_once(capsys, tmp_path, monkeypatch, command,
                                      pants, expected):
@@ -735,7 +782,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path,
     shared = cli._build_parser
 
     def play(argv):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(ORIGAMI_TEXT))
+        monkeypatch.setattr(sys, "stdin", piped(ORIGAMI_TEXT))
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:

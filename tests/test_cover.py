@@ -9,7 +9,6 @@ import pytest
 
 from ttlab import linalg
 from ttlab.cover import (
-    Letter,
     cover_genus,
     h1_anti_invariant,
     holonomy_double_cover,
@@ -118,12 +117,10 @@ def dense_core_lifts(cover):
     as a dense chain, with whether every row of the dense d1 kills it."""
     d1 = boundary_1(cover)
     lifts = []
-    for word in cover.words:
+    for word, n_bottom in zip(cover.words, cover.bottom_lengths):
         bar = [0] * cover.n_cover_edges
-        for letter in word:
-            if letter.key[0] == "d":
-                break
-            bar[2 * cover._edge_index[letter.key] + letter.sheet_bit] += letter.sign
+        for k2, sign, sheet_bit in word[:n_bottom]:
+            bar[k2 + sheet_bit] += sign
         closed = not any(sum(a * b for a, b in zip(row, bar)) for row in d1)
         lifts.append((bar, closed))
     return lifts
@@ -150,14 +147,11 @@ def tamper_bottom_letter(cover):
     """Reverse one bottom-walk letter whose sheet-0 lift joins two
     different vertices, so that its curve's core lift no longer closes;
     returns that curve, or None when every such lift is a loop."""
-    for i, word in enumerate(cover.words):
-        for k, letter in enumerate(word):
-            if letter.key[0] == "d":
-                break
-            row = 2 * cover._edge_index[letter.key] + letter.sheet_bit
-            tail, head = cover._ends[row]
+    for i, (word, n_bottom) in enumerate(zip(cover.words, cover.bottom_lengths)):
+        for k, (k2, sign, sheet_bit) in enumerate(word[:n_bottom]):
+            tail, head = cover._ends[k2 + sheet_bit]
             if tail != head:
-                flipped = Letter(letter.key, -letter.sign, letter.sheet_bit)
+                flipped = (k2, -sign, sheet_bit)
                 cover.words[i] = word[:k] + (flipped,) + word[k + 1:]
                 return i
     return None

@@ -4,13 +4,14 @@ Valid spec texts are mutated line by line and token by token, and every
 mutant goes through the reporters validate, classify, spin, rank and
 probe (one sample at one time) and the generators flow and twist, as a
 shell user would run them.
+A second round edits the bytes of a file on disk: bytes that are not
+UTF-8, CRLF line ends, a byte-order mark and NUL bytes.
 Whatever the mutant says, each command must either answer (exit 0) or
 refuse with exit code 2 and an error.type line; a traceback or another
 exit code is a bug.  The draws come from CounterRandom, so a failure
 names a mutant that replays exactly.
 """
 
-import io
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from ttlab.specfile import TorusSpecFile, write_spec
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_ring
+from test_cli import piped
 from test_specfile import ORIGAMI_TEXT
 
 # argv after the spec argument, which is "-" for stdin
@@ -29,6 +31,7 @@ COMMANDS = (("validate",), ("classify",), ("spin",), ("rank",),
             ("flow", "--scale", "3/2", "--shear", "1/4"),
             ("twist", "0=2/3"))
 MUTANTS = 400
+BYTE_MUTANTS = 200
 
 # replacements for a number: small values that keep a file plausible,
 # and values that no surface can carry
@@ -98,11 +101,44 @@ def mutate(rng, text):
     return "\n".join(lines)
 
 
+# byte strings that no UTF-8 text holds: a stray continuation byte, a
+# byte never used, a cut-off two-byte sequence, an overlong "/" and an
+# encoded surrogate
+NOT_UTF8 = (b"\x80", b"\xff", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80")
+
+
+def mutate_bytes(rng, data):
+    """One to three byte edits: CRLF line ends, a leading byte-order
+    mark, or a NUL byte or a non-UTF-8 sequence at a random offset."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randint(0, 3)
+        if op == 0:
+            data = data.replace(b"\n", b"\r\n")
+        elif op == 1:
+            data = b"\xef\xbb\xbf" + data
+        else:
+            at = rng.randint(0, len(data))
+            insert = b"\x00" if op == 2 else rng.choice(NOT_UTF8)
+            data = data[:at] + insert + data[at:]
+    return data
+
+
 def run_stdin(capsys, monkeypatch, command, text):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", piped(text))
     code = main([command[0], "-", *command[1:]])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def answer_or_refuse(code, out, err, where):
+    """Check one command's outcome; True when it answered."""
+    if code == 0:
+        assert out and not err, where
+        return True
+    assert code == 2, where
+    assert err.startswith("error.type = "), where
+    assert not out, where
+    return False
 
 
 def test_mutated_specs_answer_or_refuse(capsys, monkeypatch):
@@ -113,18 +149,29 @@ def test_mutated_specs_answer_or_refuse(capsys, monkeypatch):
         text = mutate(rng, texts[m % len(texts)])
         for command in COMMANDS:
             code, out, err = run_stdin(capsys, monkeypatch, command, text)
-            where = (m, command, text)
-            if code == 0:
-                assert out and not err, where
+            if answer_or_refuse(code, out, err, (m, command, text)):
                 answered += 1
             else:
-                assert code == 2, where
-                assert err.startswith("error.type = "), where
-                assert not out, where
                 refused += 1
     # the mutants reach past the parser as well as into it
     assert answered > MUTANTS // 10
     assert refused > MUTANTS
+
+
+def test_byte_mutated_files_answer_or_refuse(capsys, tmp_path):
+    rng = CounterRandom(0, "spec-fuzz-bytes")
+    texts = base_texts()
+    path = tmp_path / "mutant.spec"
+    outcomes = {True: 0, False: 0}
+    for m in range(BYTE_MUTANTS):
+        data = mutate_bytes(rng, texts[m % len(texts)].encode("utf-8"))
+        path.write_bytes(data)
+        for command in COMMANDS:
+            code = main([command[0], str(path), *command[1:]])
+            out, err = capsys.readouterr()
+            outcomes[answer_or_refuse(code, out, err, (m, command, data))] += 1
+    # some mutants still answer (CRLF line ends, say), others are refused
+    assert outcomes[True] and outcomes[False]
 
 
 # --- mutants that used to escape as tracebacks ---------------------------

@@ -68,6 +68,16 @@ def test_exact_mode_rejects_floats():
 def test_twists_stored_mod_length():
     q = theta_surface(twists=(3 + F(1, 3), 4, 10))
     assert q.twists == (F(1, 3), 0, 0)
+    q = theta_surface(twists=(-F(1, 3), F(5, 2), -4))
+    assert q.twists == (F(8, 3), F(5, 2), 1)
+    assert all(type(t) is Fraction for t in q.twists)
+
+
+def test_numeric_negative_zero_twist_is_stored_as_zero():
+    # -0.0 lies in [0, l), but the stored twist is -0.0 % l, which is +0.0
+    q = theta_surface(twists=(-0.0, 0.5, -0.0), mode="numeric")
+    assert [t.hex() for t in q.twists] == [
+        (0.0).hex(), (0.5).hex(), (0.0).hex()]
 
 
 def test_full_twist_is_isomorphic_to_untwisted():
