@@ -164,52 +164,28 @@ def classify_orbit_closure(q):
         certificate["nabla"] = _nabla(cfg, q.base_lengths)
 
     if stratum.epsilon == -1:
-        if rank_lb >= threshold and stratum.n_sing_odd >= 6:
-            return OrbitClosureVerdict(
-                FULL_STRATUM,
-                stratum,
-                certificate,
-                limit_label=f"MSV on {stratum}",
-            )
+        decisive = rank_lb >= threshold and stratum.n_sing_odd >= 6
+        reason = (f"rank lower bound {rank_lb} does not clear the "
+                  f"high-rank threshold {threshold}")
+    else:
+        # Orientable case: the curve classes span an isotropic subspace
+        # of the surface homology, so the rank bound never exceeds the
+        # genus and equality is the only decisive outcome.
+        if rank_lb > cfg.genus:
+            raise CrossCheckFailed(
+                f"lifted-class rank {rank_lb} exceeds the genus {cfg.genus}")
+        decisive = rank_lb == cfg.genus
+        reason = f"rank lower bound {rank_lb} is below the genus {cfg.genus}"
+    if not decisive:
+        return OrbitClosureVerdict(INCONCLUSIVE, stratum, certificate,
+                                   reasons=(reason,))
+    if (stratum.epsilon == 1
+            and hyperelliptic_involution_search(q) is not None):
         return OrbitClosureVerdict(
-            INCONCLUSIVE,
-            stratum,
-            certificate,
-            reasons=(
-                f"rank lower bound {rank_lb} does not clear the "
-                f"high-rank threshold {threshold}",
-            ),
-        )
-
-    # Orientable case: the curve classes span an isotropic subspace of
-    # the surface homology, so the rank bound never exceeds the genus
-    # and equality is the only decisive outcome.
-    if rank_lb > cfg.genus:
-        raise CrossCheckFailed(
-            f"lifted-class rank {rank_lb} exceeds the genus {cfg.genus}")
-    if rank_lb == cfg.genus:
-        involution = hyperelliptic_involution_search(q)
-        if involution is not None:
-            return OrbitClosureVerdict(
-                HYPERELLIPTIC,
-                stratum,
-                certificate,
-                limit_label=f"MSV on hyperelliptic locus in {stratum}",
-            )
-        return OrbitClosureVerdict(
-            FULL_STRATUM,
-            stratum,
-            certificate,
-            limit_label=f"MSV on {stratum}",
-        )
-    return OrbitClosureVerdict(
-        INCONCLUSIVE,
-        stratum,
-        certificate,
-        reasons=(
-            f"rank lower bound {rank_lb} is below the genus {cfg.genus}",
-        ),
-    )
+            HYPERELLIPTIC, stratum, certificate,
+            limit_label=f"MSV on hyperelliptic locus in {stratum}")
+    return OrbitClosureVerdict(FULL_STRATUM, stratum, certificate,
+                               limit_label=f"MSV on {stratum}")
 
 
 def classify_pants_torus(cfg, lengths, heights):

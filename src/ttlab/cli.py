@@ -13,6 +13,7 @@ gives the same bytes and exit codes as a fresh one.
 """
 
 import argparse
+import codecs
 import functools
 import sys
 from dataclasses import replace
@@ -82,6 +83,7 @@ def _rational_list(text, what, count):
 def _read_text(path):
     """The spec file at path, or on stdin for "-", decoded as UTF-8.
 
+    One leading byte-order mark is dropped, as some editors write one.
     A byte that is not UTF-8 is a ParseError at its line, numbered as
     parse_spec numbers lines.
     """
@@ -90,6 +92,9 @@ def _read_text(path):
     else:
         with open(path, "rb") as handle:
             data = handle.read()
+    # dropped from the bytes, so that a decode error's offset still
+    # indexes the byte it names
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

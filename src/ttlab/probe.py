@@ -200,13 +200,16 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
     if not math.isfinite(radius * radius):
         raise OutOfRange(f"radius must have a finite square, got {radius}")
 
-    # validate and build once; every sample re-twists this surface
+    # validate and build once
     base = build_surface(cfg, sa, heights, mode=NUMERIC)
     lengths = [float(l) for l in base.base_lengths]
     root = CounterRandom(int(seed), "probe")
 
     per_time = []
     for ti, t in enumerate(times):
+        # the flow moves only the scale, so a sample may take its
+        # twists after the flow: one flow per time serves them all
+        flowed = geodesic_flow(base, t)
         shortest = []
         counts_le_1 = []
         dropped = 0
@@ -214,8 +217,8 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
         for k in range(samples):
             rng = root.substream(f"time{ti}/sample{k}")
             twists = _draw_twists(rng, lengths)
-            flowed = geodesic_flow(base._replace(twists=twists), t)
-            outcome = _measure_sample(flowed, radius, cap)
+            outcome = _measure_sample(flowed._replace(twists=twists),
+                                      radius, cap)
             if outcome is _CENSORED:
                 censored += 1
             elif outcome is _DROPPED:

@@ -20,8 +20,9 @@ final sort is a total order on the dedup keys, and the corners one
 placement records are distinct points of an open cone narrower than a
 half-turn, at least a triangle edge apart, so they share no key.  A
 queued placement links to its parent by a (triangle, parent) pair, and
-the exits clip their edge to the window in the loop itself, with the
-operations of _clipped_dist2 in the same order.
+the exits clip their edge to the window in the loop itself, the one
+clip of the search: a starting corner's window spans its own far edge,
+which _seed_dist2 measures whole.
 
 The search handles numeric surfaces only, and exact-mode callers are
 told to build a numeric twin first.  Floats are a speed choice, not a
@@ -128,22 +129,17 @@ def _triangulate_cylinder(cx, q, cyl, arc_slot):
     ell = cyl.length
     height = cyl.height
     events = []
-    for idx, side in enumerate(cyl.bottom):
-        x = side.x_tail
-        if x >= ell:
-            x -= ell
-        vid = (side.piece, q.sa.graphs[side.piece].vertex_of(side.half_edge))
-        events.append((x, 0, idx, vid, side))
-    n_top = len(cyl.top)
-    for idx, side in enumerate(cyl.top):
-        x = side.x_tail
-        if x >= ell:
-            x -= ell
-        vid = (side.piece, q.sa.graphs[side.piece].vertex_of(side.half_edge))
-        # the arc to the right of a top corner is the previous side in
-        # the face cycle: the top circle is laid out right to left
-        arc = cyl.top[(idx - 1) % n_top]
-        events.append((x, 1, idx, vid, arc))
+    for rank, sides in enumerate((cyl.bottom, cyl.top)):
+        for idx, side in enumerate(sides):
+            x = side.x_tail
+            if x >= ell:
+                x -= ell
+            vid = (side.piece,
+                   q.sa.graphs[side.piece].vertex_of(side.half_edge))
+            # the arc to the right of a corner is its own side on the
+            # bottom and the previous side in the face cycle on the top,
+            # which is laid out right to left
+            events.append((x, rank, idx, vid, sides[idx - rank]))
     events.sort(key=lambda ev: (ev[0], ev[1], ev[2]))
 
     # seed with the last corner of each circle shifted one period left,
@@ -213,59 +209,32 @@ def _build_complex(q):
     return cx
 
 
-def _clipped_dist2(ax, ay, bx, by, lox, loy, hix, hiy):
-    """Squared distance from the origin to the visible part of ab.
+def _seed_dist2(lox, loy, hix, hiy):
+    """Squared distance from the origin to the seed edge lo -> hi, or
+    None when the window from lo to hi turns clockwise.
 
-    The segment a -> b is clipped to the closed cone between the rays
-    through lo and hi before measuring, so a corridor whose edge sweeps
-    near the origin outside its own window does not keep the search
-    alive.  Returns None when nothing of the segment lies in the cone.
-    The search calls it once per starting corner; its exit loop does
-    the same operations in the same order without the call.
+    This is the exit loop's clip of lo -> hi to the cone of lo and hi
+    itself: the lo ray reads lox*loy - loy*lox = +0.0 and clips nothing,
+    and the hi ray cuts the whole edge exactly when the cross product
+    lox*hiy - loy*hix is negative.  So what is left is the distance to
+    the segment, its parameter clamped to [0, 1] as the loop clamps it.
+    The two differ only on a clockwise window holding a coordinate
+    product past the float range, which no cylinder triangle gives.
     """
-    t0 = 0.0
-    t1 = 1.0
-    # clip against the lo ray, then against the hi ray seen from the
-    # other side
-    c0 = lox * ay - loy * ax
-    c1 = lox * by - loy * bx
-    if c0 < 0.0:
-        if c1 < 0.0:
-            return None
-        t = c0 / (c0 - c1)
-        if t > t0:
-            t0 = t
-    elif c1 < 0.0:
-        t = c0 / (c0 - c1)
-        if t < t1:
-            t1 = t
-    c0 = -(hix * ay - hiy * ax)
-    c1 = -(hix * by - hiy * bx)
-    if c0 < 0.0:
-        if c1 < 0.0:
-            return None
-        t = c0 / (c0 - c1)
-        if t > t0:
-            t0 = t
-    elif c1 < 0.0:
-        t = c0 / (c0 - c1)
-        if t < t1:
-            t1 = t
-    if t0 > t1:
+    if lox * hiy - loy * hix < 0.0:
         return None
-    dx = bx - ax
-    dy = by - ay
+    dx = hix - lox
+    dy = hiy - loy
     dd = dx * dx + dy * dy
+    t = 0.0
     if dd > 0.0:
-        t = -(ax * dx + ay * dy) / dd
-        if t0 > t:
-            t = t0
-        if t1 < t:
-            t = t1
-    else:
-        t = t0
-    px = ax + t * dx
-    py = ay + t * dy
+        t = -(lox * dx + loy * dy) / dd
+        if 0.0 > t:
+            t = 0.0
+        if 1.0 < t:
+            t = 1.0
+    px = lox + t * dx
+    py = loy + t * dy
     return px * px + py * py
 
 
@@ -340,8 +309,9 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
     first: the entry tail a mostly sits on or past the hi ray, the entry
     head b on or past the lo ray, and the far corner w beyond the
     radius.  The tests are plain comparisons, so their order cannot
-    change what is found.  The exits clip with the operations of
-    _clipped_dist2, written out in the loop, in the same order.
+    change what is found.  Each exit clips its edge to the narrowed
+    window and skips when nothing is left or what is left lies beyond
+    the radius.
     """
     if q.mode != NUMERIC:
         raise ModeMismatch("saddle search needs a numeric-mode surface")
@@ -403,7 +373,7 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                 record(origin, vids[t0][(corner + 1) % 3], lox, loy, root)
             if hix * hix + hiy * hiy <= r2:
                 record(origin, vids[t0][(corner + 2) % 3], hix, hiy, root)
-            d2 = _clipped_dist2(lox, loy, hix, hiy, lox, loy, hix, hiy)
+            d2 = _seed_dist2(lox, loy, hix, hiy)
             if d2 is None or d2 > r2:
                 continue
             t1, e1, s1, tx1, ty1 = nbrs[t0][(corner + 1) % 3]
@@ -469,8 +439,8 @@ def saddle_connections_up_to(q, radius, cap=DEFAULT_CAP):
                         nhx, nhy = hx, hy
                     if nlx * nhy - nly * nhx <= 0.0:
                         continue
-                    # skip when _clipped_dist2(pax, pay, pbx, pby, nlx,
-                    # nly, nhx, nhy) is None or > r2, written out here
+                    # clip pa -> pb to the cone between the rays through
+                    # nl and nh, then measure what is left of it
                     u0 = 0.0
                     u1 = 1.0
                     c0 = nlx * pay - nly * pax

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     InvalidAssignment,
+    ModeMismatch,
     ParseError,
     TTLabError,
     ZeroLengthForced,
@@ -395,8 +396,6 @@ def spec_from_surface(q, normalize=False):
     Only exact-mode surfaces can round-trip through a file, because the
     format has no way to spell a float.
     """
-    from .errors import ModeMismatch
-
     if q.mode != EXACT:
         raise ModeMismatch("only exact-mode surfaces can be written to a file")
     sx, sy = q.scale

@@ -151,33 +151,22 @@ class FlatTwistSurface:
         return tuple(self._lay_out_cylinder(i) for i in range(self.n_curves))
 
     def _lay_out_cylinder(self, i):
-        (p_bot, f_bot), (p_top, f_top) = self.glued_faces[i]
         ell = self.length_of_curve(i)
-
-        bottom = []
-        x = ell * 0
-        for h in self.face_cycle(p_bot, f_bot):
-            length = self.scale[0] * _convert(
-                self.sa.graphs[p_bot].length_of(h), self.mode, "length"
-            )
-            bottom.append(Side(p_bot, h, i, "bottom", x % ell, length))
-            x = x + length
-
-        top = []
-        x = self.twist_of_curve(i)
-        for h in self.face_cycle(p_top, f_top):
-            length = self.scale[0] * _convert(
-                self.sa.graphs[p_top].length_of(h), self.mode, "length"
-            )
-            top.append(Side(p_top, h, i, "top", x % ell, length))
-            x = x - length
-
-        return CylinderLayout(
-            length=ell,
-            height=self.height_of_curve(i),
-            bottom=tuple(bottom),
-            top=tuple(top),
-        )
+        circles = []
+        # the bottom runs left to right from 0, the top right to left
+        # from the twist
+        for (p, f), kind, x, step in zip(
+                self.glued_faces[i], ("bottom", "top"),
+                (ell * 0, self.twist_of_curve(i)), (1, -1)):
+            sides = []
+            for h in self.face_cycle(p, f):
+                length = self.scale[0] * _convert(
+                    self.sa.graphs[p].length_of(h), self.mode, "length"
+                )
+                sides.append(Side(p, h, i, kind, x % ell, length))
+                x = x + step * length
+            circles.append(tuple(sides))
+        return CylinderLayout(ell, self.height_of_curve(i), *circles)
 
     def side_of(self, piece, half_edge):
         """The Side record where (piece, half_edge) appears on a boundary."""

@@ -6,6 +6,7 @@ from a shell, pipes included.
 """
 
 import argparse
+import codecs
 import io
 import sys
 from fractions import Fraction
@@ -666,6 +667,34 @@ def test_crlf_line_endings_read_like_lf(capsys, tmp_path, monkeypatch):
         assert run(capsys, command, crlf) == expected
         monkeypatch.setattr(sys, "stdin", piped(crlf.read_bytes()))
         assert run(capsys, command, "-") == expected
+
+
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, monkeypatch):
+    # some editors start a UTF-8 file with the mark EF BB BF
+    plain = tmp_path / "plain.spec"
+    marked = tmp_path / "marked.spec"
+    plain.write_bytes(ORIGAMI_TEXT.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + ORIGAMI_TEXT.encode("utf-8"))
+    for command in ("validate", "classify", "rank", "spin"):
+        expected = run(capsys, command, plain)
+        assert expected[0] == 0
+        assert run(capsys, command, marked) == expected
+        monkeypatch.setattr(sys, "stdin", piped(marked.read_bytes()))
+        assert run(capsys, command, "-") == expected
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named(capsys, tmp_path):
+    # the offset of a decode error must still index the byte it names,
+    # which a decoder that swallows the mark itself would shift by three
+    path = tmp_path / "bad.spec"
+    path.write_bytes(codecs.BOM_UTF8 + NOT_UTF8)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and not out
+    assert facts(err) == {
+        "error.type": "ParseError",
+        "error.line": "2",
+        "error": "line 2: byte 0xff is not UTF-8",
+    }
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -25,6 +25,7 @@ from ttlab.surface import geodesic_flow
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_pair, plumbing_ring
+from test_cli import count_calls
 from test_saddle import GENERIC12, GENUS5, ORIGAMI, REFERENCE_FAMILIES
 
 
@@ -66,6 +67,14 @@ def test_time_zero_is_a_point_mass():
     assert st.shortest == (1.0,) * 30
     assert st.mean_shortest == 1.0
     assert sum(1 for c in st.histogram if c) == 1
+
+
+def test_probe_flows_once_per_time(monkeypatch):
+    # the flow moves only the scale, so every sample of a time re-twists
+    # one flowed surface
+    calls = count_calls(monkeypatch, probe, "geodesic_flow")
+    small_probe(times=(0.0, 0.5, 1.0), samples=4)
+    assert [t for _, t in calls] == [0.0, 0.5, 1.0]
 
 
 def test_small_radius_censors_instead_of_dropping():

@@ -31,6 +31,7 @@ from ttlab.saddle import (
     DEDUP_TOL,
     DEFAULT_CAP,
     _build_complex,
+    _seed_dist2,
     _state_table,
     saddle_connections_up_to,
 )
@@ -470,6 +471,59 @@ def test_state_table_matches_the_one_state_at_a_time_build(family):
         assert len(table) == len(expected) == 6 * len(cx.pts)
         for index, (row, want) in enumerate(zip(table, expected)):
             assert _bits(row) == _bits(want), (family, time, index)
+
+
+def _seed_windows():
+    """Seed windows (lo, hi) with every coordinate product finite."""
+    rng = random.Random("saddle-seed-windows")
+    for _ in range(2000):
+        # both orientations, at scales far apart
+        scale = 2.0 ** rng.randint(-40, 40)
+        yield tuple((rng.uniform(-3.0, 3.0) * scale,
+                     rng.uniform(-3.0, 3.0) * scale) for _ in range(2))
+    # collinear, degenerate and signed-zero windows: the cross product
+    # reads +0.0 for (1, 2), (2, 4) and -0.0 for (1, 0.0), (2, -0.0)
+    values = (0.0, -0.0, 1.0, -1.0, 2.0, -2.5)
+    for lox in values:
+        for loy in values:
+            for hix in values:
+                for hiy in values:
+                    yield (lox, loy), (hix, hiy)
+    yield (1.0, 2.0), (2.0, 4.0)
+    yield (1.0, 2.0), (-2.0, -4.0)
+    yield (-0.0, 1.0), (0.0, 3.0)
+    for family in sorted(REFERENCE_FAMILIES):
+        rng = random.Random(f"saddle-reference/{family}")
+        for time in range(5):
+            pts = _build_complex(
+                geodesic_flow(REFERENCE_FAMILIES[family](rng), time)).pts
+            for p in pts:
+                for corner in range(3):
+                    (ox, oy), (nx, ny), (fx, fy) = (
+                        p[corner], p[(corner + 1) % 3], p[(corner + 2) % 3])
+                    yield (nx - ox, ny - oy), (fx - ox, fy - oy)
+
+
+def test_seed_distance_matches_the_clip_of_the_window_to_itself():
+    """_seed_dist2(lo, hi) is the clip of lo -> hi to the cone of lo and
+    hi, without the clip.
+
+    The two differ only on windows that turn clockwise in exact
+    arithmetic and hold a coordinate product past the float range: there
+    the clip's hi-ray test reads NaN and keeps the edge.  No cylinder
+    triangle gives such a window, since the triangles are
+    counterclockwise and one side from each corner on a shared circle is
+    exactly horizontal, so every input here keeps its products finite.
+    """
+    clockwise = 0
+    for lo, hi in _seed_windows():
+        got = _seed_dist2(*lo, *hi)
+        want = _reference_clipped_dist2(lo, hi, lo, hi)
+        assert (None if got is None else got.hex()) == (
+            None if want is None else want.hex()), (lo, hi)
+        clockwise += want is None
+    # clockwise windows must be there to be refused
+    assert clockwise > 1000
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_FAMILIES))
