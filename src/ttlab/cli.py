@@ -6,6 +6,11 @@ into any other subcommand.  Reporters (validate, classify, rank, spin,
 probe) print a line-oriented ``key = value`` report.  Exit codes: 0 on
 success, 2 when the input is bad in any way.
 
+Each command is a function from its parsed arguments to its output
+text, and works on the surface its spec file describes (spec.build()).
+main() is the one place that writes: the text goes to --out PATH,
+followed by a ``wrote = PATH`` line on stdout, or else to stdout.
+
 There is one parser per process: the first main() call builds it and
 later calls reuse it.  argparse reads sys.argv, the standard streams and
 the terminal width only when it parses or prints, so a reused parser
@@ -35,7 +40,7 @@ from .errors import (
     ParseError,
     TTLabError,
 )
-from .probe import _fmt, run_probe
+from .probe import _report, run_probe
 from .ribbon import (
     SpineAssignment,
     pants_assignment,
@@ -52,16 +57,11 @@ from .spin import spin_parity
 from .surface import (
     EXACT,
     NUMERIC,
-    build_surface,
     cylinder_twist,
     geodesic_flow,
     horocycle_flow,
 )
 from .topology import _is_pants, enumerate_pants_configs, make_config
-
-
-def _report(pairs):
-    return [f"{key} = {_fmt(value)}" for key, value in pairs]
 
 
 def _rational(token, what):
@@ -105,36 +105,20 @@ def _read_text(path):
 
 def _load(args):
     spec = parse_spec(_read_text(args.spec))
-    if getattr(args, "mode", None):
+    if args.mode:
         spec = replace(spec, mode=args.mode)
     return spec
 
 
-def _deliver(text, out):
-    """Write text to --out PATH, or hand it to stdout when there is none."""
-    if out is None:
-        sys.stdout.write(text)
-        return []
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return [f"wrote = {out}"]
-
-
-def _deliver_report(lines, out):
-    if out is None:
-        return lines
-    return _deliver("\n".join(lines) + "\n", out)
-
-
 def cmd_validate(args):
-    report = validate_spec(_load(args))
-    return _deliver_report(_report(report.items()), args.out)
+    return _report(validate_spec(_load(args)).items())
 
 
 def cmd_classify(args):
     spec = _load(args)
-    # The verdict is decided in exact arithmetic whatever the file's mode.
-    q = build_surface(spec.cfg, spec.sa, spec.heights)
+    # The verdict is decided in exact arithmetic whatever the file's
+    # mode, and reads only the configuration and the spines.
+    q = replace(spec, mode=EXACT).build()
     # parse_spec validated the configuration, so the checks below skip it.
     verdict = classify_orbit_closure(q)
     if _is_pants(spec.cfg):
@@ -154,7 +138,7 @@ def cmd_classify(args):
         pairs.append(("limit_label", verdict.limit_label))
     for reason in verdict.reasons:
         pairs.append(("reason", reason))
-    return _deliver_report(_report(pairs), args.out)
+    return _report(pairs)
 
 
 def cmd_pants(args):
@@ -169,10 +153,14 @@ def cmd_pants(args):
     lengths = _rational_list(args.lengths, "--lengths", n)
     heights = _rational_list(args.heights, "--heights", n)
     twists = _rational_list(args.twists, "--twists", n)
-    sa = pants_assignment(cfg, lengths)
+    return _generated(cfg, pants_assignment(cfg, lengths), heights, twists)
+
+
+def _generated(cfg, sa, heights, twists):
+    """The spec file of a generated surface, built once to check it."""
     spec = TorusSpecFile(cfg, sa, tuple(heights), tuple(twists))
     spec.build()
-    return _deliver(write_spec(spec), args.out)
+    return write_spec(spec)
 
 
 def _plumbing_gluing(valences):
@@ -231,9 +219,7 @@ def cmd_plumbing(args):
     n = cfg.n_curves
     heights = _rational_list(args.heights, "--heights", n)
     twists = _rational_list(args.twists, "--twists", n)
-    spec = TorusSpecFile(cfg, sa, tuple(heights), tuple(twists))
-    spec.build()
-    return _deliver(write_spec(spec), args.out)
+    return _generated(cfg, sa, heights, twists)
 
 
 def _load_exact(args):
@@ -258,7 +244,7 @@ def cmd_flow(args):
     if shear:
         q = horocycle_flow(q, shear)
     moved = spec_from_surface(q, normalize=spec.normalize)
-    return _deliver(write_spec(moved), args.out)
+    return write_spec(moved)
 
 
 def cmd_twist(args):
@@ -274,7 +260,7 @@ def cmd_twist(args):
             raise OutOfRange(f"twist {token!r}: {curve!r} is not a curve index") from None
         q = cylinder_twist(q, index, _rational(amount, "twist amount"))
     moved = spec_from_surface(q, normalize=spec.normalize)
-    return _deliver(write_spec(moved), args.out)
+    return write_spec(moved)
 
 
 def cmd_rank(args):
@@ -297,11 +283,11 @@ def cmd_rank(args):
         ("anti_invariant.dim", anti.dimension),
         ("riemann_hurwitz", "ok"),
     ]
-    return _deliver_report(_report(pairs), args.out)
+    return _report(pairs)
 
 
 def cmd_probe(args):
-    if getattr(args, "mode", None) == EXACT:
+    if args.mode == EXACT:
         raise ModeMismatch("the probe samples in numeric mode; drop --mode exact")
     spec = _load(args)
     times = []
@@ -310,16 +296,17 @@ def cmd_probe(args):
             times.append(float(token))
         except ValueError:
             raise OutOfRange(f"--times: {token!r} is not a number") from None
+    q = spec.build()
     report = run_probe(
-        spec.cfg,
-        spec.sa,
-        spec.heights,
+        q.cfg,
+        q.sa,
+        q.heights,
         times=tuple(times),
         samples=args.samples,
         seed=args.seed,
         radius=args.radius,
     )
-    return _deliver(report.text(), args.out)
+    return report.text()
 
 
 def cmd_spin(args):
@@ -331,7 +318,7 @@ def cmd_spin(args):
         pairs = [("spin.defined", False), ("spin.reason", str(exc))]
     else:
         pairs = [("spin.defined", True), ("spin.parity", parity)]
-    return _deliver_report(_report(pairs), args.out)
+    return _report(pairs)
 
 
 @functools.cache
@@ -342,35 +329,23 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, text):
+    def add(name, func, text, reads_spec=True):
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(func=func)
+        if reads_spec:
+            p.add_argument("spec", help="path to a torus-spec file, or - for stdin")
+            p.add_argument(
+                "--mode",
+                choices=(EXACT, NUMERIC),
+                help="override the [options] mode of the file",
+            )
         return p
 
-    def spec_arg(p):
-        p.add_argument("spec", help="path to a torus-spec file, or - for stdin")
-        p.add_argument(
-            "--mode",
-            choices=(EXACT, NUMERIC),
-            help="override the [options] mode of the file",
-        )
+    add("validate", cmd_validate, "audit a spec file and report its facts")
+    add("classify", cmd_classify, "run the orbit-closure identification criteria")
 
-    def out_flag(p):
-        p.add_argument(
-            "--out",
-            metavar="PATH",
-            help="write the output to PATH instead of stdout",
-        )
-
-    p = add("validate", cmd_validate, "audit a spec file and report its facts")
-    spec_arg(p)
-    out_flag(p)
-
-    p = add("classify", cmd_classify, "run the orbit-closure identification criteria")
-    spec_arg(p)
-    out_flag(p)
-
-    p = add("pants", cmd_pants, "write a spec for a pants-decomposition twist torus")
+    p = add("pants", cmd_pants, "write a spec for a pants-decomposition twist torus",
+            reads_spec=False)
     p.add_argument("genus", type=int, help="genus of the closed surface")
     p.add_argument(
         "--pairing",
@@ -385,9 +360,9 @@ def _build_parser():
     )
     p.add_argument("--heights", default="1", help="cylinder heights, same shape")
     p.add_argument("--twists", default="0", help="cylinder twists, same shape")
-    out_flag(p)
 
-    p = add("plumbing", cmd_plumbing, "write a spec gluing plumbing fixtures around a hub")
+    p = add("plumbing", cmd_plumbing, "write a spec gluing plumbing fixtures around a hub",
+            reads_spec=False)
     p.add_argument(
         "valence",
         type=int,
@@ -397,43 +372,40 @@ def _build_parser():
     p.add_argument("--length", default="2", help="boundary length shared by all fixtures")
     p.add_argument("--heights", default="1", help="cylinder heights; a single value is broadcast")
     p.add_argument("--twists", default="0", help="cylinder twists, same shape")
-    out_flag(p)
 
     p = add("flow", cmd_flow, "stretch horizontally, shear, and write the moved spec")
-    spec_arg(p)
     p.add_argument(
         "--scale",
         default="1",
         help="horizontal stretch factor, a positive rational; heights shrink by it",
     )
     p.add_argument("--shear", default="0", help="horizontal shear parameter, a rational")
-    out_flag(p)
 
     p = add("twist", cmd_twist, "shear single cylinders and write the moved spec")
-    spec_arg(p)
     p.add_argument(
         "assignment",
         nargs="+",
         metavar="c=amount",
         help="shear applied to cylinder c alone",
     )
-    out_flag(p)
 
-    p = add("rank", cmd_rank, "report the homological rank certificate")
-    spec_arg(p)
-    out_flag(p)
+    add("rank", cmd_rank, "report the homological rank certificate")
 
     p = add("probe", cmd_probe, "sample twists, flow, and report saddle statistics")
-    spec_arg(p)
     p.add_argument("--times", default="0,1", help="comma-separated flow times")
     p.add_argument("--samples", type=int, default=100, help="twist draws per time")
     p.add_argument("--seed", type=int, default=0, help="root seed for the draws")
     p.add_argument("--radius", type=float, default=1.0, help="saddle search radius")
-    out_flag(p)
 
-    p = add("spin", cmd_spin, "report the parity of the horizontal spin structure")
-    spec_arg(p)
-    out_flag(p)
+    add("spin", cmd_spin, "report the parity of the horizontal spin structure")
+
+    # last, so that it closes every usage line and options list
+    for p in sub.choices.values():
+        p.add_argument(
+            "--out",
+            metavar="PATH",
+            help="write the output to PATH instead of stdout",
+        )
 
     return parser
 
@@ -441,15 +413,18 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        lines = args.func(args)
+        text = args.func(args)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            text = f"wrote = {args.out}\n"
+        sys.stdout.write(text)
     except (TTLabError, OSError) as exc:
         print(f"error.type = {type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, ParseError):
             print(f"error.line = {exc.lineno}", file=sys.stderr)
         print(f"error = {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
     return 0
 
 

@@ -66,6 +66,11 @@ def _fmt(value):
     return str(value)
 
 
+def _report(pairs):
+    """The text of report lines "key = value", one per (key, value) pair."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
 @dataclass(frozen=True)
 class TimeStats:
     """Per-time empirical statistics over the kept samples."""
@@ -93,25 +98,19 @@ class ProbeReport:
     label: str = PROBE_LABEL
 
     def text(self):
-        lines = ["probe report", f"label = {self.label}"]
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"radius = {_fmt(self.radius)}")
-        lines.append(f"samples = {self.samples}")
-        lines.append("times = " + ", ".join(_fmt(t) for t in self.times))
+        text = "probe report\n" + _report([
+            ("label", self.label), ("seed", self.seed), ("radius", self.radius),
+            ("samples", self.samples), ("times", self.times)])
         for stats in self.per_time:
-            lines.append(f"[time {_fmt(stats.time)}]")
-            lines.append(f"kept = {stats.kept}")
-            lines.append(f"dropped = {stats.dropped}")
-            lines.append(f"censored = {stats.censored}")
-            lines.append(f"mean_shortest = {_fmt(stats.mean_shortest)}")
-            lines.append(f"mean_count_le_1 = {_fmt(stats.mean_count_le_1)}")
-            lines.append("hist = " + " ".join(str(c) for c in stats.histogram))
-        lines.append("ks = " + ", ".join(_fmt(d) for d in self.ks))
-        lines.append("cesaro_shortest = "
-                     + ", ".join(_fmt(v) for v in self.cesaro_shortest))
-        lines.append("cesaro_count_le_1 = "
-                     + ", ".join(_fmt(v) for v in self.cesaro_count))
-        return "\n".join(lines) + "\n"
+            text += f"[time {_fmt(stats.time)}]\n" + _report([
+                ("kept", stats.kept), ("dropped", stats.dropped),
+                ("censored", stats.censored),
+                ("mean_shortest", stats.mean_shortest),
+                ("mean_count_le_1", stats.mean_count_le_1),
+                ("hist", " ".join(str(c) for c in stats.histogram))])
+        return text + _report([
+            ("ks", self.ks), ("cesaro_shortest", self.cesaro_shortest),
+            ("cesaro_count_le_1", self.cesaro_count)])
 
 
 def ks_distance(stats_a, stats_b):

@@ -177,6 +177,34 @@ def test_classify_ring_of_fourteen_answers(capsys, tmp_path):
 # ------------------------------------------------------------- plumbing
 
 
+@pytest.mark.parametrize("generator", [
+    ("pants", "3", "--lengths", GENERIC6_CSV),
+    ("plumbing", "4", "4"),
+], ids=lambda argv: argv[0])
+def test_classify_reads_only_the_configuration_and_the_spines(
+        capsys, tmp_path, generator):
+    # the verdict is decided in exact arithmetic on the file's own
+    # spines, so the file's mode, twists and scale cannot move it
+    _, plain, _ = run(capsys, *generator)
+    _, twisted, _ = run(capsys, *generator, "--twists", "1/3")
+    texts = {
+        "plain": plain,
+        "numeric": plain.replace("mode = exact", "mode = numeric"),
+        "twisted": twisted,
+        "normalized": plain.replace("normalize = false", "normalize = true"),
+    }
+    paths = {}
+    for name, text in texts.items():
+        assert name == "plain" or text != plain, name
+        paths[name] = tmp_path / f"{name}.spec"
+        paths[name].write_text(text, encoding="utf-8")
+    expected = run(capsys, "classify", paths["plain"])
+    assert expected[0] == 0, expected
+    for name, path in paths.items():
+        assert run(capsys, "classify", path) == expected, name
+    assert run(capsys, "classify", paths["plain"], "--mode", "numeric") == expected
+
+
 def test_plumbing_pair_matches_the_fixture(capsys):
     code, out, _ = run(capsys, "plumbing", "6", "6")
     assert code == 0
@@ -469,16 +497,27 @@ def test_probe_report_is_deterministic(capsys, tmp_path):
     assert "ks = " in first
 
 
-def test_probe_out_file_holds_the_same_bytes(capsys, tmp_path):
-    path = tmp_path / "origami.spec"
-    path.write_text(ORIGAMI_TEXT, encoding="utf-8")
-    argv = ("probe", path, "--times", "0", "--samples", "4", "--radius", "2")
-    _, stdout_text, _ = run(capsys, *argv)
-    target = tmp_path / "report.txt"
-    code, out, _ = run(capsys, *argv, "--out", target)
-    assert code == 0
-    assert out == f"wrote = {target}\n"
-    assert target.read_text(encoding="utf-8") == stdout_text
+def test_probe_samples_the_surface_its_file_describes(capsys, tmp_path):
+    # normalize = true asks for unit area, which a file whose heights
+    # are all 1/6 gives the six unit-length curves of genus 3 directly
+    _, plain, _ = run(capsys, "pants", "3")
+    _, sixth, _ = run(capsys, "pants", "3", "--heights", "1/6")
+    texts = {
+        "plain": plain,
+        "normalized": plain.replace("normalize = false", "normalize = true"),
+        "sixth": sixth,
+    }
+    reports = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.spec"
+        path.write_text(text, encoding="utf-8")
+        reports[name] = run(capsys, "probe", path, "--times", "0",
+                            "--samples", "5")
+        assert reports[name][0] == 0, reports[name]
+        area = facts(run(capsys, "validate", path)[1])["area"]
+        assert area == ("6" if name == "plain" else "1"), name
+    assert reports["normalized"] == reports["sixth"]
+    assert reports["plain"] != reports["sixth"]
 
 
 def test_probe_refuses_exact_mode(capsys, tmp_path):
@@ -610,6 +649,42 @@ def test_validate_diagnoses_as_the_other_reporters(capsys, tmp_path, base,
 def test_missing_file_is_a_validation_failure(capsys, tmp_path):
     code, _, err = run(capsys, "validate", tmp_path / "nope.spec")
     assert code == 2
+    assert "error.type = FileNotFoundError" in err
+
+
+ORIGAMI = "ORIGAMI"
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", ORIGAMI),
+    ("classify", ORIGAMI),
+    ("pants", "2", "--twists", "1/3"),
+    ("plumbing", "3", "3"),
+    ("flow", ORIGAMI, "--scale", "2", "--shear", "1/3"),
+    ("twist", ORIGAMI, "0=1/2"),
+    ("rank", ORIGAMI),
+    ("probe", ORIGAMI, "--times", "0", "--samples", "4", "--radius", "2"),
+    ("spin", ORIGAMI),
+], ids=lambda argv: argv[0])
+def test_out_file_holds_the_same_bytes(capsys, tmp_path, argv):
+    path = tmp_path / "origami.spec"
+    path.write_text(ORIGAMI_TEXT, encoding="utf-8")
+    argv = [path if arg == ORIGAMI else arg for arg in argv]
+    code, stdout_text, err = run(capsys, *argv)
+    assert code == 0, err
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", target) == (0, f"wrote = {target}\n", "")
+    assert target.read_text(encoding="utf-8") == stdout_text
+
+
+def test_a_failing_command_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "pants", "2", "--pairing", "9", "--out", target)
+    assert (code, out) == (2, "")
+    assert "error.type = OutOfRange" in err
+    assert not target.exists()
+    code, out, err = run(capsys, "pants", "2", "--out", tmp_path / "no" / "out.txt")
+    assert (code, out) == (2, "")
     assert "error.type = FileNotFoundError" in err
 
 

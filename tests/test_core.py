@@ -3,6 +3,9 @@
 A module-level function or class of `src/ttlab` must be referenced
 somewhere else in the package or be exported by `ttlab/__init__.py`.
 Code that only the tests reach belongs in `tests/oracles.py`.
+
+Output has one writer: `cli.main` is the only function of the package
+that writes stdout or opens a file for writing.
 """
 
 import ast
@@ -92,3 +95,56 @@ def test_the_scan_counts_an_attribute_of_a_package_module():
     trees["spin"].body.extend(ast.parse("from ttlab import linalg as la\n"
                                         "la.reached_by_module()\n").body)
     assert ("linalg", "reached_by_module") not in unreferenced_definitions(trees)
+
+
+def writes_output(node):
+    """Whether a node writes stdout: `sys.stdout`, or `print` without
+    `file=`; or opens a file for writing: `open` with a mode that is
+    not plain reading."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "stdout" and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    if node.func.id == "print":
+        return all(keyword.arg != "file" for keyword in node.keywords)
+    if node.func.id == "open":
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+                   for mode in modes)
+    return False
+
+
+def output_writers(trees):
+    """(module, innermost enclosing function) of each output write in
+    the package; the function is None at module level."""
+    found = set()
+
+    def visit(module, node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if writes_output(node):
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, owner)
+
+    for module, tree in trees.items():
+        visit(module, tree, None)
+    return sorted(found, key=str)
+
+
+def test_main_is_the_one_output_writer():
+    assert output_writers(package_trees()) == [("cli", "main")]
+
+
+def test_the_scan_sees_a_planted_write():
+    trees = package_trees()
+    trees["linalg"].body.extend(ast.parse(
+        "def chatty():\n    print('pivot')\n"
+        "def saver(path):\n    return open(path, mode='a')\n"
+        "def quiet(path):\n    print('pivot', file=sys.stderr)\n"
+        "    return open(path, 'rb')\n").body)
+    found = output_writers(trees)
+    assert ("linalg", "chatty") in found
+    assert ("linalg", "saver") in found
+    assert ("linalg", "quiet") not in found
