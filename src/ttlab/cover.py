@@ -53,6 +53,7 @@ from functools import cached_property
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
 from .ribbon import co_orientable
+from .topology import _spanning_forest
 
 
 def _require(ok, what):
@@ -230,24 +231,6 @@ class BranchedDoubleCover:
         for c in self.components:
             _require(chi[c] % 2 == 0, "odd Euler number of a component")
         return tuple(sorted((2 - chi[c]) // 2 for c in self.components))
-
-
-def _spanning_forest(adjacent):
-    """Breadth-first spanning forest of a graph given as adjacency lists
-    of (edge, neighbour) pairs: (node, parent, edge) in visit order."""
-    seen = [False] * len(adjacent)
-    forest = []
-    for root in range(len(adjacent)):
-        if not seen[root]:
-            seen[root] = True
-            queue = [root]
-            for v in queue:
-                for r, w in adjacent[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        forest.append((w, v, r))
-                        queue.append(w)
-    return forest
 
 
 class HomologyCoordinates:

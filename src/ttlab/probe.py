@@ -55,20 +55,26 @@ MAX_GENUS = 5
 HIST_BINS = 16
 
 
-def _fmt(value):
-    """One canonical spelling per value type for report lines."""
+def _fmt(value, key):
+    """One canonical spelling per value type, for the value of key in a
+    report line or a spec file.  Raises OutOfRange naming key when an
+    integer has more digits than str() may print
+    (sys.get_int_max_str_digits())."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
     if isinstance(value, (tuple, list)):
-        return ", ".join(_fmt(v) for v in value)
-    return str(value)
+        return ", ".join(_fmt(v, key) for v in value)
+    try:
+        return str(value)
+    except ValueError:
+        raise OutOfRange(f"{key} has too many digits to print") from None
 
 
 def _report(pairs):
     """The text of report lines "key = value", one per (key, value) pair."""
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+    return "".join(f"{key} = {_fmt(value, key)}\n" for key, value in pairs)
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ class ProbeReport:
             ("label", self.label), ("seed", self.seed), ("radius", self.radius),
             ("samples", self.samples), ("times", self.times)])
         for stats in self.per_time:
-            text += f"[time {_fmt(stats.time)}]\n" + _report([
+            text += f"[time {_fmt(stats.time, 'time')}]\n" + _report([
                 ("kept", stats.kept), ("dropped", stats.dropped),
                 ("censored", stats.censored),
                 ("mean_shortest", stats.mean_shortest),

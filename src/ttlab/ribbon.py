@@ -24,37 +24,7 @@ from .errors import (
     OddValence,
     OutOfRange,
 )
-
-
-class ParityUnionFind:
-    """Union-find tracking a Z/2 offset between each element and its root."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.parity = [0] * n  # parity of the path to the parent
-
-    def find(self, x):
-        """Return (root, parity of x relative to root), with compression."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= self.parity[y]
-            self.parent[y] = x
-            self.parity[y] = p
-        return x, self.parity[path[0]] if path else 0
-
-    def union(self, a, b, parity):
-        """Impose parity(a) xor parity(b) = parity; False on contradiction."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == parity
-        self.parent[ra] = rb
-        self.parity[ra] = pa ^ pb ^ parity
-        return True
+from .topology import _spanning_forest
 
 
 class MetricRibbonGraph:
@@ -107,7 +77,11 @@ class MetricRibbonGraph:
                 raise NonPositiveLength(f"edge {e} has length {val}")
 
     def _connected(self):
-        """Whether the edges join every vertex to vertex 0."""
+        """Whether the edges join every vertex to vertex 0.
+
+        A direct walk over the vertex orbits rather than topology's
+        spanning forest: it runs on every graph built, and needs no
+        adjacency lists."""
         vertices, index, iota = self._vertices, self._vertex_index, self.iota
         if not vertices:
             return True
@@ -209,21 +183,31 @@ def cone_orders(graph):
 def co_orientable(graph):
     """Whether one sign per half-edge can satisfy all alternation constraints.
 
-    The constraints are s(h) != s(iota h) and s(h) != s(sigma h); around
-    an odd-valence vertex the sigma cycle is odd, so this fails there.
+    The constraints are s(h) != s(iota h) and s(h) != s(sigma h).  They
+    hold exactly when each face has one sign and the two sides of every
+    edge have opposite signs, that is for a two-colouring of the faces;
+    around an odd-valence vertex the faces alternate along an odd
+    cycle, so this fails there.
     """
-    return _alternate(ParityUnionFind(graph.n_half_edges), graph, 0)
+    face = graph.face_of
+    return _two_colouring(len(graph.faces()), [
+        (face(h), face(k)) for h, k in graph.edges()]) is not None
 
 
-def _alternate(uf, graph, base):
-    """Impose the alternation constraints of graph on uf, whose element
-    base + h stands for half-edge h; False on a contradiction."""
-    for h in range(graph.n_half_edges):
-        if not uf.union(base + h, base + graph.iota[h], 1):
-            return False
-        if not uf.union(base + h, base + graph.sigma[h], 1):
-            return False
-    return True
+def _two_colouring(n, pairs):
+    """A colouring of the nodes 0..n-1 by 0 and 1 that sets the two
+    nodes of every pair apart, each root of the spanning forest taking
+    0; None when there is no such colouring."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].append((None, b))
+        adjacent[b].append((None, a))
+    colour = [0] * n
+    for v, parent, _ in _spanning_forest(adjacent):
+        colour[v] = 1 - colour[parent]
+    if any(colour[a] == colour[b] for a, b in pairs):
+        return None
+    return colour
 
 
 def ribbon_isomorphisms(g1, g2):
@@ -324,30 +308,27 @@ def jointly_orientable(q):
 
 
 def _bottom_signs(q):
-    """Per curve, the sign of its bottom face in a solution of the joint
-    alternation system, relative to curve 0; None when there is none.
+    """Per curve, the colour of its bottom face relative to curve 0 in
+    a two-colouring of the faces of all pieces; None when there is none.
 
-    A face's sides all carry one sign, and the two faces of a curve
-    carry opposite signs, so the signs say which cylinders to reverse
-    for the horizontal direction to cross every spine edge intact.
+    The colouring is co_orientable's on each piece, and the two faces
+    glued along a curve take opposite colours, so the face colours are
+    the signs of the joint alternation system.  On a connected surface
+    it is unique up to swapping the colours, and the signs say which
+    cylinders to reverse for the horizontal direction to cross every
+    spine edge intact.
     """
-    graphs = q.sa.graphs
-    offsets = [0]  # half-edge h of piece p is element offsets[p] + h
-    for graph in graphs:
-        offsets.append(offsets[-1] + graph.n_half_edges)
-    uf = ParityUnionFind(offsets[-1])
-    for graph, base in zip(graphs, offsets):
-        if not _alternate(uf, graph, base):
-            return None
-    firsts = [
-        [offsets[p] + graphs[p].faces()[f][0] for p, f in ends]
-        for ends in q.glued_faces
-    ]
-    for a, b in firsts:
-        if not uf.union(a, b, 1):
-            return None
-    signs = [uf.find(bottom)[1] for bottom, _ in firsts]
-    return tuple(s ^ signs[0] for s in signs)
+    offsets = [0]  # face f of piece p is node offsets[p] + f
+    pairs = []
+    for graph in q.sa.graphs:
+        off, face = offsets[-1], graph.face_of
+        pairs += [(off + face(h), off + face(k)) for h, k in graph.edges()]
+        offsets.append(off + graph.n_boundaries())
+    curves = [[offsets[p] + f for p, f in ends] for ends in q.glued_faces]
+    colour = _two_colouring(offsets[-1], pairs + curves)
+    if colour is None:
+        return None
+    return tuple(colour[bottom] ^ colour[curves[0][0]] for bottom, _ in curves)
 
 
 # --- constructors ------------------------------------------------------------

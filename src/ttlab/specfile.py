@@ -28,6 +28,7 @@ from .errors import (
     ZeroLengthForced,
 )
 from .linalg import feasible_nonneg
+from .probe import _fmt
 from .ribbon import MetricRibbonGraph, SpineAssignment, _check_pieces
 from .surface import EXACT, NUMERIC, build_surface
 from .topology import make_config, validate_config
@@ -375,15 +376,16 @@ def write_spec(spec):
         for cycle in graph.vertices():
             out.append("vertex: " + " ".join(str(h) for h in cycle))
         for h, k in graph.edges():
-            out.append(f"edge: {h} {k} length {graph.length_of(h)}")
+            length = _fmt(graph.length_of(h), f"ribbon {p} edge {h} length")
+            out.append(f"edge: {h} {k} length {length}")
         for f, s in enumerate(sa.face_to_slot[p]):
             out.append(f"face->slot: {f} {s}")
     out += ["", "[heights]"]
     for c, v in enumerate(spec.heights):
-        out.append(f"{c}: {Fraction(v)}")
+        out.append(f"{c}: {_fmt(Fraction(v), f'height {c}')}")
     out += ["", "[twists]"]
     for c, v in enumerate(spec.twists):
-        out.append(f"{c}: {Fraction(v)}")
+        out.append(f"{c}: {_fmt(Fraction(v), f'twist {c}')}")
     out += ["", "[options]",
             f"normalize = {'true' if spec.normalize else 'false'}",
             f"mode = {spec.mode}", ""]

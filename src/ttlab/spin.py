@@ -39,8 +39,8 @@ One symplectic reduction on bitmask rows (_SymplecticReduction)
 answers both mod-2 questions.  Each loop is reduced against the
 hyperbolic pairs found so far as it is added, so the rank is known
 after every loop, and the same pairs give the Arf invariant.  The
-orientation bits come from the alternation system that
-ribbon.jointly_orientable solves.
+orientation bits come from the two-colouring of faces that
+ribbon.jointly_orientable finds.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def orientation_bits(q):
     it.  Crossing a spine edge preserves the horizontal direction
     exactly when the two sides have opposite kinds, so the bits must
     differ across an edge whose sides have equal kinds.  The bits are
-    the bottom-face signs of the alternation system that
-    jointly_orientable solves, so cylinder 0 keeps its chart
-    orientation; the other solution is the complement.
+    the bottom-face colours of the two-colouring of faces that
+    jointly_orientable finds, relative to cylinder 0, so cylinder 0
+    keeps its chart orientation; the other colouring is the complement.
 
     Raises NotAbelianSquare when the constraints contradict, which
     happens exactly when the surface is not jointly orientable.

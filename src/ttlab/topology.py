@@ -5,6 +5,11 @@ the ambient surface, the complementary pieces with their genera and
 boundary slots, and which pairs of slots are glued along each curve.
 There is no embedded-curve bookkeeping; two configurations are the same
 exactly when they are combinatorially isomorphic.
+
+The module also holds the one graph search of the package, a
+breadth-first spanning forest (`_spanning_forest`): validation runs it
+on the pieces, `ribbon` two-colours faces with it, and the double cover
+takes its trees and cotrees from it.
 """
 
 from __future__ import annotations
@@ -119,23 +124,33 @@ def validate_config(cfg: MulticurveConfig) -> ValidationReport:
     if slots_total != 2 * cfg.n_curves:
         report.add("euler", f"{slots_total} slots for {cfg.n_curves} curves")
 
-    # connectivity of the piece adjacency graph
+    # connectivity of the piece adjacency graph: one tree spans it
     if cfg.pieces and report.ok:
-        seen = {0}
-        frontier = [0]
-        adj = {i: set() for i in range(len(cfg.pieces))}
-        for (pa, _), (pb, _) in cfg.gluing:
-            adj[pa].add(pb)
-            adj[pb].add(pa)
-        while frontier:
-            p = frontier.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        if len(seen) != len(cfg.pieces):
+        adjacent = [[] for _ in cfg.pieces]
+        for ci, ((pa, _), (pb, _)) in enumerate(cfg.gluing):
+            adjacent[pa].append((ci, pb))
+            adjacent[pb].append((ci, pa))
+        if len(_spanning_forest(adjacent)) != len(cfg.pieces) - 1:
             report.add("connected", "cut surface is disconnected")
     return report
+
+
+def _spanning_forest(adjacent):
+    """Breadth-first spanning forest of a graph given as adjacency lists
+    of (edge, neighbour) pairs: (node, parent, edge) in visit order."""
+    seen = [False] * len(adjacent)
+    forest = []
+    for root in range(len(adjacent)):
+        if not seen[root]:
+            seen[root] = True
+            queue = [root]
+            for v in queue:
+                for r, w in adjacent[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        forest.append((w, v, r))
+                        queue.append(w)
+    return forest
 
 
 def is_pants_decomposition(cfg: MulticurveConfig) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ttlab.errors import BadIndex, CrossCheckFailed
 from ttlab.linalg import Echelon
-from ttlab.ribbon import ParityUnionFind, ribbon_isomorphisms
+from ttlab.ribbon import ribbon_isomorphisms
 from ttlab.surface import EXACT, _convert
 
 TOL = 1e-9
@@ -259,17 +259,28 @@ def involution_vertices(cover):
 
 
 def piece_preimage_connected(cover, p):
-    """Whether the cover preimage of piece p's spine is connected."""
+    """Whether the cover preimage of piece p's spine is connected, by a
+    flood fill of its own: the package's forest is not used, so this
+    route and co_orientable share no traversal."""
     graph = cover.surface.sa.graphs[p]
     off = cover._offset[p]
     corners = range(2 * off, 2 * (off + graph.n_half_edges))
-    vertices = {cover._orbit[c] for c in corners}
-    uf = ParityUnionFind(len(cover.cover_vertices))
+    neighbours = {cover._orbit[c]: [] for c in corners}
     for h, _ in graph.edges():
         k2 = cover._letter[off + h][0]  # 2k for the base 1-cell k of h
         for s in (0, 1):
-            uf.union(*cover._ends[k2 + s], 0)
-    return len({uf.find(v)[0] for v in vertices}) == 1
+            a, b = cover._ends[k2 + s]
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    start = cover._orbit[2 * off]
+    reached = {start}
+    stack = [start]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) == len(neighbours)
 
 
 def homology_cycle_basis(cover):

@@ -652,6 +652,39 @@ def test_missing_file_is_a_validation_failure(capsys, tmp_path):
     assert "error.type = FileNotFoundError" in err
 
 
+# str() refuses an integer longer than sys.get_int_max_str_digits(), so
+# these numbers are sized from that limit: an edge length of 1eN/2 has N
+# digits, and an area of 3 * 1eK * 1eK has 2K + 1 while each length and
+# height a file holds has at most K + 1
+DIGITS = sys.get_int_max_str_digits()
+TOO_LONG = f"1e{2 * DIGITS}"
+HALF_LONG = f"1e{3 * DIGITS // 4}"
+
+
+@pytest.mark.skipif(DIGITS == 0, reason="str() prints integers of any length")
+@pytest.mark.parametrize("argv, field", [
+    (("pants", "2", "--lengths", TOO_LONG), "ribbon 0 edge 0 length"),
+    (("plumbing", "4", "4", "--length", TOO_LONG), "ribbon 0 edge 0 length"),
+    (("flow", "PANTS", "--scale", TOO_LONG), "ribbon 0 edge 0 length"),
+    (("validate", "HUGE"), "area"),
+], ids=["pants", "plumbing", "flow", "validate"])
+def test_a_number_too_long_to_print_is_out_of_range(capsys, tmp_path, argv,
+                                                     field):
+    files = {"PANTS": ("pants", "2"),
+             "HUGE": ("pants", "2", "--lengths", HALF_LONG,
+                      "--heights", HALF_LONG)}
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg in files:
+            argv[i] = tmp_path / f"{arg}.spec"
+            assert run(capsys, *files[arg], "--out", argv[i])[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error.type = OutOfRange" in err
+    assert f"error = {field} has too many digits to print" in err
+    assert "Traceback" not in err
+
+
 ORIGAMI = "ORIGAMI"
 
 

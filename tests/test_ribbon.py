@@ -20,6 +20,7 @@ from ttlab.ribbon import (
     co_orientable,
     cone_orders,
     jointly_orientable,
+    pants_assignment,
     pants_spine,
     plumbing_fixture,
     ribbon_isomorphisms,
@@ -27,15 +28,16 @@ from ttlab.ribbon import (
     validate_assignment,
 )
 from ttlab.rng import CounterRandom
+from ttlab.spin import orientation_bits
 from ttlab.surface import build_surface
-from ttlab.topology import make_config
+from ttlab.topology import enumerate_pants_configs, make_config
 
 from oracles import solve_square, total_length
 from test_topology import SEPARATING, TWO_PANTS
 
 
 def _exhaustive_co_orientable(graph):
-    """Oracle: try all sign assignments instead of union-find."""
+    """Oracle: try all sign assignments instead of two-colouring faces."""
     n = graph.n_half_edges
     for bits in range(1 << n):
         s = [(bits >> h) & 1 for h in range(n)]
@@ -348,6 +350,65 @@ def test_coorientable_pieces_can_still_fail_jointly():
     assert all(co_orientable(g) for g in sa.graphs)
     flag, eps = jointly_orientable(build_surface(SEPARATING, sa, [1] * 3))
     assert (flag, eps) == (False, -1)
+
+
+def _exhaustive_joint_bits(q):
+    """Oracle: try every sign per half-edge of every piece, with
+    s(h) != s(iota h) and s(h) != s(sigma h) in each piece and opposite
+    signs on the first half-edges of each curve's two glued faces.
+    Returns the set of per-curve bottom-face signs relative to curve 0
+    over all solutions, empty when there is none."""
+    graphs = q.sa.graphs
+    offsets = [0]
+    for graph in graphs:
+        offsets.append(offsets[-1] + graph.n_half_edges)
+    apart = [(off + h, off + k)
+             for graph, off in zip(graphs, offsets)
+             for h in range(graph.n_half_edges)
+             for k in (graph.iota[h], graph.sigma[h])]
+    firsts = [[offsets[p] + graphs[p].faces()[f][0] for p, f in ends]
+              for ends in q.glued_faces]
+    apart += firsts
+    found = set()
+    for signs in range(1 << offsets[-1]):
+        if all((signs >> a ^ signs >> b) & 1 for a, b in apart):
+            base = signs >> firsts[0][0]
+            found.add(tuple((signs >> b ^ base) & 1 for b, _ in firsts))
+    return found
+
+
+def joint_fixtures():
+    """The surfaces of test_classify.classify_fixtures, the two built in
+    this module's joint tests, and the genus-2 pants catalog on theta,
+    four-valent and dumbbell spines."""
+    from test_classify import classify_fixtures  # it imports this module
+
+    yield from classify_fixtures()
+    yield build_surface(SEPARATING, nabla_assignment(SEPARATING, (2, 2)),
+                        [1] * 3)
+    cfg = make_config(2, [(0, 3), (0, 3)],
+                      [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
+    yield build_surface(cfg, nabla_assignment(cfg, (0, 0)), [1] * 3)
+    for cfg in enumerate_pants_configs(2):
+        for lengths in ((3, 4, 5), (2, 1, 1), (1, 2, 1), (1, 1, 2), (1, 1, 3),
+                        (3, 1, 1)):
+            yield build_surface(cfg, pants_assignment(cfg, lengths), [1] * 3)
+
+
+def test_joint_orientability_matches_exhaustive_search():
+    checked = oriented = 0
+    for q in joint_fixtures():
+        if sum(graph.n_half_edges for graph in q.sa.graphs) > 16:
+            continue
+        solutions = _exhaustive_joint_bits(q)
+        flag, eps = jointly_orientable(q)
+        assert (flag, eps) == ((True, 1) if solutions else (False, -1))
+        if flag:
+            # the two solutions are complements: one set of bits
+            assert solutions == {orientation_bits(q)}
+            oriented += 1
+        checked += 1
+    assert (checked, oriented) == (52, 16)
 
 
 def brute_isomorphisms(g1, g2):

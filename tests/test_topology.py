@@ -70,7 +70,7 @@ def test_disconnected_config_is_reported():
         gluing=[((0, 0), (0, 1)), ((1, 0), (1, 1))],
     )
     report = validate_config(cfg)
-    assert any(code == "connected" for code, _ in report.violations)
+    assert report.violations == [("connected", "cut surface is disconnected")]
 
 
 def test_is_pants_decomposition():
