@@ -7,7 +7,9 @@ probe) print a line-oriented ``key = value`` report.  Exit codes: 0 on
 success, 2 when the input is bad in any way.
 
 Each command is a function from its parsed arguments to its output
-text, and works on the surface its spec file describes (spec.build()).
+text, and works on the surface its spec file describes (spec.build()),
+built once.  _load reads the file in the arithmetic the command needs,
+by the one rule stated beside _build_parser.
 main() is the one place that writes: the text goes to --out PATH,
 followed by a ``wrote = PATH`` line on stdout, or else to stdout.
 
@@ -39,8 +41,9 @@ from .errors import (
     OutOfRange,
     ParseError,
     TTLabError,
+    _report,
 )
-from .probe import _report, run_probe
+from .probe import run_probe
 from .ribbon import (
     SpineAssignment,
     pants_assignment,
@@ -104,10 +107,17 @@ def _read_text(path):
 
 
 def _load(args):
+    """The spec file of args, in the arithmetic its command reads (see
+    _EXACT_ONLY beside _build_parser): the one place that decides it."""
     spec = parse_spec(_read_text(args.spec))
-    if args.mode:
-        spec = replace(spec, mode=args.mode)
-    return spec
+    mode = args.mode or spec.mode
+    if args.command in _EXACT_ONLY:
+        mode = EXACT
+    elif args.command in _WRITES_SPEC and mode != EXACT:
+        raise ModeMismatch(
+            f"{args.command} writes a spec file, and only exact-mode "
+            "surfaces can be written to a file")
+    return spec if mode == spec.mode else replace(spec, mode=mode)
 
 
 def cmd_validate(args):
@@ -115,16 +125,13 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
-    spec = _load(args)
-    # The verdict is decided in exact arithmetic whatever the file's
-    # mode, and reads only the configuration and the spines.
-    q = replace(spec, mode=EXACT).build()
+    q = _load(args).build()
     # parse_spec validated the configuration, so the checks below skip it.
     verdict = classify_orbit_closure(q)
-    if _is_pants(spec.cfg):
+    if _is_pants(q.cfg):
         # The boundary triples pin down every pants spine, so the sharper
         # pants verdicts hold for the file's own spines.
-        verdict = _refine_pants_verdict(verdict, spec.cfg.genus)
+        verdict = _refine_pants_verdict(verdict, q.cfg.genus)
     pairs = [
         ("verdict", verdict.kind),
         ("stratum", verdict.stratum),
@@ -161,6 +168,11 @@ def _generated(cfg, sa, heights, twists):
     spec = TorusSpecFile(cfg, sa, tuple(heights), tuple(twists))
     spec.build()
     return write_spec(spec)
+
+
+# the most boundary circles a plumbing may have in all: desk scale, as
+# the probe's limits are
+MAX_PLUMBING_SLOTS = 10_000
 
 
 def _plumbing_gluing(valences):
@@ -208,6 +220,11 @@ def _plumbing_gluing(valences):
 
 def cmd_plumbing(args):
     valences = args.valence
+    # every boundary circle is a few list entries, so the count is
+    # bounded before any is made
+    if min(valences) < 3 or sum(valences) > MAX_PLUMBING_SLOTS:
+        raise OutOfRange("plumbing is desk scale: 3 or more boundary circles "
+                         f"a piece, and at most {MAX_PLUMBING_SLOTS} in all")
     length = _rational(args.length, "--length")
     gluing = _plumbing_gluing(valences)
     chi = sum(2 - p for p in valences)
@@ -222,33 +239,18 @@ def cmd_plumbing(args):
     return _generated(cfg, sa, heights, twists)
 
 
-def _load_exact(args):
-    """The spec of a generator that moves a surface and writes it back.
-
-    A file can only hold an exact-mode surface, so numeric mode is
-    refused before any work is done.
-    """
-    spec = _load(args)
-    if spec.mode != EXACT:
-        raise ModeMismatch(
-            f"{args.command} writes a spec file, and only exact-mode "
-            "surfaces can be written to a file")
-    return spec
-
-
 def cmd_flow(args):
-    spec = _load_exact(args)
+    spec = _load(args)
     q = spec.build()
     q = geodesic_flow(q, _rational(args.scale, "--scale"))
     shear = _rational(args.shear, "--shear")
     if shear:
         q = horocycle_flow(q, shear)
-    moved = spec_from_surface(q, normalize=spec.normalize)
-    return write_spec(moved)
+    return write_spec(spec_from_surface(q, normalize=spec.normalize))
 
 
 def cmd_twist(args):
-    spec = _load_exact(args)
+    spec = _load(args)
     q = spec.build()
     for token in args.assignment:
         curve, sep, amount = token.partition("=")
@@ -259,15 +261,13 @@ def cmd_twist(args):
         except ValueError:
             raise OutOfRange(f"twist {token!r}: {curve!r} is not a curve index") from None
         q = cylinder_twist(q, index, _rational(amount, "twist amount"))
-    moved = spec_from_surface(q, normalize=spec.normalize)
-    return write_spec(moved)
+    return write_spec(spec_from_surface(q, normalize=spec.normalize))
 
 
 def cmd_rank(args):
-    spec = _load(args)
-    q = spec.build()
+    q = _load(args).build()
     cover = holonomy_double_cover(q)
-    span = rank_lower_bound(cover, spec.cfg)
+    span = rank_lower_bound(cover, q.cfg)
     formula = relations_formula(q)
     # each raises CrossCheckFailed when the cell count and the branching
     # disagree, so reaching the report means Riemann-Hurwitz held
@@ -287,8 +287,6 @@ def cmd_rank(args):
 
 
 def cmd_probe(args):
-    if args.mode == EXACT:
-        raise ModeMismatch("the probe samples in numeric mode; drop --mode exact")
     spec = _load(args)
     times = []
     for token in args.times.split(","):
@@ -296,22 +294,12 @@ def cmd_probe(args):
             times.append(float(token))
         except ValueError:
             raise OutOfRange(f"--times: {token!r} is not a number") from None
-    q = spec.build()
-    report = run_probe(
-        q.cfg,
-        q.sa,
-        q.heights,
-        times=tuple(times),
-        samples=args.samples,
-        seed=args.seed,
-        radius=args.radius,
-    )
-    return report.text()
+    return run_probe(spec.build(), times, args.samples, args.seed,
+                     args.radius).text()
 
 
 def cmd_spin(args):
-    spec = _load(args)
-    q = spec.build()
+    q = _load(args).build()
     try:
         parity = spin_parity(q)
     except (NoSpinStructure, NotAbelianSquare) as exc:
@@ -319,6 +307,16 @@ def cmd_spin(args):
     else:
         pairs = [("spin.defined", True), ("spin.parity", parity)]
     return _report(pairs)
+
+
+# The arithmetic of each command that reads a spec file, applied by
+# _load.  classify, rank and spin read only the combinatorics and the
+# exact lengths, so they build the exact surface whatever the file or
+# --mode asks.  flow and twist write a spec file, which holds only
+# exact surfaces, so they refuse numeric mode before doing any work.
+# validate and probe build in the mode asked.
+_EXACT_ONLY = ("classify", "rank", "spin")
+_WRITES_SPEC = ("flow", "twist")
 
 
 @functools.cache
@@ -337,7 +335,8 @@ def _build_parser():
             p.add_argument(
                 "--mode",
                 choices=(EXACT, NUMERIC),
-                help="override the [options] mode of the file",
+                help="override the [options] mode of the file; classify, rank "
+                "and spin build exact whatever it says, flow and twist refuse numeric",
             )
         return p
 

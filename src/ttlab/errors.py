@@ -1,7 +1,12 @@
-"""Typed errors shared across the package.
+"""Typed errors shared across the package, and how numbers are spelled.
 
 Every failure mode that callers are expected to branch on gets its own
 class; generic ValueError is reserved for programming mistakes.
+
+str() refuses an integer with more digits than
+sys.get_int_max_str_digits().  Report lines and spec files must be
+exact, so _fmt raises OutOfRange for such a number; an error message
+only has to be read, so _spell names it by its size instead.
 """
 
 
@@ -95,3 +100,49 @@ class ParseError(TTLabError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def _fmt(value, key):
+    """One canonical spelling per value type, for the value of key in a
+    report line or a spec file.  Raises OutOfRange naming key when an
+    integer has more digits than str() may print."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, (tuple, list)):
+        return ", ".join(_fmt(v, key) for v in value)
+    try:
+        return str(value)
+    except ValueError:
+        raise OutOfRange(f"{key} has too many digits to print") from None
+
+
+def _report(pairs):
+    """The text of report lines "key = value", one per (key, value) pair."""
+    return "".join(f"{key} = {_fmt(value, key)}\n" for key, value in pairs)
+
+
+def _spell(value):
+    """value as an error message shows it, a list or tuple item by item.
+    Never raises: a number too long for str() reads by its size, as in
+    "a negative 5001-digit integer"."""
+    if isinstance(value, (tuple, list)):
+        return ", ".join(map(_spell, value))
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.as_integer_ratio()
+    sign = "negative " if num < 0 else ""
+    if den == 1:
+        return f"a {sign}{_digits(num)}-digit integer"
+    return f"a {sign}fraction of {_digits(num)} over {_digits(den)} digits"
+
+
+def _digits(n):
+    """The number of decimal digits of the integer n, without str()."""
+    n = abs(n)
+    digits = n.bit_length() * 3 // 10  # at most the count: log10(2) > 0.3
+    while n >= 10 ** digits:
+        digits += 1
+    return max(digits, 1)

@@ -9,6 +9,10 @@ They are reported as observations, never as a verdict: convergence is
 only guaranteed off a zero-density set of times, so the report carries
 a fixed disclaimer instead of a pass mark.
 
+The probe samples the surface it is handed, built in either mode: the
+twists are drawn as floats, so an exact surface is converted to floats
+once, and each sample replaces its twists.
+
 Sampling is driven by a counter-based generator with one substream per
 (time, sample) pair, so reports are byte-identical for identical
 inputs and every sample is independent of every other; running them in
@@ -39,10 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange, RadiusTooSmall
+from .errors import NonPositiveHeight, OutOfRange, RadiusTooSmall, _fmt, _report
 from .rng import CounterRandom
 from .saddle import DEFAULT_CAP, saddle_connections_up_to
-from .surface import NUMERIC, build_surface, geodesic_flow
+from .surface import NUMERIC, geodesic_flow
 
 PROBE_LABEL = ("probe — not a proof; convergence guaranteed only "
                "outside a zero-density set")
@@ -53,28 +57,6 @@ MAX_SAMPLES = 100_000
 MAX_TIME = 5.0
 MAX_GENUS = 5
 HIST_BINS = 16
-
-
-def _fmt(value, key):
-    """One canonical spelling per value type, for the value of key in a
-    report line or a spec file.  Raises OutOfRange naming key when an
-    integer has more digits than str() may print
-    (sys.get_int_max_str_digits())."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, (tuple, list)):
-        return ", ".join(_fmt(v, key) for v in value)
-    try:
-        return str(value)
-    except ValueError:
-        raise OutOfRange(f"{key} has too many digits to print") from None
-
-
-def _report(pairs):
-    """The text of report lines "key = value", one per (key, value) pair."""
-    return "".join(f"{key} = {_fmt(value, key)}\n" for key, value in pairs)
 
 
 @dataclass(frozen=True)
@@ -176,19 +158,19 @@ def _measure_sample(q, radius, cap=DEFAULT_CAP):
     return search[0].length, sum(1 for c in search if c.length <= 1.0)
 
 
-def run_probe(cfg, sa, heights, times, samples, seed, radius,
-              cap=DEFAULT_CAP):
+def run_probe(q, times, samples, seed, radius, cap=DEFAULT_CAP):
     """Sample twists, flow, and measure; see the module docstring.
 
-    heights may be exact or floats; the sampled surfaces are always
-    numeric because the twists are drawn as floats.  Each sample is
+    q is a built surface in either mode.  It is converted to floats
+    once, without being validated again, because the twists are drawn
+    as floats; each sample replaces the twists of q.  Each sample is
     measured by _measure_sample: a radius above NARROW_RADIUS is first
     searched only to NARROW_RADIUS, and cap bounds each search on its
     own.  The radius must be positive with a finite square.
     """
-    if cfg.genus > MAX_GENUS:
+    if q.cfg.genus > MAX_GENUS:
         raise OutOfRange(
-            f"probe is desk scale: genus {cfg.genus} > {MAX_GENUS}")
+            f"probe is desk scale: genus {q.cfg.genus} > {MAX_GENUS}")
     samples = int(samples)
     if not 1 <= samples <= MAX_SAMPLES:
         raise OutOfRange(f"samples must be in 1..{MAX_SAMPLES}")
@@ -205,9 +187,10 @@ def run_probe(cfg, sa, heights, times, samples, seed, radius,
     if not math.isfinite(radius * radius):
         raise OutOfRange(f"radius must have a finite square, got {radius}")
 
-    # validate and build once
-    base = build_surface(cfg, sa, heights, mode=NUMERIC)
-    lengths = [float(l) for l in base.base_lengths]
+    base = q._replace(mode=NUMERIC)
+    if not all(base.heights):
+        raise NonPositiveHeight("a height rounds to 0.0 as a float")
+    lengths = base.base_lengths
     root = CounterRandom(int(seed), "probe")
 
     per_time = []

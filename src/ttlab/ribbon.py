@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveLength,
     OddValence,
     OutOfRange,
+    _spell,
 )
 from .topology import _spanning_forest
 
@@ -74,7 +75,7 @@ class MetricRibbonGraph:
             raise MalformedGraph("lengths keyed by wrong half-edges")
         for e, val in self.lengths.items():
             if val.numerator <= 0:
-                raise NonPositiveLength(f"edge {e} has length {val}")
+                raise NonPositiveLength(f"edge {e} has length {_spell(val)}")
 
     def _connected(self):
         """Whether the edges join every vertex to vertex 0.
@@ -269,7 +270,8 @@ def validate_assignment(cfg, sa):
             per.append(sa.graphs[p].perimeters()[sa.slot_to_face(p, s)])
         if per[0] != per[1]:
             raise InvalidAssignment(
-                f"curve {ci}: glued faces have perimeters {per[0]} != {per[1]}")
+                f"curve {ci}: glued faces have perimeters "
+                f"{_spell(per[0])} != {_spell(per[1])}")
         lengths.append(per[0])
     return lengths
 
@@ -345,7 +347,7 @@ def pants_spine(a, b, c):
     """
     trip = [Fraction(a), Fraction(b), Fraction(c)]
     if any(x <= 0 for x in trip):
-        raise NonPositiveLength(f"boundary lengths {trip}")
+        raise NonPositiveLength(f"boundary lengths {_spell(trip)}")
     a, b, c = trip
     big = max(range(3), key=lambda i: (trip[i], -i))
     others = [i for i in range(3) if i != big]
@@ -388,7 +390,8 @@ def pants_spine(a, b, c):
     expected = tuple(trip[k] for k in order)
     if graph.perimeters() != expected:
         raise CrossCheckFailed(
-            f"pants spine perimeters {graph.perimeters()} != {expected}")
+            f"pants spine perimeters {_spell(graph.perimeters())} != "
+            f"{_spell(expected)}")
     return graph, face_order
 
 
@@ -426,7 +429,7 @@ def plumbing_fixture(p, boundary_length):
         raise OutOfRange(f"p = {p} < 3")
     half = Fraction(boundary_length) / 2
     if half <= 0:
-        raise NonPositiveLength(f"boundary length {boundary_length}")
+        raise NonPositiveLength(f"boundary length {_spell(boundary_length)}")
     sigma = [0] * (2 * p)
     for i in range(p):
         sigma[i] = (i + 1) % p

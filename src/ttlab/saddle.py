@@ -24,12 +24,12 @@ the exits clip their edge to the window in the loop itself, the one
 clip of the search: a starting corner's window spans its own far edge,
 which _seed_dist2 measures whole.
 
-The search handles numeric surfaces only, and exact-mode callers are
-told to build a numeric twin first.  Floats are a speed choice, not a
-necessity: the length cutoff compares x^2 + y^2 with r^2 and needs no
-square root, so on rational data every test here is a rational
-comparison.  An exact integer search to check this one against is an
-open step of ROADMAP item 3.
+The search handles numeric surfaces only; run_probe converts the
+surface it is handed to floats once, before any search.  Floats are a
+speed choice, not a necessity: the length cutoff compares x^2 + y^2
+with r^2 and needs no square root, so on rational data every test here
+is a rational comparison.  An exact integer search to check this one
+against is an open step of ROADMAP item 3.
 """
 
 import math

@@ -26,9 +26,9 @@ from .errors import (
     ParseError,
     TTLabError,
     ZeroLengthForced,
+    _fmt,
 )
 from .linalg import feasible_nonneg
-from .probe import _fmt
 from .ribbon import MetricRibbonGraph, SpineAssignment, _check_pieces
 from .surface import EXACT, NUMERIC, build_surface
 from .topology import make_config, validate_config

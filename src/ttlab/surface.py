@@ -26,6 +26,7 @@ from .errors import (
     ModeMismatch,
     NonPositiveHeight,
     OutOfRange,
+    _spell,
 )
 from .ribbon import jointly_orientable, validate_assignment
 
@@ -129,14 +130,20 @@ class FlatTwistSurface:
         """jointly_orientable(self), (flag, epsilon), computed once."""
         return jointly_orientable(self)
 
-    def _replace(self, twists=None, scale=None):
+    def _replace(self, twists=None, scale=None, mode=None):
+        """A copy with new twists or scale, or with its numbers converted
+        to another mode; the spines are not validated again."""
+        heights, scale = self.heights, self.scale if scale is None else scale
+        if mode is not None:
+            heights = [_convert(h, mode, "height") for h in heights]
+            scale = [_convert(s, mode, "scale") for s in scale]
         return FlatTwistSurface(
             self.cfg,
             self.sa,
-            self.heights,
+            heights,
             self.twists if twists is None else twists,
-            self.mode,
-            self.scale if scale is None else scale,
+            mode or self.mode,
+            scale,
             self.base_lengths,
         )
 
@@ -217,7 +224,7 @@ def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
     heights = [_convert(h, mode, "height") for h in heights]
     for i, h in enumerate(heights):
         if h <= 0:
-            raise NonPositiveHeight(f"height of curve {i} is {h}")
+            raise NonPositiveHeight(f"height of curve {i} is {_spell(h)}")
     if twists is None:
         twists = [0] * n
     twists = list(twists)
@@ -249,12 +256,12 @@ def geodesic_flow(q, t):
         except (OverflowError, ZeroDivisionError):
             scale = (math.inf, 0.0)
         if not all(0 < s < math.inf for s in scale):
-            raise OutOfRange(f"geodesic time {t} moves the scale out of "
+            raise OutOfRange(f"geodesic time {_spell(t)} moves the scale out of "
                              "the positive floats")
         return q._replace(scale=scale)
     factor = _exact_number(t, "geodesic scale factor")
     if factor <= 0:
-        raise OutOfRange(f"geodesic scale factor must be positive: {factor}")
+        raise OutOfRange(f"geodesic scale factor must be positive: {_spell(factor)}")
     return q._replace(scale=(sx * factor, sy / factor))
 
 

@@ -570,7 +570,7 @@ def test_criterion_09_probe_smoke():
     heights = (F(1),) * 6
 
     report = run_probe(
-        cfg, sa, heights,
+        build_surface(cfg, sa, heights),
         times=(0.0, 1.0, 2.0, 3.0, 4.0),
         samples=2000, seed=20260819, radius=1.0,
     )
@@ -580,7 +580,7 @@ def test_criterion_09_probe_smoke():
     # Same seed, first time slot only: the slot statistics must agree
     # bit for bit, which pins both determinism and per-sample streams.
     slice_report = run_probe(
-        cfg, sa, heights,
+        build_surface(cfg, sa, heights),
         times=(0.0,), samples=2000, seed=20260819, radius=1.0,
     )
     assert slice_report.per_time[0] == report.per_time[0]

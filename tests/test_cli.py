@@ -7,6 +7,7 @@ from a shell, pipes included.
 
 import argparse
 import codecs
+import hashlib
 import io
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 
 from ttlab import cli, ribbon, topology
 from ttlab.cli import main
+from ttlab.errors import _spell
 from ttlab.ribbon import pants_assignment
 from ttlab.specfile import TorusSpecFile, parse_spec, write_spec
 from ttlab.topology import make_config
@@ -51,6 +53,10 @@ def facts(text):
         if sep:
             result[key] = value
     return result
+
+
+def sha12(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def write_fixture(tmp_path, cfg, sa, heights=None, twists=None, name="f.spec"):
@@ -256,6 +262,21 @@ def test_plumbing_refuses_impossible_wiring(capsys, valences, needle):
     code, _, err = run(capsys, "plumbing", *valences)
     assert code == 2
     assert needle in err
+
+
+@pytest.mark.parametrize("valences", [
+    ("1000000000000",),
+    ("5000", "5002"),
+    # a negative count cannot pay for a huge one
+    ("1000000000000", "1000000000000", "-1999999999994"),
+], ids=["huge", "just over", "negative"])
+def test_plumbing_is_bounded_before_it_allocates(capsys, valences):
+    # the gluing and the fixtures hold a few list entries per boundary
+    # circle, so a huge count used to grow memory until the process died
+    code, out, err = run(capsys, "plumbing", *valences)
+    assert (code, out) == (2, "")
+    assert "error.type = OutOfRange" in err
+    assert f"at most {cli.MAX_PLUMBING_SLOTS}" in err
 
 
 # ----------------------------------------------------------------- flow
@@ -467,20 +488,6 @@ def test_spin_undefined_is_still_an_answer(capsys, tmp_path):
     assert report["spin.reason"]
 
 
-def test_spin_numeric_file_needs_the_exact_override(capsys, tmp_path):
-    path = tmp_path / "num.spec"
-    path.write_text(
-        ORIGAMI_TEXT.replace("mode = exact", "mode = numeric"),
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "spin", path)
-    assert code == 2
-    assert "error.type = ModeMismatch" in err
-    code, out, _ = run(capsys, "spin", path, "--mode", "exact")
-    assert code == 0
-    assert facts(out)["spin.parity"] == "odd"
-
-
 # ---------------------------------------------------------------- probe
 
 
@@ -520,12 +527,108 @@ def test_probe_samples_the_surface_its_file_describes(capsys, tmp_path):
     assert reports["plain"] != reports["sixth"]
 
 
-def test_probe_refuses_exact_mode(capsys, tmp_path):
-    path = tmp_path / "origami.spec"
-    path.write_text(ORIGAMI_TEXT, encoding="utf-8")
-    code, _, err = run(capsys, "probe", path, "--mode", "exact")
-    assert code == 2
-    assert "error.type = ModeMismatch" in err
+# ------------------------------------------------------ the mode matrix
+
+
+# each command that reads a spec file, with the arguments after the file
+MODE_COMMANDS = {
+    "validate": (),
+    "classify": (),
+    "rank": (),
+    "spin": (),
+    "flow": ("--scale", "2"),
+    "twist": ("0=1",),
+    "probe": ("--times", "0,1", "--samples", "2"),
+}
+MODE_FLAGS = {"none": (), "exact": ("--mode", "exact"),
+              "numeric": ("--mode", "numeric")}
+
+# (command, mode of the file, --mode flag) -> (exit code, the first 12
+# hex digits of the sha256 of stdout, error.type), on a `ttlab pants 2
+# --lengths 3,4,5` file and its `mode = numeric` copy
+MODE_MATRIX = {
+    ("validate", "exact", "none"): (0, "154d5b4c45c9", None),
+    ("validate", "exact", "exact"): (0, "154d5b4c45c9", None),
+    ("validate", "exact", "numeric"): (0, "95561632279c", None),
+    ("classify", "exact", "none"): (0, "e559f43560d8", None),
+    ("classify", "exact", "exact"): (0, "e559f43560d8", None),
+    ("classify", "exact", "numeric"): (0, "e559f43560d8", None),
+    ("rank", "exact", "none"): (0, "19142b000d80", None),
+    ("rank", "exact", "exact"): (0, "19142b000d80", None),
+    ("rank", "exact", "numeric"): (0, "19142b000d80", None),
+    ("spin", "exact", "none"): (0, "be63082f51b0", None),
+    ("spin", "exact", "exact"): (0, "be63082f51b0", None),
+    ("spin", "exact", "numeric"): (0, "be63082f51b0", None),
+    ("flow", "exact", "none"): (0, "11038ad33df2", None),
+    ("flow", "exact", "exact"): (0, "11038ad33df2", None),
+    ("flow", "exact", "numeric"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("twist", "exact", "none"): (0, "98c2092c0e62", None),
+    ("twist", "exact", "exact"): (0, "98c2092c0e62", None),
+    ("twist", "exact", "numeric"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("probe", "exact", "none"): (0, "78725d83cac4", None),
+    ("probe", "exact", "exact"): (0, "78725d83cac4", None),
+    ("probe", "exact", "numeric"): (0, "78725d83cac4", None),
+    ("validate", "numeric", "none"): (0, "95561632279c", None),
+    ("validate", "numeric", "exact"): (0, "154d5b4c45c9", None),
+    ("validate", "numeric", "numeric"): (0, "95561632279c", None),
+    ("classify", "numeric", "none"): (0, "e559f43560d8", None),
+    ("classify", "numeric", "exact"): (0, "e559f43560d8", None),
+    ("classify", "numeric", "numeric"): (0, "e559f43560d8", None),
+    ("rank", "numeric", "none"): (0, "19142b000d80", None),
+    ("rank", "numeric", "exact"): (0, "19142b000d80", None),
+    ("rank", "numeric", "numeric"): (0, "19142b000d80", None),
+    ("spin", "numeric", "none"): (0, "be63082f51b0", None),
+    ("spin", "numeric", "exact"): (0, "be63082f51b0", None),
+    ("spin", "numeric", "numeric"): (0, "be63082f51b0", None),
+    ("flow", "numeric", "none"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("flow", "numeric", "exact"): (0, "11038ad33df2", None),
+    ("flow", "numeric", "numeric"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("twist", "numeric", "none"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("twist", "numeric", "exact"): (0, "98c2092c0e62", None),
+    ("twist", "numeric", "numeric"): (2, "e3b0c44298fc", "ModeMismatch"),
+    ("probe", "numeric", "none"): (0, "78725d83cac4", None),
+    ("probe", "numeric", "exact"): (0, "78725d83cac4", None),
+    ("probe", "numeric", "numeric"): (0, "78725d83cac4", None),
+}
+
+# the cells whose file or flag asks for an arithmetic the command does
+# not use: spin reads only the combinatorics and the exact lengths, and
+# the probe samples in floats whichever surface it is handed, so each
+# answers as the exact file with no flag
+MOVED_CELLS = (
+    ("spin", "exact", "numeric"),
+    ("spin", "numeric", "none"),
+    ("spin", "numeric", "numeric"),
+    ("probe", "exact", "exact"),
+    ("probe", "numeric", "exact"),
+)
+
+
+def mode_cells(capsys, tmp_path):
+    _, text, _ = run(capsys, "pants", "2", "--lengths", "3,4,5")
+    files = {"exact": text,
+             "numeric": text.replace("mode = exact", "mode = numeric")}
+    cells = {}
+    for mode, text in files.items():
+        path = tmp_path / f"{mode}.spec"
+        path.write_text(text, encoding="utf-8")
+        for command, rest in MODE_COMMANDS.items():
+            for flag, flag_argv in MODE_FLAGS.items():
+                code, out, err = run(capsys, command, path, *flag_argv, *rest)
+                kind = facts(err).get("error.type")
+                cells[(command, mode, flag)] = (code, sha12(out), kind)
+    return cells
+
+
+def test_mode_matrix(capsys, tmp_path):
+    assert mode_cells(capsys, tmp_path) == MODE_MATRIX
+    for cell in MOVED_CELLS:
+        assert MODE_MATRIX[cell] == MODE_MATRIX[(cell[0], "exact", "none")]
+    # the generators still refuse numeric mode, since a file holds only
+    # exact surfaces
+    refused = {cell for cell, (code, _, _) in MODE_MATRIX.items() if code}
+    assert {command for command, _, _ in refused} == {"flow", "twist"}
+    assert all(MODE_MATRIX[cell][2] == "ModeMismatch" for cell in refused)
 
 
 def test_probe_rejects_unreadable_times(capsys, tmp_path):
@@ -657,7 +760,8 @@ def test_missing_file_is_a_validation_failure(capsys, tmp_path):
 # digits, and an area of 3 * 1eK * 1eK has 2K + 1 while each length and
 # height a file holds has at most K + 1
 DIGITS = sys.get_int_max_str_digits()
-TOO_LONG = f"1e{2 * DIGITS}"
+TOO_DIGITS = 2 * DIGITS
+TOO_LONG = f"1e{TOO_DIGITS}"
 HALF_LONG = f"1e{3 * DIGITS // 4}"
 
 
@@ -683,6 +787,65 @@ def test_a_number_too_long_to_print_is_out_of_range(capsys, tmp_path, argv,
     assert "error.type = OutOfRange" in err
     assert f"error = {field} has too many digits to print" in err
     assert "Traceback" not in err
+
+
+# an error message names a number too long to print by its size, and
+# the command exits 2 with the error type the number earns
+@pytest.mark.skipif(DIGITS == 0, reason="str() prints integers of any length")
+@pytest.mark.parametrize("argv, kind, spelled", [
+    # the perimeter check of the spines
+    (("validate", "LONG_EDGE"), "InvalidAssignment", "perimeters a "),
+    # the length check of a ribbon graph
+    (("validate", "NEGATIVE_EDGE"), "ParseError", "length a negative "),
+    (("validate", "NEGATIVE_HEIGHT"), "NonPositiveHeight", "is a negative "),
+    (("flow", "PANTS", f"--scale=-{TOO_LONG}"), "OutOfRange",
+     "positive: a negative "),
+    (("pants", "2", f"--lengths=-{TOO_LONG},1,1"), "NonPositiveLength",
+     "lengths a negative "),
+    (("plumbing", "4", "4", f"--length=-{TOO_LONG}"), "NonPositiveLength",
+     "length a negative "),
+], ids=["perimeters", "edge length", "height", "flow scale", "pants lengths",
+        "plumbing length"])
+def test_a_message_spells_a_number_too_long_to_print_by_its_size(
+        capsys, tmp_path, argv, kind, spelled):
+    _, text, _ = run(capsys, "pants", "2", "--lengths", "3,4,5")
+    edge = "edge: 0 3 length 2"
+    files = {
+        "PANTS": text,
+        "LONG_EDGE": text.replace(edge, f"edge: 0 3 length {TOO_LONG}", 1),
+        "NEGATIVE_EDGE": text.replace(edge, f"edge: 0 3 length -{TOO_LONG}", 1),
+        "NEGATIVE_HEIGHT": text.replace("[heights]\n0: 1",
+                                        f"[heights]\n0: -{TOO_LONG}"),
+    }
+    # every reporter reads a file with a broken spine alike
+    commands = (argv[0],)
+    if argv[1] in ("LONG_EDGE", "NEGATIVE_EDGE"):
+        commands = ("validate", "classify", "rank", "spin")
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg in files:
+            assert arg == "PANTS" or files[arg] != text, arg
+            argv[i] = tmp_path / f"{arg}.spec"
+            argv[i].write_text(files[arg], encoding="utf-8")
+    for command in commands:
+        code, out, err = run(capsys, command, *argv[1:])
+        assert (code, out) == (2, ""), command
+        assert f"error.type = {kind}" in err, command
+        assert f"{spelled}{TOO_DIGITS + 1}-digit integer" in err, command
+        assert "Traceback" not in err
+
+
+@pytest.mark.skipif(DIGITS == 0, reason="str() prints integers of any length")
+def test_the_speller_counts_digits_exactly():
+    assert _spell(10 ** DIGITS - 1) == "9" * DIGITS  # as str() prints it
+    for k in (DIGITS + 1, 2 * DIGITS, 3 * DIGITS + 7):
+        assert _spell(10 ** k) == f"a {k + 1}-digit integer"
+        assert _spell(10 ** k - 1) == f"a {k}-digit integer"
+        assert _spell(-(10 ** k)) == f"a negative {k + 1}-digit integer"
+    assert _spell(F(-1, 10 ** TOO_DIGITS)) == (
+        f"a negative fraction of 1 over {TOO_DIGITS + 1} digits")
+    assert _spell([F(1, 2), 10 ** TOO_DIGITS]) == (
+        f"1/2, a {TOO_DIGITS + 1}-digit integer")
 
 
 ORIGAMI = "ORIGAMI"

@@ -148,3 +148,44 @@ def test_the_scan_sees_a_planted_write():
     assert ("linalg", "chatty") in found
     assert ("linalg", "saver") in found
     assert ("linalg", "quiet") not in found
+
+
+# the command line chooses the arithmetic of a command in one rule: the
+# tables beside cli._build_parser, which cli._load applies
+MODE_NAMES = {"EXACT", "NUMERIC"}
+MODE_RULE = {"_EXACT_ONLY", "_WRITES_SPEC", "_load", "_build_parser"}
+
+
+def statement_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def mode_deciders(tree):
+    """The line of each module-level statement outside the mode rule
+    that names EXACT or NUMERIC, with the names it defines."""
+    return sorted(
+        (node.lineno, sorted(statement_names(node)))
+        for node in tree.body
+        if not statement_names(node) & MODE_RULE
+        and any(isinstance(n, ast.Name) and n.id in MODE_NAMES
+                for n in ast.walk(node)))
+
+
+def test_the_command_line_decides_the_mode_in_one_rule():
+    assert mode_deciders(package_trees()["cli"]) == []
+
+
+def test_the_scan_sees_a_planted_mode_decision():
+    tree = package_trees()["cli"]
+    tree.body.extend(ast.parse(
+        "def cmd_sneaky(args):\n    return replace(_load(args), mode=EXACT)\n"
+        "DEFAULT_MODE = NUMERIC\n"
+        "def cmd_plain(args):\n    return _load(args)\n").body)
+    found = [names for _, names in mode_deciders(tree)]
+    assert found == [["cmd_sneaky"], ["DEFAULT_MODE"]]

@@ -2,11 +2,12 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from ttlab import probe
-from ttlab.errors import OutOfRange, RadiusTooSmall
+from ttlab import probe, ribbon
+from ttlab.errors import NonPositiveHeight, OutOfRange, RadiusTooSmall
 from ttlab.probe import (
     _CENSORED,
     _DROPPED,
@@ -21,7 +22,7 @@ from ttlab.probe import (
 )
 from ttlab.ribbon import SpineAssignment, pants_assignment, single_vertex_graph
 from ttlab.saddle import DEFAULT_CAP, saddle_connections_up_to
-from ttlab.surface import geodesic_flow
+from ttlab.surface import NUMERIC, build_surface, geodesic_flow
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_pair, plumbing_ring
@@ -38,7 +39,7 @@ def small_probe(**kw):
     cfg, sa, heights = origami_inputs()
     args = dict(times=(0.0, 1.0), samples=25, seed=7, radius=1.2)
     args.update(kw)
-    return run_probe(cfg, sa, heights, **args)
+    return run_probe(build_surface(cfg, sa, heights), **args)
 
 
 def stats(values, censored=0, dropped=0, time=0.0):
@@ -77,6 +78,25 @@ def test_probe_flows_once_per_time(monkeypatch):
     assert [t for _, t in calls] == [0.0, 0.5, 1.0]
 
 
+def test_probe_samples_the_surface_it_is_handed(monkeypatch):
+    # an exact surface is converted to floats once, and nothing is
+    # validated again: the report is the one its numeric build gives
+    cfg, sa, heights = origami_inputs()
+    exact = build_surface(cfg, sa, heights)
+    numeric = build_surface(cfg, sa, heights, mode=NUMERIC)
+    calls = count_calls(monkeypatch, ribbon, "validate_assignment")
+    args = dict(times=(0.0, 1.0), samples=10, seed=7, radius=1.2)
+    assert run_probe(exact, **args).text() == run_probe(numeric, **args).text()
+    assert calls == []
+
+
+def test_a_height_that_rounds_to_zero_as_a_float_is_refused():
+    cfg, sa, _ = origami_inputs()
+    q = build_surface(cfg, sa, [Fraction(1, 10 ** 400)])
+    with pytest.raises(NonPositiveHeight):
+        run_probe(q, times=(0.0,), samples=1, seed=0, radius=1)
+
+
 def test_small_radius_censors_instead_of_dropping():
     report = small_probe(times=(0.0,), samples=10, radius=0.5)
     st = report.per_time[0]
@@ -103,9 +123,10 @@ def test_spent_budget_with_nothing_found_drops_the_sample():
     sa = pants_assignment(GENUS5, GENERIC12)
     heights = [1] * GENUS5.n_curves
     args = dict(times=(3.0,), samples=8, seed=3, radius=1.0)
-    (cut,) = run_probe(GENUS5, sa, heights, cap=300, **args).per_time
+    q = build_surface(GENUS5, sa, heights)
+    (cut,) = run_probe(q, cap=300, **args).per_time
     assert (cut.kept, cut.dropped, cut.censored) == (0, 8, 0)
-    (full,) = run_probe(GENUS5, sa, heights, **args).per_time
+    (full,) = run_probe(q, **args).per_time
     assert (full.kept, full.dropped, full.censored) == (4, 0, 4)
 
 
@@ -114,8 +135,9 @@ def test_time_that_keeps_nothing_still_reports():
     # is dropped.  Those times report kept = 0, and a KS entry with an
     # empty side prints as nan instead of the whole report being lost
     sa = pants_assignment(GENUS5, GENERIC12)
-    report = run_probe(GENUS5, sa, [1] * GENUS5.n_curves, times=(0.0, 2.0, 4.0),
-                       samples=6, seed=3, radius=1.0, cap=300)
+    q = build_surface(GENUS5, sa, [1] * GENUS5.n_curves)
+    report = run_probe(q, times=(0.0, 2.0, 4.0), samples=6, seed=3,
+                       radius=1.0, cap=300)
     assert [(st.kept, st.dropped) for st in report.per_time] == [(6, 0), (0, 6), (0, 6)]
     assert all(math.isnan(d) for d in report.ks)
     assert "\nks = nan, nan\n" in report.text()
@@ -138,7 +160,7 @@ def test_identical_inputs_identical_bytes():
 
 
 def probe_digest(cfg, sa, **kw):
-    text = run_probe(cfg, sa, [1] * cfg.n_curves, **kw).text()
+    text = run_probe(build_surface(cfg, sa, [1] * cfg.n_curves), **kw).text()
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -312,35 +334,35 @@ def test_cesaro_is_the_running_mean():
 
 
 def test_parameter_validation():
-    cfg, sa, heights = origami_inputs()
+    q = build_surface(*origami_inputs())
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(), samples=5, seed=1, radius=1)
+        run_probe(q, times=(), samples=5, seed=1, radius=1)
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(6.0,), samples=5, seed=1, radius=1)
+        run_probe(q, times=(6.0,), samples=5, seed=1, radius=1)
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(-1.0,), samples=5, seed=1, radius=1)
+        run_probe(q, times=(-1.0,), samples=5, seed=1, radius=1)
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(1.0,), samples=0, seed=1, radius=1)
+        run_probe(q, times=(1.0,), samples=0, seed=1, radius=1)
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, heights, times=(1.0,), samples=200_000, seed=1,
+        run_probe(q, times=(1.0,), samples=200_000, seed=1,
                   radius=1)
     for radius in (0, math.inf, 1e300, math.nan):
         with pytest.raises(OutOfRange):
-            run_probe(cfg, sa, heights, times=(1.0,), samples=5, seed=1,
+            run_probe(q, times=(1.0,), samples=5, seed=1,
                       radius=radius)
 
 
 def test_probe_is_desk_scale_only():
     cfg, sa = plumbing_pair(10)   # genus 9
     with pytest.raises(OutOfRange):
-        run_probe(cfg, sa, [1] * cfg.n_curves, times=(1.0,), samples=5,
-                  seed=1, radius=1)
+        run_probe(build_surface(cfg, sa, [1] * cfg.n_curves), times=(1.0,),
+                  samples=5, seed=1, radius=1)
 
 
 def test_pants_surface_probe_runs():
     cfg = enumerate_pants_configs(3)[0]
     sa = pants_assignment(cfg, GENERIC6)
-    report = run_probe(cfg, sa, [1] * 6, times=(0.0, 2.0), samples=8,
-                       seed=3, radius=1.0)
+    report = run_probe(build_surface(cfg, sa, [1] * 6), times=(0.0, 2.0),
+                       samples=8, seed=3, radius=1.0)
     assert report.per_time[0].dropped == 0
     assert report.per_time[1].kept + report.per_time[1].censored > 0

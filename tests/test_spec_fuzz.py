@@ -1,4 +1,5 @@
-"""Seeded fuzzing of spec files through the commands that read them.
+"""Seeded fuzzing of spec files, and of the argument lists, through the
+commands that read them.
 
 Valid spec texts are mutated line by line and token by token, and every
 mutant goes through the reporters validate, classify, spin, rank and
@@ -6,10 +7,14 @@ probe (one sample at one time) and the generators flow and twist, as a
 shell user would run them.
 A second round edits the bytes of a file on disk: bytes that are not
 UTF-8, CRLF line ends, a byte-order mark and NUL bytes.
+A third replaces one argument of a small command line of pants,
+plumbing, flow, twist or probe with a number or a token.
 Whatever the mutant says, each command must either answer (exit 0) or
 refuse with exit code 2 and an error.type line; a traceback or another
-exit code is a bug.  The draws come from CounterRandom, so a failure
-names a mutant that replays exactly.
+exit code is a bug.  The one other refusal is argparse's own: an
+argument that its declared type cannot read (an integer option given
+"x") ends in a usage line and exit code 2.  The draws come from
+CounterRandom, so a failure names a mutant that replays exactly.
 """
 
 import sys
@@ -34,10 +39,12 @@ MUTANTS = 400
 BYTE_MUTANTS = 200
 
 # replacements for a number: small values that keep a file plausible,
-# and values that no surface can carry
+# values that no surface can carry, and numbers with more digits than
+# str() and int() read by default (sys.get_int_max_str_digits())
 NUMBERS = ("0", "1", "2", "3", "5", "1/2", "3/2", "7/3", "-1", "-0", "+1",
            "99", "2/0", "0/5", "1.5", "1e400", "1/1000000000",
-           "1000000000000")
+           "1000000000000", "1e5000", "-1e5000", "7" * 5000,
+           "1/1" + "0" * 5000)
 # replacements for any token
 TOKENS = ("x", "=", ":", "(0,", "0)", "[", "]", "nan", "inf", "length",
           "vertex:", "true")
@@ -172,6 +179,53 @@ def test_byte_mutated_files_answer_or_refuse(capsys, tmp_path):
             outcomes[answer_or_refuse(code, out, err, (m, command, data))] += 1
     # some mutants still answer (CRLF line ends, say), others are refused
     assert outcomes[True] and outcomes[False]
+
+
+# the command lines of the third round, SPEC standing for a spec file;
+# an option is joined to its value by "=", so that a value with a
+# leading "-" is not read as an option
+ARGVS = (
+    ("pants", "2", "--lengths=3,4,5", "--heights=1", "--twists=0"),
+    ("plumbing", "4", "4", "--length=2", "--heights=1", "--twists=0"),
+    ("flow", "SPEC", "--scale=3/2", "--shear=1/4"),
+    ("twist", "SPEC", "0=2/3", "1=1"),
+    ("probe", "SPEC", "--samples=1", "--times=0", "--seed=3", "--radius=1"),
+)
+ARGV_MUTANTS = 1500
+
+
+def run_argv(capsys, argv):
+    """main on argv; argparse's refusal of an argument that its type
+    cannot read is returned as exit code 2 with its usage text."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and not out, argv
+        assert err.startswith("usage: ttlab") and ": error: " in err, argv
+        return None
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_mutated_argument_lists_answer_or_refuse(capsys, tmp_path):
+    rng = CounterRandom(0, "argv-fuzz")
+    spec = tmp_path / "pants.spec"
+    spec.write_text(base_texts()[2], encoding="utf-8")
+    outcomes = {True: 0, False: 0, None: 0}
+    for m in range(ARGV_MUTANTS):
+        argv = [str(spec) if a == "SPEC" else a for a in ARGVS[m % len(ARGVS)]]
+        i = rng.randint(1, len(argv) - 1)
+        # the value of an option or of a twist c=amount, or the argument
+        head, sep, _ = argv[i].rpartition("=")
+        argv[i] = head + sep + rng.choice(NUMBERS + TOKENS)
+        result = run_argv(capsys, argv)
+        if result is None:
+            outcomes[None] += 1
+        else:
+            outcomes[answer_or_refuse(*result, (m, argv))] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # --- mutants that used to escape as tracebacks ---------------------------
