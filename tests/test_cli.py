@@ -488,6 +488,26 @@ def test_spin_undefined_is_still_an_answer(capsys, tmp_path):
     assert report["spin.reason"]
 
 
+def test_spin_numeric_file_needs_the_exact_override(capsys, tmp_path):
+    # spin reads only the combinatorics and the exact lengths, so the
+    # exact override is no longer needed: a numeric file answers as the
+    # exact one, with the flag or without it
+    path = tmp_path / "num.spec"
+    path.write_text(
+        ORIGAMI_TEXT.replace("mode = exact", "mode = numeric"),
+        encoding="utf-8",
+    )
+    exact = tmp_path / "origami.spec"
+    exact.write_text(ORIGAMI_TEXT, encoding="utf-8")
+    code, expected, _ = run(capsys, "spin", exact)
+    assert code == 0
+    assert facts(expected)["spin.parity"] == "odd"
+    for flags in ((), ("--mode", "exact")):
+        code, out, err = run(capsys, "spin", path, *flags)
+        assert code == 0, err
+        assert out == expected
+
+
 # ---------------------------------------------------------------- probe
 
 
@@ -629,6 +649,20 @@ def test_mode_matrix(capsys, tmp_path):
     refused = {cell for cell, (code, _, _) in MODE_MATRIX.items() if code}
     assert {command for command, _, _ in refused} == {"flow", "twist"}
     assert all(MODE_MATRIX[cell][2] == "ModeMismatch" for cell in refused)
+
+
+def test_probe_refuses_exact_mode(capsys, tmp_path):
+    # the probe samples in floats whichever surface it is handed, so
+    # --mode exact no longer refuses: it reports what no flag reports
+    path = tmp_path / "origami.spec"
+    path.write_text(ORIGAMI_TEXT, encoding="utf-8")
+    rest = ("--times", "0,0.5", "--samples", "4", "--seed", "3")
+    code, expected, _ = run(capsys, "probe", path, *rest)
+    assert code == 0
+    code, out, err = run(capsys, "probe", path, "--mode", "exact", *rest)
+    assert code == 0, err
+    assert "ModeMismatch" not in err
+    assert out == expected
 
 
 def test_probe_rejects_unreadable_times(capsys, tmp_path):
