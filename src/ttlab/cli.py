@@ -12,6 +12,10 @@ built once.  _load reads the file in the arithmetic the command needs,
 by the one rule stated beside _build_parser.
 main() is the one place that writes: the text goes to --out PATH,
 followed by a ``wrote = PATH`` line on stdout, or else to stdout.
+It is also the one place that refuses, with ``error.type`` and
+``error`` lines on stderr: each argument is read once by its parser
+type, which raises OutOfRange naming the argument, and an argument list
+that does not fit the grammar raises UsageError from _Parser.error.
 
 There is one parser per process: the first main() call builds it and
 later calls reuse it.  argparse reads sys.argv, the standard streams and
@@ -41,6 +45,7 @@ from .errors import (
     OutOfRange,
     ParseError,
     TTLabError,
+    UsageError,
     _report,
 )
 from .probe import run_probe
@@ -67,15 +72,32 @@ from .surface import (
 from .topology import _is_pants, enumerate_pants_configs, make_config
 
 
-def _rational(token, what):
-    try:
-        return Fraction(str(token))
-    except (ValueError, ZeroDivisionError):
-        raise OutOfRange(f"{what}: {token!r} is not a rational") from None
+def _reader(what, convert=Fraction, kind="a rational", listed=False):
+    """The argparse type of the argument what: convert on its token, or
+    on each item of its comma list, raising OutOfRange naming what for
+    a token that convert cannot read."""
+    def read(token):
+        try:
+            return convert(token)
+        except (ValueError, ZeroDivisionError):
+            raise OutOfRange(f"{what}: {token!r} is not {kind}") from None
+    if listed:
+        return lambda text: [read(tok.strip()) for tok in text.split(",")]
+    return read
 
 
-def _rational_list(text, what, count):
-    values = [_rational(tok.strip(), what) for tok in str(text).split(",")]
+def _twist(token):
+    """A twist assignment c=amount, as (curve index, rational amount)."""
+    curve, sep, amount = token.partition("=")
+    if not sep:
+        raise OutOfRange(f"twist {token!r} is not of the form c=amount")
+    return (_reader(f"twist {token!r}", int, "a curve index")(curve),
+            _reader("twist amount")(amount))
+
+
+def _broadcast(values, what, count):
+    """values, a single value repeated count times; OutOfRange naming
+    what unless that makes count values."""
     if len(values) == 1 and count > 1:
         values = values * count
     if len(values) != count:
@@ -157,9 +179,9 @@ def cmd_pants(args):
         )
     cfg = configs[args.pairing]
     n = cfg.n_curves
-    lengths = _rational_list(args.lengths, "--lengths", n)
-    heights = _rational_list(args.heights, "--heights", n)
-    twists = _rational_list(args.twists, "--twists", n)
+    lengths = _broadcast(args.lengths, "--lengths", n)
+    heights = _broadcast(args.heights, "--heights", n)
+    twists = _broadcast(args.twists, "--twists", n)
     return _generated(cfg, pants_assignment(cfg, lengths), heights, twists)
 
 
@@ -225,42 +247,33 @@ def cmd_plumbing(args):
     if min(valences) < 3 or sum(valences) > MAX_PLUMBING_SLOTS:
         raise OutOfRange("plumbing is desk scale: 3 or more boundary circles "
                          f"a piece, and at most {MAX_PLUMBING_SLOTS} in all")
-    length = _rational(args.length, "--length")
     gluing = _plumbing_gluing(valences)
     chi = sum(2 - p for p in valences)
     genus = (2 - chi) // 2
     cfg = make_config(genus, [(0, p) for p in valences], gluing)
-    graphs = tuple(plumbing_fixture(p, length) for p in valences)
+    graphs = tuple(plumbing_fixture(p, args.length) for p in valences)
     fts = tuple(tuple(range(p)) for p in valences)
     sa = SpineAssignment(graphs, fts)
     n = cfg.n_curves
-    heights = _rational_list(args.heights, "--heights", n)
-    twists = _rational_list(args.twists, "--twists", n)
+    heights = _broadcast(args.heights, "--heights", n)
+    twists = _broadcast(args.twists, "--twists", n)
     return _generated(cfg, sa, heights, twists)
 
 
 def cmd_flow(args):
     spec = _load(args)
     q = spec.build()
-    q = geodesic_flow(q, _rational(args.scale, "--scale"))
-    shear = _rational(args.shear, "--shear")
-    if shear:
-        q = horocycle_flow(q, shear)
+    q = geodesic_flow(q, args.scale)
+    if args.shear:
+        q = horocycle_flow(q, args.shear)
     return write_spec(spec_from_surface(q, normalize=spec.normalize))
 
 
 def cmd_twist(args):
     spec = _load(args)
     q = spec.build()
-    for token in args.assignment:
-        curve, sep, amount = token.partition("=")
-        if not sep:
-            raise OutOfRange(f"twist {token!r} is not of the form c=amount")
-        try:
-            index = int(curve)
-        except ValueError:
-            raise OutOfRange(f"twist {token!r}: {curve!r} is not a curve index") from None
-        q = cylinder_twist(q, index, _rational(amount, "twist amount"))
+    for index, amount in args.assignment:
+        q = cylinder_twist(q, index, amount)
     return write_spec(spec_from_surface(q, normalize=spec.normalize))
 
 
@@ -287,14 +300,7 @@ def cmd_rank(args):
 
 
 def cmd_probe(args):
-    spec = _load(args)
-    times = []
-    for token in args.times.split(","):
-        try:
-            times.append(float(token))
-        except ValueError:
-            raise OutOfRange(f"--times: {token!r} is not a number") from None
-    return run_probe(spec.build(), times, args.samples, args.seed,
+    return run_probe(_load(args).build(), args.times, args.samples, args.seed,
                      args.radius).text()
 
 
@@ -319,9 +325,17 @@ _EXACT_ONLY = ("classify", "rank", "spin")
 _WRITES_SPEC = ("flow", "twist")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and by inheritance each subcommand's, that refuses an
+    argument list it cannot read with UsageError, for main to report."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttlab",
         description="Build, transform, and classify flat twist tori.",
     )
@@ -345,44 +359,47 @@ def _build_parser():
 
     p = add("pants", cmd_pants, "write a spec for a pants-decomposition twist torus",
             reads_spec=False)
-    p.add_argument("genus", type=int, help="genus of the closed surface")
+    p.add_argument("genus", type=_reader("genus", int, "an integer"),
+                   help="genus of the closed surface")
     p.add_argument(
         "--pairing",
-        type=int,
+        type=_reader("--pairing", int, "an integer"),
         default=0,
         help="index into the catalog of pants decompositions for this genus",
     )
-    p.add_argument(
-        "--lengths",
-        default="1",
-        help="comma-separated curve lengths; a single value is broadcast",
-    )
-    p.add_argument("--heights", default="1", help="cylinder heights, same shape")
-    p.add_argument("--twists", default="0", help="cylinder twists, same shape")
+    p.add_argument("--lengths", type=_reader("--lengths", listed=True), default="1",
+                   help="comma-separated curve lengths; a single value is broadcast")
+    p.add_argument("--heights", type=_reader("--heights", listed=True), default="1",
+                   help="cylinder heights, same shape")
+    p.add_argument("--twists", type=_reader("--twists", listed=True), default="0",
+                   help="cylinder twists, same shape")
 
     p = add("plumbing", cmd_plumbing, "write a spec gluing plumbing fixtures around a hub",
             reads_spec=False)
     p.add_argument(
         "valence",
-        type=int,
+        type=_reader("valence", int, "an integer"),
         nargs="+",
         help="boundary count of each piece; the largest is the hub",
     )
-    p.add_argument("--length", default="2", help="boundary length shared by all fixtures")
-    p.add_argument("--heights", default="1", help="cylinder heights; a single value is broadcast")
-    p.add_argument("--twists", default="0", help="cylinder twists, same shape")
+    p.add_argument("--length", type=_reader("--length"), default="2",
+                   help="boundary length shared by all fixtures")
+    p.add_argument("--heights", type=_reader("--heights", listed=True), default="1",
+                   help="cylinder heights; a single value is broadcast")
+    p.add_argument("--twists", type=_reader("--twists", listed=True), default="0",
+                   help="cylinder twists, same shape")
 
     p = add("flow", cmd_flow, "stretch horizontally, shear, and write the moved spec")
-    p.add_argument(
-        "--scale",
-        default="1",
-        help="horizontal stretch factor, a positive rational; heights shrink by it",
-    )
-    p.add_argument("--shear", default="0", help="horizontal shear parameter, a rational")
+    p.add_argument("--scale", type=_reader("--scale"), default="1",
+                   help="horizontal stretch factor, a positive rational; "
+                   "heights shrink by it")
+    p.add_argument("--shear", type=_reader("--shear"), default="0",
+                   help="horizontal shear parameter, a rational")
 
     p = add("twist", cmd_twist, "shear single cylinders and write the moved spec")
     p.add_argument(
         "assignment",
+        type=_twist,
         nargs="+",
         metavar="c=amount",
         help="shear applied to cylinder c alone",
@@ -391,10 +408,14 @@ def _build_parser():
     add("rank", cmd_rank, "report the homological rank certificate")
 
     p = add("probe", cmd_probe, "sample twists, flow, and report saddle statistics")
-    p.add_argument("--times", default="0,1", help="comma-separated flow times")
-    p.add_argument("--samples", type=int, default=100, help="twist draws per time")
-    p.add_argument("--seed", type=int, default=0, help="root seed for the draws")
-    p.add_argument("--radius", type=float, default=1.0, help="saddle search radius")
+    p.add_argument("--times", type=_reader("--times", float, "a number", listed=True),
+                   default="0,1", help="comma-separated flow times")
+    p.add_argument("--samples", type=_reader("--samples", int, "an integer"),
+                   default=100, help="twist draws per time")
+    p.add_argument("--seed", type=_reader("--seed", int, "an integer"),
+                   default=0, help="root seed for the draws")
+    p.add_argument("--radius", type=_reader("--radius", float, "a number"),
+                   default=1.0, help="saddle search radius")
 
     add("spin", cmd_spin, "report the parity of the horizontal spin structure")
 
@@ -410,8 +431,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = args.func(args)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as handle:

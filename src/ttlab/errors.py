@@ -94,6 +94,10 @@ class ZeroLengthForced(TTLabError):
     """Gluing constraints force some edge length to zero or below."""
 
 
+class UsageError(TTLabError):
+    """An argument list that does not fit the command line's grammar."""
+
+
 class ParseError(TTLabError):
     """Torus-spec file syntax or consistency error, with line number."""
 

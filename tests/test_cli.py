@@ -1003,9 +1003,37 @@ def test_a_bad_byte_after_a_byte_order_mark_is_named(capsys, tmp_path):
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert facts(err) == {
+        "error.type": "UsageError",
+        "error": "ttlab: the following arguments are required: command",
+    }
+
+
+# argparse's refusals and the readers of argument values refuse through
+# main, as a command's own refusals do; F stands for a spec file
+@pytest.mark.parametrize("argv, kind, message", [
+    (("pants", "x"), "OutOfRange", "genus: 'x' is not an integer"),
+    (("flow", "F", "--scale", "-1/2"), "UsageError",
+     "ttlab flow: argument --scale: expected one argument"),
+    (("probe", "F", "--samples", "x"), "OutOfRange",
+     "--samples: 'x' is not an integer"),
+    (("rank",), "UsageError",
+     "ttlab rank: the following arguments are required: spec"),
+    (("rank", "F", "--bogus"), "UsageError",
+     "ttlab: unrecognized arguments: --bogus"),
+    (("twist", "F", "0=1/0"), "OutOfRange",
+     "twist amount: '1/0' is not a rational"),
+], ids=["pants x", "flow scale -1/2", "probe samples x", "rank bare",
+        "rank bogus", "twist 0=1/0"])
+def test_an_unreadable_argument_list_is_refused_through_main(
+        capsys, tmp_path, argv, kind, message):
+    path = tmp_path / "origami.spec"
+    path.write_text(ORIGAMI_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, *(path if a == "F" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert facts(err) == {"error.type": kind, "error": message}
 
 
 # ------------------------------------------------------- validate once

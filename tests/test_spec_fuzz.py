@@ -7,17 +7,18 @@ probe (one sample at one time) and the generators flow and twist, as a
 shell user would run them.
 A second round edits the bytes of a file on disk: bytes that are not
 UTF-8, CRLF line ends, a byte-order mark and NUL bytes.
-A third replaces one argument of a small command line of pants,
-plumbing, flow, twist or probe with a number or a token.
+A third edits a small command line of pants, plumbing, flow, twist or
+probe: one argument's value becomes a number or a token, an argument
+is dropped, an unknown option or a bad --mode is added, or an option
+loses its value.
 Whatever the mutant says, each command must either answer (exit 0) or
 refuse with exit code 2 and an error.type line; a traceback or another
-exit code is a bug.  The one other refusal is argparse's own: an
-argument that its declared type cannot read (an integer option given
-"x") ends in a usage line and exit code 2.  The draws come from
-CounterRandom, so a failure names a mutant that replays exactly.
+exit code is a bug.  The draws come from CounterRandom, so a failure
+names a mutant that replays exactly.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from ttlab.cli import main
@@ -27,7 +28,7 @@ from ttlab.specfile import TorusSpecFile, write_spec
 from ttlab.topology import enumerate_pants_configs
 
 from test_classify import GENERIC6, plumbing_ring
-from test_cli import piped
+from test_cli import piped, run
 from test_specfile import ORIGAMI_TEXT
 
 # argv after the spec argument, which is "-" for stdin
@@ -143,7 +144,7 @@ def answer_or_refuse(code, out, err, where):
         assert out and not err, where
         return True
     assert code == 2, where
-    assert err.startswith("error.type = "), where
+    assert err.startswith("error.type = ") and "\nerror = " in err, where
     assert not out, where
     return False
 
@@ -194,38 +195,47 @@ ARGVS = (
 ARGV_MUTANTS = 1500
 
 
-def run_argv(capsys, argv):
-    """main on argv; argparse's refusal of an argument that its type
-    cannot read is returned as exit code 2 with its usage text."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-        out, err = capsys.readouterr()
-        assert code == 2 and not out, argv
-        assert err.startswith("usage: ttlab") and ": error: " in err, argv
-        return None
-    out, err = capsys.readouterr()
-    return code, out, err
+def mutate_argv(rng, argv):
+    """One edit of an argument list: the value of an option or of a
+    twist c=amount, or an argument, replaced by a number or a token (as
+    often as all other edits together); an argument dropped; an unknown
+    option or a --mode that does not exist added; or an option left
+    without its value."""
+    argv = list(argv)
+    i = rng.randint(1, len(argv) - 1)
+    op = rng.randint(0, 7)
+    if op < 4:
+        head, sep, _ = argv[i].rpartition("=")
+        argv[i] = head + sep + rng.choice(NUMBERS + TOKENS)
+    elif op == 4:
+        del argv[i]
+    elif op == 5:
+        argv.insert(i, "--bogus")
+    elif op == 6:
+        argv.append(rng.choice(("--mode=fuzzy", "--mode=EXACT", "--mode=")))
+    elif argv[i].startswith("--"):
+        argv[i] = argv[i].partition("=")[0]
+    else:
+        argv.append("--out")
+    return argv
 
 
 def test_mutated_argument_lists_answer_or_refuse(capsys, tmp_path):
     rng = CounterRandom(0, "argv-fuzz")
     spec = tmp_path / "pants.spec"
     spec.write_text(base_texts()[2], encoding="utf-8")
-    outcomes = {True: 0, False: 0, None: 0}
+    answered, refusals = 0, Counter()
     for m in range(ARGV_MUTANTS):
         argv = [str(spec) if a == "SPEC" else a for a in ARGVS[m % len(ARGVS)]]
-        i = rng.randint(1, len(argv) - 1)
-        # the value of an option or of a twist c=amount, or the argument
-        head, sep, _ = argv[i].rpartition("=")
-        argv[i] = head + sep + rng.choice(NUMBERS + TOKENS)
-        result = run_argv(capsys, argv)
-        if result is None:
-            outcomes[None] += 1
+        argv = mutate_argv(rng, argv)
+        code, out, err = run(capsys, *argv)
+        if answer_or_refuse(code, out, err, (m, argv)):
+            answered += 1
         else:
-            outcomes[answer_or_refuse(*result, (m, argv))] += 1
-    assert all(outcomes.values()), outcomes
+            refusals[err.splitlines()[0]] += 1
+    # argparse's refusals and the readers' both come through main
+    assert answered and refusals["error.type = UsageError"], refusals
+    assert refusals["error.type = OutOfRange"], refusals
 
 
 # --- mutants that used to escape as tracebacks ---------------------------
