@@ -11,7 +11,9 @@ a fixed disclaimer instead of a pass mark.
 
 The probe samples the surface it is handed, built in either mode: the
 twists are drawn as floats, so an exact surface is converted to floats
-once, and each sample replaces its twists.
+once, and each sample replaces its twists.  The float copy checks its
+own numbers, so a height or a length that rounds to 0.0 is refused
+there.
 
 Sampling is driven by a counter-based generator with one substream per
 (time, sample) pair, so reports are byte-identical for identical
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveHeight, OutOfRange, RadiusTooSmall, _fmt, _report
+from .errors import OutOfRange, RadiusTooSmall, _fmt, _report
 from .rng import CounterRandom
 from .saddle import DEFAULT_CAP, saddle_connections_up_to
 from .surface import NUMERIC, geodesic_flow
@@ -162,11 +164,13 @@ def run_probe(q, times, samples, seed, radius, cap=DEFAULT_CAP):
     """Sample twists, flow, and measure; see the module docstring.
 
     q is a built surface in either mode.  It is converted to floats
-    once, without being validated again, because the twists are drawn
-    as floats; each sample replaces the twists of q.  Each sample is
-    measured by _measure_sample: a radius above NARROW_RADIUS is first
-    searched only to NARROW_RADIUS, and cap bounds each search on its
-    own.  The radius must be positive with a finite square.
+    once, because the twists are drawn as floats, and the float copy
+    checks its own numbers (NonPositiveHeight for a height, OutOfRange
+    for a length that rounds to 0.0); each sample replaces the twists
+    of q.  Each sample is measured by _measure_sample: a radius above
+    NARROW_RADIUS is first searched only to NARROW_RADIUS, and cap
+    bounds each search on its own.  The radius must be positive with a
+    finite square.
     """
     if q.cfg.genus > MAX_GENUS:
         raise OutOfRange(
@@ -188,8 +192,6 @@ def run_probe(q, times, samples, seed, radius, cap=DEFAULT_CAP):
         raise OutOfRange(f"radius must have a finite square, got {radius}")
 
     base = q._replace(mode=NUMERIC)
-    if not all(base.heights):
-        raise NonPositiveHeight("a height rounds to 0.0 as a float")
     lengths = base.base_lengths
     root = CounterRandom(int(seed), "probe")
 

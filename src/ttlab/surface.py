@@ -12,7 +12,10 @@ where they have equal kinds; the latter are the holonomy -1 gluings.
 
 Everything is kept in one of two arithmetic modes.  Exact mode stores
 Fractions and tracks the geodesic flow symbolically through a scale
-pair (scale_x, scale_y); numeric mode stores floats.
+pair (scale_x, scale_y); numeric mode stores floats.  A surface
+converts and checks its own numbers: every surface, whether built, a
+flowed or sheared copy, or a copy in the other mode, passes through
+FlatTwistSurface's constructor, which holds the one rule.
 """
 
 import math
@@ -42,7 +45,10 @@ def _exact_number(value, what):
     return Fraction(value)
 
 
-def _convert(value, mode, what):
+def _convert(value, mode, what, positive=False):
+    """value in mode.  In numeric mode it must be a finite float, and,
+    if positive, one above 0.0: an exact length or scale is positive,
+    but as a float it may round to 0.0.  Exact mode takes any rational."""
     if mode == EXACT:
         return _exact_number(value, what)
     try:
@@ -51,6 +57,9 @@ def _convert(value, mode, what):
         number = math.inf
     if not math.isfinite(number):
         raise OutOfRange(f"numeric mode needs a {what} that fits a float")
+    if positive and number <= 0:
+        raise OutOfRange(
+            f"numeric mode needs a {what} that stays positive as a float")
     return number
 
 
@@ -85,16 +94,29 @@ class FlatTwistSurface:
     Built by build_surface, which checks that sa fits cfg; lengths are
     the curve lengths that check returned.  glued_faces[i] holds the
     two faces (piece, face index) glued along curve i, bottom first.
+
+    The constructor converts the heights, twists, scale and lengths to
+    mode and checks them, for a build and for every copy alike: each
+    height is positive in mode (NonPositiveHeight); in numeric mode each
+    number is a finite float and the scale and the lengths stay above
+    0.0 (OutOfRange).  Exact lengths are positive by the spine checks,
+    and an exact scale by geodesic_flow's factor check.  Twists are
+    stored mod the curve length.
     """
 
     def __init__(self, cfg, sa, heights, twists, mode, scale, lengths):
         self.cfg = cfg
         self.sa = sa
         self.mode = mode
+        heights = [_convert(h, mode, "height") for h in heights]
+        for i, h in enumerate(heights):
+            if h <= 0:
+                raise NonPositiveHeight(f"height of curve {i} is {_spell(h)}")
         self.heights = tuple(heights)
-        self.scale = tuple(scale)
-        base = [_convert(l, mode, "length") for l in lengths]
+        self.scale = tuple([_convert(s, mode, "scale", positive=True) for s in scale])
+        base = [_convert(l, mode, "length", positive=True) for l in lengths]
         self.base_lengths = tuple(base)
+        twists = [_convert(t, mode, "twist") for t in twists]
         # an exact twist in [0, l) is kept as it is; a float always takes
         # %, which also turns -0.0 into +0.0
         exact = mode == EXACT
@@ -130,20 +152,17 @@ class FlatTwistSurface:
         """jointly_orientable(self), (flag, epsilon), computed once."""
         return jointly_orientable(self)
 
-    def _replace(self, twists=None, scale=None, mode=None):
-        """A copy with new twists or scale, or with its numbers converted
-        to another mode; the spines are not validated again."""
-        heights, scale = self.heights, self.scale if scale is None else scale
-        if mode is not None:
-            heights = [_convert(h, mode, "height") for h in heights]
-            scale = [_convert(s, mode, "scale") for s in scale]
+    def _replace(self, twists=None, scale=None, mode=None, heights=None):
+        """A copy with new heights, twists or scale, or in another mode;
+        the constructor converts and checks its numbers, but the spines
+        are not validated again."""
         return FlatTwistSurface(
             self.cfg,
             self.sa,
-            heights,
+            self.heights if heights is None else heights,
             self.twists if twists is None else twists,
             mode or self.mode,
-            scale,
+            self.scale if scale is None else scale,
             self.base_lengths,
         )
 
@@ -168,8 +187,8 @@ class FlatTwistSurface:
             sides = []
             for h in self.face_cycle(p, f):
                 length = self.scale[0] * _convert(
-                    self.sa.graphs[p].length_of(h), self.mode, "length"
-                )
+                    self.sa.graphs[p].length_of(h), self.mode,
+                    "spine edge length", positive=True)
                 sides.append(Side(p, h, i, kind, x % ell, length))
                 x = x + step * length
             circles.append(tuple(sides))
@@ -212,7 +231,10 @@ def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
     """Assemble a FlatTwistSurface from spine data, heights and twists.
 
     This is where a (cfg, sa) pair is checked (validate_assignment) and
-    resolved; everything downstream takes the surface it returns.
+    resolved; everything downstream takes the surface it returns.  The
+    counts of heights and twists are checked here; the numbers
+    themselves are converted and checked by the surface it builds.
+    normalize divides the heights by the area, in a copy.
     """
     if mode not in (EXACT, NUMERIC):
         raise OutOfRange(f"mode must be {EXACT!r} or {NUMERIC!r}, got {mode!r}")
@@ -221,30 +243,22 @@ def build_surface(cfg, sa, heights, twists=None, normalize=False, mode=EXACT):
     heights = list(heights)
     if len(heights) != n:
         raise NonPositiveHeight(f"expected {n} heights, got {len(heights)}")
-    heights = [_convert(h, mode, "height") for h in heights]
-    for i, h in enumerate(heights):
-        if h <= 0:
-            raise NonPositiveHeight(f"height of curve {i} is {_spell(h)}")
-    if twists is None:
-        twists = [0] * n
-    twists = list(twists)
+    twists = [0] * n if twists is None else list(twists)
     if len(twists) != n:
         raise InvalidSurface(f"expected {n} twists, got {len(twists)}")
-    twists = [_convert(t, mode, "twist") for t in twists]
-    if normalize:
-        total = sum(
-            _convert(l, mode, "length") * h for l, h in zip(lengths, heights)
-        )
-        heights = [h / total for h in heights]
     one = Fraction(1) if mode == EXACT else 1.0
-    return FlatTwistSurface(cfg, sa, heights, twists, mode, (one, one), lengths)
+    q = FlatTwistSurface(cfg, sa, heights, twists, mode, (one, one), lengths)
+    if normalize:
+        total = q.area()
+        q = q._replace(heights=[h / total for h in q.heights])
+    return q
 
 
 def geodesic_flow(q, t):
     """Stretch horizontally, shrink vertically, preserving area.
 
-    Numeric mode: t is a real time and the factor is e^t; a time that
-    takes e^t or the scale out of the positive floats raises OutOfRange.
+    Numeric mode: t is a real time and the factor is e^t; the copy
+    refuses a scale that leaves the positive floats (OutOfRange).
     Exact mode: t must itself be the positive rational factor standing
     in for e^t.
     """
@@ -255,9 +269,6 @@ def geodesic_flow(q, t):
             scale = (sx * factor, sy / factor)
         except (OverflowError, ZeroDivisionError):
             scale = (math.inf, 0.0)
-        if not all(0 < s < math.inf for s in scale):
-            raise OutOfRange(f"geodesic time {_spell(t)} moves the scale out of "
-                             "the positive floats")
         return q._replace(scale=scale)
     factor = _exact_number(t, "geodesic scale factor")
     if factor <= 0:
@@ -279,6 +290,8 @@ def cylinder_twist(q, i, s):
 
 def _shear(q, curves, s):
     """Advance the twist of each listed curve by s * h_i, mod l_i."""
+    # converted before the product: a huge exact time on a float
+    # surface would raise OverflowError inside it
     s = _convert(s, q.mode, "shear time")
     sx, sy = q.scale
     twists = list(q.twists)

@@ -275,6 +275,8 @@ def test_nabla_count_rejects():
     square = make_config(2, [(1, 2)], [((0, 0), (0, 1))])
     with pytest.raises(NotPants):
         nabla_count(square, (1,))
+    with pytest.raises(NotPants):
+        classify_pants_torus(square, (1,), (1,))
     with pytest.raises(ModeMismatch):
         nabla_count(TWO_PANTS, (2.0, 1, 1))
 

@@ -4,14 +4,23 @@ A module-level function or class of `src/ttlab` must be referenced
 somewhere else in the package or be exported by `ttlab/__init__.py`.
 Code that only the tests reach belongs in `tests/oracles.py`.
 
+The README names, as library API, exactly the exported names that no
+module of the package uses.
+
 Output has one writer: `cli.main` is the only function of the package
 that writes stdout or opens a file for writing.
+
+A surface converts and checks its own numbers: in `surface`, only the
+methods of `FlatTwistSurface` call `_convert`, and `_shear` for its
+time.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ttlab"
+README = PACKAGE.parent.parent / "README.md"
 
 
 def package_trees():
@@ -41,15 +50,14 @@ def module_bindings(tree, modules):
     return bound
 
 
-def unreferenced_definitions(trees):
-    """(module, name) of each module-level def or class that no other
-    node of the package uses and `ttlab/__init__.py` does not export.
+def used_names(trees):
+    """The names that the modules of the package, `ttlab/__init__.py`
+    aside, use.
 
     A use is a bare name, an imported name, or an attribute of a name
     bound to a module of the package (`linalg.rank`); an attribute of
     anything else, such as a method call `q.area()`, is not one.
     """
-    exported = exported_names(trees["__init__"])
     uses = set()
     for module, tree in trees.items():
         if module == "__init__":
@@ -63,6 +71,15 @@ def unreferenced_definitions(trees):
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.value, ast.Name) and node.value.id in bound):
                 uses.add(node.attr)
+    return uses
+
+
+def unreferenced_definitions(trees):
+    """(module, name) of each module-level def or class that no other
+    node of the package uses (see used_names) and `ttlab/__init__.py`
+    does not export."""
+    exported = exported_names(trees["__init__"])
+    uses = used_names(trees)
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -95,6 +112,19 @@ def test_the_scan_counts_an_attribute_of_a_package_module():
     trees["spin"].body.extend(ast.parse("from ttlab import linalg as la\n"
                                         "la.reached_by_module()\n").body)
     assert ("linalg", "reached_by_module") not in unreferenced_definitions(trees)
+
+
+def library_only_names(readme):
+    """The names that the README lists as library API beyond what the
+    commands use: the code names of the sentence that says so."""
+    sentence = readme.split("Besides what the commands use,", 1)[1]
+    return set(re.findall(r"`(\w+)`", sentence.split(".", 1)[0]))
+
+
+def test_the_readme_lists_the_exports_no_module_uses():
+    trees = package_trees()
+    unused = exported_names(trees["__init__"]) - used_names(trees)
+    assert library_only_names(README.read_text(encoding="utf-8")) == unused
 
 
 def writes_output(node):
@@ -189,3 +219,29 @@ def test_the_scan_sees_a_planted_mode_decision():
         "def cmd_plain(args):\n    return _load(args)\n").body)
     found = [names for _, names in mode_deciders(tree)]
     assert found == [["cmd_sneaky"], ["DEFAULT_MODE"]]
+
+
+# a surface converts and checks its own numbers in its constructor;
+# _shear converts its time before the product that could overflow
+CONVERTERS = ["FlatTwistSurface", "_shear"]
+
+
+def convert_callers(tree):
+    """The module-level definitions of a module that call _convert."""
+    return sorted(
+        name for node in tree.body for name in statement_names(node)
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "_convert" for n in ast.walk(node)))
+
+
+def test_only_the_surface_converts_its_numbers():
+    assert convert_callers(package_trees()["surface"]) == CONVERTERS
+
+
+def test_the_scan_sees_a_planted_conversion():
+    tree = package_trees()["surface"]
+    tree.body.extend(ast.parse(
+        "def checked_twice(q):\n"
+        "    return [_convert(h, q.mode, 'height') for h in q.heights]\n"
+        "def untouched(q):\n    return q.heights\n").body)
+    assert convert_callers(tree) == ["FlatTwistSurface", "_shear", "checked_twice"]

@@ -233,6 +233,12 @@ def test_nullspace_annihilates():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+def test_nullspace_of_no_rows_needs_its_width():
+    assert linalg.nullspace([], ncols=2) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        linalg.nullspace([])
+
+
 def test_solve_square_rejects_singular():
     with pytest.raises(ValueError):
         solve_square([[1, 2], [2, 4]], [[1, 0]])

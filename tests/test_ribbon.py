@@ -305,6 +305,12 @@ def test_mismatched_perimeters_rejected():
         validate_assignment(TWO_PANTS, sa)
 
 
+def test_piece_count_mismatch_rejected():
+    sa = theta_assignment(((3, 4, 5),))
+    with pytest.raises(InvalidAssignment, match="piece count mismatch"):
+        validate_assignment(TWO_PANTS, sa)
+
+
 def test_jointly_orientable_needs_co_orientable_pieces():
     sa = theta_assignment()
     flag, eps = jointly_orientable(build_surface(TWO_PANTS, sa, [1] * 3))

@@ -135,8 +135,9 @@ def test_cap_keeps_seed_edges():
 
 
 def test_argument_guards():
-    with pytest.raises(ModeMismatch):
-        saddle_connections_up_to(origami_surface(mode=EXACT), 1.0)
+    # an exact twist, so that the build succeeds and the search refuses
+    with pytest.raises(ModeMismatch, match="saddle search"):
+        saddle_connections_up_to(origami_surface(twist=0, mode=EXACT), 1.0)
     with pytest.raises(OutOfRange):
         saddle_connections_up_to(origami_surface(), 0.0)
     with pytest.raises(OutOfRange):

@@ -40,10 +40,11 @@ MUTANTS = 400
 BYTE_MUTANTS = 200
 
 # replacements for a number: small values that keep a file plausible,
-# values that no surface can carry, and numbers with more digits than
+# values that no surface can carry, values that only an exact surface
+# can carry (1e400 and 1e-400), and numbers with more digits than
 # str() and int() read by default (sys.get_int_max_str_digits())
 NUMBERS = ("0", "1", "2", "3", "5", "1/2", "3/2", "7/3", "-1", "-0", "+1",
-           "99", "2/0", "0/5", "1.5", "1e400", "1/1000000000",
+           "99", "2/0", "0/5", "1.5", "1e400", "1e-400", "1/1000000000",
            "1000000000000", "1e5000", "-1e5000", "7" * 5000,
            "1/1" + "0" * 5000)
 # replacements for any token
@@ -261,3 +262,17 @@ def test_numeric_length_beyond_a_float_is_refused(capsys, monkeypatch):
     assert code == 2 and not out
     assert "error.type = OutOfRange" in err
     assert "fits a float" in err
+
+
+def test_numeric_length_below_a_float_is_refused(capsys, tmp_path):
+    # 1e-400 is a positive rational, but as a float it is 0.0; reducing
+    # a twist mod that length used to raise ZeroDivisionError out of main
+    spec = tmp_path / "tiny.spec"
+    assert run(capsys, "pants", "2", "--lengths", "1e-400", "--out", spec)[0] == 0
+    for argv in (("validate", spec, "--mode", "numeric"),
+                 ("probe", spec, "--samples", "1"),
+                 ("probe", spec, "--mode", "exact", "--samples", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("error.type = OutOfRange\n"), argv
+        assert "stays positive as a float" in err, argv

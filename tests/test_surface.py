@@ -4,17 +4,22 @@ import pytest
 
 from ttlab.errors import (
     BadIndex,
+    InvalidSurface,
     ModeMismatch,
     NonPositiveHeight,
     OutOfRange,
 )
+from ttlab.probe import run_probe
+from ttlab.ribbon import pants_assignment
 from ttlab.rng import CounterRandom
 from ttlab.surface import (
+    NUMERIC,
     build_surface,
     cylinder_twist,
     geodesic_flow,
     horocycle_flow,
 )
+from ttlab.topology import enumerate_pants_configs
 
 from oracles import horizontal_period_data, is_isomorphic, unit_area
 from test_ribbon import nabla_assignment, theta_assignment
@@ -56,6 +61,16 @@ def test_bad_heights_rejected():
         theta_surface(heights=(1, -2, 1))
     with pytest.raises(NonPositiveHeight):
         theta_surface(heights=(1, 1))
+
+
+def test_the_counts_and_the_mode_name_are_checked_first():
+    with pytest.raises(OutOfRange):
+        theta_surface(mode="float")
+    with pytest.raises(InvalidSurface):
+        theta_surface(twists=(0, 0))
+    # the counts come before the numbers they hold
+    with pytest.raises(InvalidSurface):
+        theta_surface(heights=(1, -2, 1), twists=(0, 0))
 
 
 def test_exact_mode_rejects_floats():
@@ -168,6 +183,102 @@ def test_numeric_shear_time_must_be_a_finite_float():
         cylinder_twist(cylinder_twist(q, 0, 0.5), 1, 0.5), 2, 0.5).twists
     with pytest.raises(ModeMismatch):
         horocycle_flow(theta_surface(), 0.5)
+
+
+# exact numbers that numeric mode cannot hold: positive but 0.0 as a
+# float, and past the largest float
+TINY = F(1, 10 ** 400)
+HUGE = F(10 ** 400)
+
+
+def tiny_length_surface(mode="exact"):
+    """Two pants glued along three curves of length 10^-400."""
+    cfg = enumerate_pants_configs(2)[1]
+    return build_surface(cfg, pants_assignment(cfg, (TINY,) * 3), (1, 1, 1),
+                         mode=mode)
+
+
+def numeric_theta():
+    return theta_surface(heights=(1, 0.5, 2), mode="numeric")
+
+
+def probe_copy(q):
+    return run_probe(q, (0.0,), 1, 0, 1.0)
+
+
+# every way a surface is made, with each number that numeric mode cannot
+# hold that it can carry in; each used to escape as NaN, a surface with
+# a zero or a Fraction in it, or ZeroDivisionError
+REFUSALS = [
+    # a curve length of 10^-400
+    ("build numeric, tiny length", lambda: tiny_length_surface(NUMERIC),
+     OutOfRange),
+    ("mode copy, tiny length",
+     lambda: tiny_length_surface()._replace(mode=NUMERIC), OutOfRange),
+    ("probe, tiny length", lambda: probe_copy(tiny_length_surface()),
+     OutOfRange),
+    # a height of 10^-400
+    ("build numeric, tiny height",
+     lambda: theta_surface(heights=(TINY, 1, 1), mode=NUMERIC),
+     NonPositiveHeight),
+    ("mode copy, tiny height",
+     lambda: theta_surface(heights=(TINY, 1, 1))._replace(mode=NUMERIC),
+     NonPositiveHeight),
+    ("probe, tiny height",
+     lambda: probe_copy(theta_surface(heights=(TINY, 1, 1))),
+     NonPositiveHeight),
+    # a scale past the floats, or one that becomes 0.0
+    ("scale copy, huge scale", lambda: numeric_theta()._replace(scale=(HUGE, 1)),
+     OutOfRange),
+    ("scale copy, tiny scale", lambda: numeric_theta()._replace(scale=(TINY, 1)),
+     OutOfRange),
+    ("geodesic flow, huge scale", lambda: geodesic_flow(numeric_theta(), 1000),
+     OutOfRange),
+    ("mode copy, huge scale",
+     lambda: geodesic_flow(theta_surface(), HUGE)._replace(mode=NUMERIC),
+     OutOfRange),
+    ("probe, huge scale",
+     lambda: probe_copy(geodesic_flow(theta_surface(), HUGE)), OutOfRange),
+    # a shear advance past the floats
+    ("horocycle flow, huge shear", lambda: horocycle_flow(numeric_theta(), 1e308),
+     OutOfRange),
+    ("cylinder twist, huge shear",
+     lambda: cylinder_twist(numeric_theta(), 2, 1e308), OutOfRange),
+    ("twists copy, huge twist",
+     lambda: numeric_theta()._replace(twists=(HUGE, 0, 0)), OutOfRange),
+    ("build numeric, huge twist",
+     lambda: theta_surface(twists=(HUGE, 0, 0), mode=NUMERIC), OutOfRange),
+]
+
+
+@pytest.mark.parametrize("make, error", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_every_surface_refuses_a_number_numeric_mode_cannot_hold(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_exact_mode_holds_what_the_floats_cannot():
+    assert tiny_length_surface().base_lengths == (TINY,) * 3
+    assert theta_surface(heights=(TINY, 1, 1)).heights[0] == TINY
+    assert geodesic_flow(theta_surface(), HUGE).scale == (HUGE, 1 / HUGE)
+    sheared = horocycle_flow(theta_surface(), HUGE)
+    assert all(type(t) is Fraction and 0 <= t < l
+               for t, l in zip(sheared.twists, sheared.base_lengths))
+
+
+def test_a_spine_edge_that_rounds_to_zero_is_refused():
+    # the pants of curves 1, 2, 2 have boundary lengths (2, 1 + e, 1 + e),
+    # so their theta spine has an edge of length e; the float layout used
+    # to lay it out as 0.0, and the probe found a connection of length 0
+    cfg = enumerate_pants_configs(2)[0]
+    sa = pants_assignment(cfg, (1, 2, 1 + TINY))
+    exact = build_surface(cfg, sa, (1, 1, 1))
+    assert min(side.length for cyl in exact.layout for side in cyl.top) == TINY
+    with pytest.raises(OutOfRange, match="spine edge length"):
+        build_surface(cfg, sa, (1, 1, 1), mode=NUMERIC).layout
+    with pytest.raises(OutOfRange, match="spine edge length"):
+        probe_copy(exact)
 
 
 def test_commutation_relation_on_twists():

@@ -8,6 +8,8 @@ import pytest
 from ttlab import topology
 from ttlab.errors import InvalidConfig, OutOfRange
 from ttlab.topology import (
+    ComplementPiece,
+    MulticurveConfig,
     enumerate_pants_configs,
     is_pants_decomposition,
     make_config,
@@ -71,6 +73,27 @@ def test_disconnected_config_is_reported():
     )
     report = validate_config(cfg)
     assert report.violations == [("connected", "cut surface is disconnected")]
+
+
+def violations(pieces, gluing, genus=2):
+    return validate_config(MulticurveConfig(
+        genus, tuple(ComplementPiece(g, b) for g, b in pieces), tuple(gluing)
+    )).violations
+
+
+def test_malformed_gluings_and_pieces_are_reported():
+    pants = [(0, 3), (0, 3)]
+    glued = [((0, 1), (1, 1)), ((0, 2), (1, 2))]
+    assert ("gluing", "curve 0 does not have exactly 2 sides") in violations(
+        pants, [((0, 0),)] + glued)
+    assert ("gluing", "curve 0 references missing piece 2") in violations(
+        pants, [((0, 0), (2, 0))] + glued)
+    assert ("gluing", "curve 0 references missing slot 1.3") in violations(
+        pants, [((0, 0), (1, 3))] + glued)
+    found = violations([(-1, 3), (0, 1), (0, 2)], [])
+    assert ("piece", "piece 0 has negative genus") in found
+    assert ("piece", "piece 1 is a disk or annulus (chi >= 0)") in found
+    assert ("piece", "piece 2 is a disk or annulus (chi >= 0)") in found
 
 
 def test_is_pants_decomposition():
