@@ -56,6 +56,7 @@ from .ribbon import (
 )
 from .specfile import (
     TorusSpecFile,
+    _lines,
     parse_spec,
     spec_from_surface,
     validate_spec,
@@ -110,7 +111,7 @@ def _read_text(path):
 
     One leading byte-order mark is dropped, as some editors write one.
     A byte that is not UTF-8 is a ParseError at its line, numbered as
-    parse_spec numbers lines.
+    parse_spec numbers lines (see specfile._lines).
     """
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -123,8 +124,7 @@ def _read_text(path):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("utf-8")
-        lineno = len((before + ".").splitlines())
+        lineno = len(_lines(data[:exc.start].decode("utf-8")))
         raise ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 

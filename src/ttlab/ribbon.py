@@ -37,27 +37,42 @@ class MetricRibbonGraph:
     def __init__(self, sigma, iota, lengths):
         self.sigma = sigma = tuple(sigma)
         self.iota = iota = tuple(iota)
-        n = len(iota)
-        self.lengths = {min(h, iota[h]) if h < n else h:
-                        v if type(v) is Fraction else Fraction(v)
-                        for h, v in lengths.items()}
+        self.lengths = _keyed(iota, lengths)
         self._check()
+        self._check_lengths()
         self._vertices, self._vertex_index = _orbits(sigma)
         if not self._connected():
             raise MalformedGraph("graph is not connected")
         self._faces, self._face_index = _orbits([sigma[k] for k in iota])
+        self._set_perimeters()
+
+    def with_lengths(self, lengths):
+        """The graph MetricRibbonGraph(self.sigma, self.iota, lengths)
+        builds, with the same errors; what depends on sigma and iota
+        alone (their checks, the vertices and the faces) is this graph's."""
+        graph = object.__new__(MetricRibbonGraph)
+        graph.sigma, graph.iota = self.sigma, self.iota
+        graph.lengths = _keyed(self.iota, lengths)
+        graph._check_lengths()
+        graph._vertices, graph._vertex_index = self._vertices, self._vertex_index
+        graph._faces, graph._face_index = self._faces, self._face_index
+        graph._set_perimeters()
+        return graph
+
+    def _set_perimeters(self):
         # each perimeter is one integer sum over a common denominator
+        iota = self.iota
         d = math.lcm(*[v.denominator for v in self.lengths.values()])
-        scaled = [0] * n
+        scaled = [0] * len(iota)
         for e, v in self.lengths.items():
             scaled[e] = scaled[iota[e]] = v.numerator * (d // v.denominator)
         self._perimeters = tuple([Fraction(sum(map(scaled.__getitem__, f)), d)
                                   for f in self._faces])
 
     def _check(self):
-        """Raise MalformedGraph or NonPositiveLength for the first check
-        below that fails, in O(n); connectivity is checked last, once
-        the vertices are known."""
+        """Raise MalformedGraph for the first check of sigma and iota
+        below that fails, in O(n); the lengths are checked next, and
+        connectivity last, once the vertices are known."""
         sigma, iota, n = self.sigma, self.iota, len(self.sigma)
         if n % 2:
             raise MalformedGraph("odd number of half-edges")
@@ -71,7 +86,11 @@ class MetricRibbonGraph:
                 raise MalformedGraph(f"iota fixes half-edge {h}")
             if iota[k] != h:
                 raise MalformedGraph("iota is not an involution")
-        if self.lengths.keys() != {h for h, k in enumerate(iota) if h < k}:
+
+    def _check_lengths(self):
+        """Raise MalformedGraph or NonPositiveLength unless the lengths
+        are positive and keyed by the edges of iota, an involution."""
+        if self.lengths.keys() != {h for h, k in enumerate(self.iota) if h < k}:
             raise MalformedGraph("lengths keyed by wrong half-edges")
         for e, val in self.lengths.items():
             if val.numerator <= 0:
@@ -147,9 +166,19 @@ class MetricRibbonGraph:
         return len(self._faces)
 
 
+def _keyed(iota, lengths):
+    """lengths as a graph keeps them: each key moved to the smaller
+    half-edge of its pair, each value a Fraction."""
+    n = len(iota)
+    return {min(h, iota[h]) if h < n else h:
+            v if type(v) is Fraction else Fraction(v)
+            for h, v in lengths.items()}
+
+
 def _orbits(perm):
     """Cycles of a permutation, as tuples starting from the least element,
-    and the index of each element's cycle."""
+    and the index of each element's cycle, both as tuples: with_lengths
+    hands them to every graph of the same shape."""
     index = [None] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -163,7 +192,7 @@ def _orbits(perm):
             cyc.append(h)
             h = perm[h]
         out.append(tuple(cyc))
-    return out, index
+    return tuple(out), tuple(index)
 
 
 def boundary_cycles(graph):

@@ -11,6 +11,17 @@ graphs well formed.  Semantic checks (do the glued perimeters match,
 do the heights build a surface) live in validate_spec, so a file that
 describes an impossible gluing still parses and can be inspected.  The
 writer emits a canonical form: write(parse(write(x))) == write(x).
+
+The reader takes one pass over the lines, which end at \\n, \\r\\n or
+\\r only (_lines).  Where it splits the file into sections it matches
+each body line once against its section's pattern; the section readers
+take their fields from that match, and refuse a line it does not match
+with their own per-kind tests and messages.  They run in a fixed order
+(surface, curves, pieces, gluing, the configuration's checks, ribbons,
+heights, twists, options), so of two faults the one reported does not
+depend on where each stands.  What one call reads once and reuses (the
+integer and rational tokens, the first graph of each spine shape) is
+kept in dicts of that call alone.
 """
 
 from __future__ import annotations
@@ -61,20 +72,31 @@ class TorusSpecFile:
 # --- parsing -------------------------------------------------------------------
 
 
+# The body-line pattern of each section, compiled once.  _split_sections
+# matches every body line against its section's pattern as it reads the
+# line, and the section readers below take the fields from that match.
+# A pattern matches exactly the lines its reader accepts; a line it does
+# not match is refused by the reader's own tests, so every message stays
+# the reader's.  Every integer field is \d+, which is what str.isdecimal()
+# accepts and what int() reads.
+_KEY_VALUE = re.compile(r"(\w+)\s*=\s*(\S+)")
+_INDEXED = re.compile(r"(\d+)\s*:\s*(.*)")
+_PIECE = re.compile(r"(\d+)\s*:\s*genus\s*=\s*(\d+)\s+slots\s*=\s*(\d+)")
+_GLUING = re.compile(r"(\d+)\s*:\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+                     r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_TWIST = re.compile(r"(\d+)\s*:\s*(\S+)")
+# one alternation for the three kinds of ribbon line; m.lastindex names
+# the kind of a match, and the kinds' prefixes exclude each other
+_RIBBON = re.compile(r"vertex:([\d\s]*)"
+                     r"|edge:\s*(\d+)\s+(\d+)\s+length\s+(\S+)"
+                     r"|face->slot:\s*(\d+)\s+(\d+)")
+_VERTEX, _EDGE, _FACE_SLOT = 1, 4, 6
+
 _PLAIN_SECTIONS = ("surface", "curves", "pieces", "gluing",
                    "heights", "twists", "options")
+_PATTERNS = (_KEY_VALUE, _KEY_VALUE, _PIECE, _GLUING,
+             _INDEXED, _TWIST, _KEY_VALUE)
 
-# line patterns, compiled once; every integer field is \d+, which is
-# what str.isdecimal() accepts and what int() reads
-_INDEXED = re.compile(r"(\d+)\s*:\s*(.*)")
-_VERTEX = re.compile(r"vertex:([\d\s]*)")
-_EDGE = re.compile(r"edge:\s*(\d+)\s+(\d+)\s+length\s+(\S+)")
-_FACE_SLOT = re.compile(r"face->slot:\s*(\d+)\s+(\d+)")
-_PIECE = re.compile(r"genus\s*=\s*(\d+)\s+slots\s*=\s*(\d+)")
-_GLUING = re.compile(
-    r"\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-_TWIST = re.compile(r"(\d+)\s*:\s*(\S+)$")
-_KEY_VALUE = re.compile(r"(\w+)\s*=\s*(\S+)")
 
 # int() refuses a decimal string longer than sys.get_int_max_str_digits();
 # in each try block that turns its ValueError into this message, int()
@@ -82,42 +104,72 @@ _KEY_VALUE = re.compile(r"(\w+)\s*=\s*(\S+)")
 _TOO_LONG = "integer has too many digits"
 
 
+def _lines(text):
+    """The lines of text, split as universal newlines read a file: at
+    \\n, \\r\\n and \\r only, so that a form feed or U+2028 stays inside
+    its line; after a final line break comes one empty line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _split_sections(text):
-    """Map section key -> (header line number, [(lineno, line), ...])."""
-    sections = {}
-    body = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
+    """The plain sections of text by name and its ribbon sections by
+    piece, each as (header line number, [(lineno, line, m), ...]) over
+    the lines that hold more than a comment, where m is the match of
+    the line against its section's pattern, or None.  Header faults are
+    found here, in file order, before any body line is read."""
+    sections, ribbons = {}, {}
+    append = fullmatch = None
+    comments = "#" in text
+    for lineno, line in enumerate(_lines(text), start=1):
+        if comments:
+            line = line.partition("#")[0]
+        line = line.strip()
         if not line:
             continue
         if line[0] != "[":
-            if body is None:
+            if append is None:
                 raise ParseError(lineno, "content before the first section header")
-            body.append((lineno, line))
+            append((lineno, line, fullmatch(line)))
             continue
         if line[-1] != "]":
             raise ParseError(lineno, "unterminated section header")
         name = line[1:-1].strip()
-        parts = name.split()
-        if len(parts) == 2 and parts[0] == "ribbon" and parts[1].isdecimal():
+        if name in _PLAIN_SECTIONS:
+            key, table = name, sections
+            fullmatch = _PATTERNS[_PLAIN_SECTIONS.index(name)].fullmatch
+        else:
+            parts = name.split()
+            if not (len(parts) == 2 and parts[0] == "ribbon"
+                    and parts[1].isdecimal()):
+                raise ParseError(lineno, f"unknown section [{name}]")
             try:
-                key = ("ribbon", int(parts[1]))
+                key, table = int(parts[1]), ribbons
             except ValueError:
                 raise ParseError(lineno, _TOO_LONG)
-        elif name in _PLAIN_SECTIONS:
-            key = name
-        else:
-            raise ParseError(lineno, f"unknown section [{name}]")
-        if key in sections:
+            fullmatch = _RIBBON.fullmatch
+        if key in table:
             raise ParseError(lineno, f"duplicate section [{name}]")
         body = []
-        sections[key] = (lineno, body)
-    return sections
+        append = body.append
+        table[key] = (lineno, body)
+    return sections, ribbons
 
 
-def _need(sections, key, shown=None):
+class _Integers(dict):
+    """The integer of each decimal token read so far in one file, so
+    that int() reads a token once however often the file holds it; a
+    token int() refuses raises its ValueError, and nothing is kept."""
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
+
+
+def _need(sections, key):
     if key not in sections:
-        raise ParseError(0, f"missing section [{shown or key}]")
+        raise ParseError(0, f"missing section [{key}]")
     return sections[key]
 
 
@@ -141,8 +193,7 @@ def _single_int(header, lines, key):
     """The integer of a section that holds one `key = N` line."""
     if len(lines) != 1:
         raise ParseError(header, f"expected exactly one line: {key} = ...")
-    lineno, line = lines[0]
-    m = _KEY_VALUE.fullmatch(line)
+    lineno, line, m = lines[0]
     if not m or m[1] != key:
         raise ParseError(lineno, f"expected {key} = ...")
     if not m[2].isdecimal():
@@ -153,20 +204,26 @@ def _single_int(header, lines, key):
         raise ParseError(lineno, _TOO_LONG)
 
 
-def _indexed(lines, what, n_expected=None):
-    """Parse `i: rest` lines into a dense list, rejecting gaps and repeats."""
+def _indexed(lines, what, ints, n_expected=None):
+    """Order `i: rest` lines by i into a dense list of (lineno, m),
+    rejecting gaps and repeats; m is the line's match, or None when its
+    rest does not fit the section."""
     found = {}
-    for lineno, line in lines:
-        m = _INDEXED.match(line)
-        if not m:
-            raise ParseError(lineno, f"expected an indexed line 'i: ...'")
+    for lineno, line, m in lines:
+        if m is None:
+            indexed = _INDEXED.match(line)
+            if not indexed:
+                raise ParseError(lineno, "expected an indexed line 'i: ...'")
+            index = indexed[1]
+        else:
+            index = m[1]
         try:
-            idx, rest = int(m[1]), m[2]
+            idx = ints[index]
         except ValueError:
             raise ParseError(lineno, _TOO_LONG)
         if idx in found:
             raise ParseError(lineno, f"{what} {idx} defined twice")
-        found[idx] = (lineno, rest.strip())
+        found[idx] = (lineno, m)
     n = n_expected if n_expected is not None else len(found)
     try:
         out = [found[i] for i in range(n)]
@@ -178,39 +235,50 @@ def _indexed(lines, what, n_expected=None):
     return out
 
 
-def _parse_ribbon(lines, header, piece):
+def _ribbon_fault(lineno, line):
+    """The refusal of a ribbon line that _RIBBON does not match."""
+    if line.startswith("vertex:"):
+        return ParseError(lineno, "vertex line needs half-edge numbers")
+    if line.startswith("edge:"):
+        return ParseError(lineno, "expected edge: h k length p/q")
+    if line.startswith("face->slot:"):
+        return ParseError(lineno, "expected face->slot: f s")
+    return ParseError(lineno, f"unknown ribbon line {line!r}")
+
+
+def _parse_ribbon(header, lines, piece, ints, known, shapes):
+    """The graph and face->slot map of the ribbon section of one piece.
+
+    The line loop refuses what one line shows wrong, in file order; the
+    checks after it need the whole section: the vertex lines' cover of
+    the half-edges, the edges' pairing, the graph's own checks and the
+    faces' slots."""
     cycles = []
     listed = []
-    edge_pairs = []
+    edges = []
     lengths = {}
     fts_pairs = []
     try:
-        for lineno, line in lines:
-            if line.startswith("vertex:"):
-                m = _VERTEX.fullmatch(line)
-                if not m:
-                    raise ParseError(lineno, "vertex line needs half-edge numbers")
-                cycle = tuple(map(int, m[1].split()))
+        for lineno, line, m in lines:
+            kind = m.lastindex if m else None
+            if kind == _EDGE:
+                a, b, token = ints[m[2]], ints[m[3]], m[4]
+                if a == b:
+                    raise ParseError(lineno, "an edge needs two distinct sides")
+                edges.append((lineno, a, b))
+                lengths[min(a, b)] = (
+                    known[token] if token in known
+                    else known.setdefault(token, _rational(token, lineno)))
+            elif kind == _FACE_SLOT:
+                fts_pairs.append((lineno, ints[m[5]], ints[m[6]]))
+            elif kind == _VERTEX:
+                cycle = [*map(ints.__getitem__, m[1].split())]
                 if not cycle:
                     raise ParseError(lineno, "empty vertex line")
                 cycles.append(cycle)
                 listed += cycle
-            elif line.startswith("edge:"):
-                m = _EDGE.fullmatch(line)
-                if not m:
-                    raise ParseError(lineno, "expected edge: h k length p/q")
-                a, b, token = int(m[1]), int(m[2]), m[3]
-                if a == b:
-                    raise ParseError(lineno, "an edge needs two distinct sides")
-                edge_pairs.append((lineno, a, b))
-                lengths[min(a, b)] = _rational(token, lineno)
-            elif line.startswith("face->slot:"):
-                m = _FACE_SLOT.fullmatch(line)
-                if not m:
-                    raise ParseError(lineno, "expected face->slot: f s")
-                fts_pairs.append((lineno, int(m[1]), int(m[2])))
             else:
-                raise ParseError(lineno, f"unknown ribbon line {line!r}")
+                raise _ribbon_fault(lineno, line)
     except ValueError:
         raise ParseError(lineno, _TOO_LONG)
 
@@ -226,7 +294,7 @@ def _parse_ribbon(lines, header, piece):
             sigma[prev] = h
             prev = h
     iota = [None] * n
-    for lineno, a, b in edge_pairs:
+    for lineno, a, b in edges:
         if a >= n or b >= n:
             raise ParseError(lineno, f"half-edge out of range 0..{n - 1}")
         if iota[a] is not None or iota[b] is not None:
@@ -234,8 +302,15 @@ def _parse_ribbon(lines, header, piece):
         iota[a], iota[b] = b, a
     if None in iota:
         raise ParseError(header, f"piece {piece}: some half-edge has no edge line")
+    # a file's pieces often share one spine shape; its graph built once
+    # gives the next ones their checks and orbits
+    shape = (tuple(sigma), tuple(iota))
+    seen = shapes.get(shape)
     try:
-        graph = MetricRibbonGraph(sigma, iota, lengths)
+        if seen is None:
+            graph = shapes[shape] = MetricRibbonGraph(*shape, lengths)
+        else:
+            graph = seen.with_lengths(lengths)
     except TTLabError as exc:
         raise ParseError(header, f"piece {piece}: {exc}")
 
@@ -254,8 +329,19 @@ def _parse_ribbon(lines, header, piece):
 
 
 def parse_spec(text):
-    """Parse spec text into a TorusSpecFile; structure errors carry lines."""
-    sections = _split_sections(text)
+    """Parse spec text into a TorusSpecFile; structure errors carry lines.
+
+    One pass splits the text into sections and matches each body line
+    against its section's pattern.  The sections are then read in a
+    fixed order: surface, curves, pieces, gluing, the configuration's
+    own checks, the ribbons by piece, heights, twists and options.  So
+    of two faults in different sections, the one reported does not
+    depend on where in the file each stands.
+    """
+    sections, ribbons = _split_sections(text)
+    ints = _Integers()
+    known = {}  # token -> Fraction, for this file only
+    shapes = {}  # (sigma, iota) -> the first graph of that shape here
 
     genus = _single_int(*_need(sections, "surface"), "genus")
     n_curves = _single_int(*_need(sections, "curves"), "count")
@@ -264,27 +350,25 @@ def parse_spec(text):
     pieces = []
     gluing = []
     try:
-        for lineno, rest in _indexed(piece_lines, "piece"):
-            m = _PIECE.fullmatch(rest)
+        for lineno, m in _indexed(piece_lines, "piece", ints):
             if not m:
                 raise ParseError(lineno, "expected genus = G slots = B")
-            pieces.append(tuple(map(int, m.groups())))
+            pieces.append((ints[m[2]], ints[m[3]]))
         if not pieces:
             raise ParseError(piece_header, "at least one piece is required")
+        n_pieces = len(pieces)
 
         glue_header, glue_lines = _need(sections, "gluing")
-        for lineno, rest in _indexed(glue_lines, "curve", n_curves):
-            m = _GLUING.fullmatch(rest)
+        for lineno, m in _indexed(glue_lines, "curve", ints, n_curves):
             if not m:
                 raise ParseError(lineno, "expected (piece, slot) (piece, slot)")
-            p1, s1, p2, s2 = map(int, m.groups())
-            a, b = (p1, s1), (p2, s2)
-            for p, s in (a, b):
-                if p >= len(pieces):
+            ends = (ints[m[2]], ints[m[3]]), (ints[m[4]], ints[m[5]])
+            for p, s in ends:
+                if p >= n_pieces:
                     raise ParseError(lineno, f"piece {p} does not exist")
                 if s >= pieces[p][1]:
                     raise ParseError(lineno, f"piece {p} has no slot {s}")
-            gluing.append((a, b))
+            gluing.append(ends)
     except ValueError:
         raise ParseError(lineno, _TOO_LONG)
 
@@ -295,35 +379,33 @@ def parse_spec(text):
 
     graphs = []
     face_to_slot = []
-    for p in range(len(pieces)):
-        if ("ribbon", p) not in sections:
+    for p in range(n_pieces):
+        if p not in ribbons:
             raise ParseError(piece_header, f"missing section [ribbon {p}]")
-        rib_header, rib_lines = sections[("ribbon", p)]
-        graph, fts = _parse_ribbon(rib_lines, rib_header, p)
+        graph, fts = _parse_ribbon(*ribbons[p], p, ints, known, shapes)
         graphs.append(graph)
         face_to_slot.append(fts)
-    for key in sections:
-        if isinstance(key, tuple) and key[1] >= len(pieces):
-            raise ParseError(sections[key][0],
-                             f"ribbon section for nonexistent piece {key[1]}")
+    if len(ribbons) > n_pieces:
+        p = next(p for p in ribbons if p >= n_pieces)
+        raise ParseError(ribbons[p][0],
+                         f"ribbon section for nonexistent piece {p}")
     sa = SpineAssignment(tuple(graphs), tuple(face_to_slot))
 
-    h_header, h_lines = _need(sections, "heights")
-    heights = tuple(
-        _rational(rest, lineno)
-        for lineno, rest in _indexed(h_lines, "height", n_curves)
-    )
+    _, h_lines = _need(sections, "heights")
+    heights = tuple([
+        known[m[2]] if m[2] in known
+        else known.setdefault(m[2], _rational(m[2], lineno))
+        for lineno, m in _indexed(h_lines, "height", ints, n_curves)])
 
     twists = [Fraction(0)] * n_curves
     if "twists" in sections:
         _, t_lines = sections["twists"]
         seen = set()
-        for lineno, line in t_lines:
-            m = _TWIST.match(line)
+        for lineno, line, m in t_lines:
             if not m:
                 raise ParseError(lineno, "expected 'i: value'")
             try:
-                i, token = int(m[1]), m[2]
+                i = ints[m[1]]
             except ValueError:
                 raise ParseError(lineno, _TOO_LONG)
             if i >= n_curves:
@@ -331,14 +413,15 @@ def parse_spec(text):
             if i in seen:
                 raise ParseError(lineno, f"twist {i} defined twice")
             seen.add(i)
-            twists[i] = _rational(token, lineno)
+            token = m[2]
+            twists[i] = (known[token] if token in known
+                         else known.setdefault(token, _rational(token, lineno)))
 
     normalize = False
     mode = EXACT
     if "options" in sections:
         _, o_lines = sections["options"]
-        for lineno, line in o_lines:
-            m = _KEY_VALUE.fullmatch(line)
+        for lineno, line, m in o_lines:
             if not m:
                 raise ParseError(lineno, "expected key = value")
             key, value = m.groups()
@@ -404,7 +487,7 @@ def spec_from_surface(q, normalize=False):
     graphs = []
     for graph in q.sa.graphs:
         scaled = {h: sx * l for h, l in graph.lengths.items()}
-        graphs.append(MetricRibbonGraph(graph.sigma, graph.iota, scaled))
+        graphs.append(graph.with_lengths(scaled))
     sa = SpineAssignment(tuple(graphs), q.sa.face_to_slot)
     return TorusSpecFile(
         q.cfg,

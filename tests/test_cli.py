@@ -1158,3 +1158,49 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, tmp_path,
         assert play(argv) == answer, argv
     assert [code for code, _, _ in answers] == [2, 2, 0, 0, 0, 0, 0, 0]
     assert "usage: ttlab" in answers[2][1]
+
+
+# the line breaks of str.splitlines that universal newlines do not read
+# as one: a spec line ends at \n, \r\n or \r only
+OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_comment_holding_another_line_break_is_one_line(capsys, tmp_path, brk):
+    # ttlab pants 2 --out a.spec, then a comment on line 2 (genus = 2)
+    # that holds a form feed: the line used to split in two, and validate
+    # refused line 1, "expected exactly one line: genus = ..."
+    plain = tmp_path / "a.spec"
+    assert run(capsys, "pants", "2", "--out", plain)[0] == 0
+    lines = plain.read_text(encoding="utf-8").split("\n")
+    assert lines[1] == "genus = 2"
+    lines[1] += f"  # genus{brk}of the surface"
+    commented = tmp_path / "b.spec"
+    commented.write_bytes("\n".join(lines).encode("utf-8"))
+    expected = run(capsys, "validate", plain)
+    assert expected[0] == 0
+    assert run(capsys, "validate", commented) == expected
+    # a later fault is named at the line an editor shows it on
+    edge = next(i for i, line in enumerate(lines) if line.startswith("edge:"))
+    lines[edge] = "edge: 0 0 length 1"
+    commented.write_bytes("\n".join(lines).encode("utf-8"))
+    code, out, err = run(capsys, "validate", commented)
+    assert code == 2 and not out
+    assert facts(err)["error.line"] == str(edge + 1)
+
+
+def test_a_bad_byte_after_u2028_is_named_at_its_line(capsys, tmp_path):
+    # the UTF-8 error counts the lines parse_spec counts: U+2028 on line
+    # 2 does not end it, so the bad byte on line 3 is on line 3
+    data = ORIGAMI_TEXT.encode("utf-8")
+    data = data.replace(b"genus = 2", "genus = 2  # two\u2028holes".encode("utf-8"), 1)
+    data = data.replace(b"count = 1", b"count = \xff1", 1)
+    path = tmp_path / "bad.spec"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and not out
+    assert facts(err) == {
+        "error.type": "ParseError",
+        "error.line": "5",
+        "error": "line 5: byte 0xff is not UTF-8",
+    }

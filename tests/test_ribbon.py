@@ -277,6 +277,39 @@ def test_integer_perimeters_are_the_fraction_sums():
     assert single_vertex_graph([1, 0], {0: half}).lengths[0] is half
 
 
+def graph_outcome(build):
+    """What a graph build gives: its data, or its error and message."""
+    try:
+        g = build()
+    except (MalformedGraph, NonPositiveLength) as exc:
+        return type(exc), str(exc)
+    n = g.n_half_edges
+    return (g.sigma, g.iota, tuple(g.lengths.items()), g.vertices(), g.faces(),
+            g.perimeters(), [g.vertex_of(h) for h in range(n)],
+            [g.face_of(h) for h in range(n)])
+
+
+def test_new_lengths_build_the_graph_a_full_build_gives():
+    F = Fraction
+    shapes = [pants_spine(*trip)[0] for trip in ((3, 4, 5), (2, 3, 5), (10, 3, 2))]
+    shapes += [plumbing_fixture(4, 2),
+               single_vertex_graph([3, 4, 5, 0, 1, 2], {0: 1, 1: 2, 2: 3})]
+    for g in shapes:
+        edges = [h for h, _ in g.edges()]
+        tries = [
+            {e: F(k + 1, 3) for k, e in enumerate(edges)},
+            {g.iota[e]: k + 2 for k, e in enumerate(edges)},  # larger half-edges
+            {e: (0 if k == 1 else 1) for k, e in enumerate(edges)},
+            {e: F(-1, 2) for e in edges},
+            {e: 1 for e in edges[1:]},
+            {**{e: 1 for e in edges}, g.n_half_edges: 1},
+            {**{e: 1 for e in edges}, edges[0]: -1, g.n_half_edges + 1: 1},
+        ]
+        for lengths in tries:
+            full = graph_outcome(lambda: MetricRibbonGraph(g.sigma, g.iota, lengths))
+            assert graph_outcome(lambda: g.with_lengths(lengths)) == full, lengths
+
+
 # --- spine assignments --------------------------------------------------------
 
 

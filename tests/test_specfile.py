@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -480,3 +481,100 @@ def test_the_readme_file_block_parses():
     spec = parse_spec(block)
     assert write_spec(spec) == block
     assert validate_spec(spec)["genus"] == 2
+
+
+# --- the one-pass reader ----------------------------------------------------
+
+
+def test_lines_end_where_universal_newlines_end_them():
+    import io
+
+    from ttlab.specfile import _lines
+
+    rng = CounterRandom(0, "line-breaks")
+    pieces = ("a", " b ", "\n", "\r", "\r\n", "\n\r", "\v", "\f", "\x1c",
+              "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "")
+    for _ in range(300):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        # a text stream with newline=None reads \r\n and \r as \n
+        assert _lines(text) == io.StringIO(text, newline=None).read().split("\n")
+
+
+def test_a_line_break_inside_a_line_is_whitespace():
+    # U+2028 and a form feed are whitespace inside a line, where
+    # str.splitlines would have cut "genus =" from its value
+    for brk in ("\u2028", "\f"):
+        text = ORIGAMI_TEXT.replace("genus = 2", f"genus ={brk}2", 1)
+        assert write_spec(parse_spec(text)) == write_spec(parse_spec(ORIGAMI_TEXT))
+        late = text.replace("edge: 1 4 length 1", "edge: 1 4 length 1/0")
+        expect_parse_error(late, "rational", lineno=16)
+
+
+def fingerprint(spec):
+    """Everything a parsed spec holds, graphs included, as plain data:
+    the graphs have no equality of their own."""
+    graphs = tuple((g.sigma, g.iota, tuple(g.lengths.items()), g.vertices(),
+                    g.faces(), g.perimeters()) for g in spec.sa.graphs)
+    return (write_spec(spec), spec.cfg, graphs, spec.sa.face_to_slot,
+            spec.heights, spec.twists)
+
+
+def parse_outcome(text):
+    try:
+        return fingerprint(parse_spec(text))
+    except ParseError as exc:
+        return "error", exc.lineno, str(exc)
+
+
+def mutable_globals(module):
+    """Module-level names of module that hold a mutable container, or a
+    function that caches its answers."""
+    import collections.abc
+    import types
+
+    found = []
+    for name, value in vars(module).items():
+        if isinstance(value, (types.ModuleType, type)) or name.startswith("__"):
+            continue
+        if hasattr(value, "cache_info"):
+            found.append(name)
+        elif isinstance(value, (collections.abc.MutableMapping,
+                                collections.abc.MutableSequence,
+                                collections.abc.MutableSet, bytearray)):
+            found.append(name)
+        elif isinstance(value, tuple) and any(
+                not isinstance(v, (str, int, re.Pattern)) for v in value):
+            found.append(name)
+    return found
+
+
+def test_the_reader_keeps_nothing_from_one_call_to_the_next():
+    from ttlab import ribbon, specfile
+
+    assert mutable_globals(specfile) == []
+    assert mutable_globals(ribbon) == []
+    a = ORIGAMI_TEXT
+    b = write_spec(TorusSpecFile(*pants_assignment_spec()))
+    bad = a.replace("edge: 2 5 length 1", "edge: 2 5 length 3/0")
+    first = [parse_outcome(text) for text in (a, bad, b)]
+    assert first[0] != first[2]
+    assert [parse_outcome(text) for text in (b, a, bad)] == [first[2], first[0],
+                                                             first[1]]
+
+
+def test_the_scan_sees_a_planted_cache(monkeypatch):
+    import functools
+
+    from ttlab import specfile
+
+    monkeypatch.setattr(specfile, "_SEEN", {}, raising=False)
+    monkeypatch.setattr(specfile, "_cached", functools.cache(len), raising=False)
+    monkeypatch.setattr(specfile, "_ROWS", ([],), raising=False)
+    assert sorted(mutable_globals(specfile)) == ["_ROWS", "_SEEN", "_cached"]
+
+
+def pants_assignment_spec():
+    """(cfg, sa, heights, twists) of two pants with two spine shapes."""
+    sa = pants_assignment((3, 4, 5), (3, 4, 9), slots1=(0, 2, 1))
+    cfg = TWO_PANTS
+    return cfg, sa, (F(1),) * 3, (F(1, 2), F(0), F(2))
