@@ -39,7 +39,6 @@ from .errors import (
     ZeroLengthForced,
     _fmt,
 )
-from .linalg import feasible_nonneg
 from .ribbon import MetricRibbonGraph, SpineAssignment, _check_pieces
 from .surface import EXACT, NUMERIC, build_surface
 from .topology import make_config, validate_config
@@ -511,32 +510,29 @@ def forced_zero_lengths(cfg, sa):
     (curves, edges): curve indices whose length is forced to zero and
     (piece, edge) pairs forced to zero.
 
-    The edges are sorted out by exact phase-one feasibility probes, each
-    asking for a solution whose lengths on the still-undecided edges sum
-    to 1.  A solution frees every edge it gives a positive length; when
-    there is none, every undecided edge is zero in every solution.  Each
-    probe decides at least one edge, and usually many.
+    Each edge lies on two faces, each glued as one end of a curve, so
+    the equations are the incidence matrix of a bidirected graph on the
+    curves.  In its double, the skew-symmetric digraph on the (curve,
+    end) pairs, a nonnegative solution is a circulation folded arc onto
+    mirror arc, and an arc can carry a positive circulation exactly when
+    it lies on a directed cycle (Tutte, Antisymmetrical digraphs, 1967).
+    So an edge is forced to zero exactly when its arc joins two strongly
+    connected components.
     """
-    index = {}
+    # node 2c is curve c's first end, 2c + 1 its second: node ^ 1 flips
+    node = {}
+    for c, (a, b) in enumerate(cfg.gluing):
+        node[a], node[b] = 2 * c, 2 * c + 1
+    arcs = {}  # (piece, edge) -> (tail, head)
     for p, graph in enumerate(sa.graphs):
+        fts = sa.face_to_slot[p]
         for h, k in graph.edges():
-            index[(p, h)] = len(index)
-    nvars = len(index)
-    rows = []
-    for a, b in cfg.gluing:
-        row = [0] * nvars
-        for sign, (p, s) in ((1, a), (-1, b)):
-            for h in sa.graphs[p].faces()[sa.slot_to_face(p, s)]:
-                row[index[(p, sa.graphs[p].edge_of(h))]] += sign
-        rows.append(row)
-    undecided = set(range(nvars))
-    while undecided:
-        probe = [int(j in undecided) for j in range(nvars)]
-        x = feasible_nonneg(rows + [probe], [0] * len(rows) + [1])
-        if x is None:
-            break
-        undecided.difference_update(j for j in range(nvars) if x[j])
-    forced_edges = [key for key, col in index.items() if col in undecided]
+            u = node[(p, fts[graph.face_of(h)])]
+            v = node[(p, fts[graph.face_of(k)])]
+            arcs[(p, h)] = (u ^ 1, v)
+    mirrors = [(v ^ 1, u ^ 1) for u, v in arcs.values()]
+    component = _strong_components(2 * cfg.n_curves, [*arcs.values(), *mirrors])
+    forced_edges = [key for key, (u, v) in arcs.items() if component[u] != component[v]]
     forced_set = set(forced_edges)
     forced_curves = []
     for c, (end, _) in enumerate(cfg.gluing):
@@ -547,16 +543,55 @@ def forced_zero_lengths(cfg, sa):
     return forced_curves, forced_edges
 
 
+def _strong_components(n, arcs):
+    """Strongly connected components of the digraph on nodes 0..n-1 with
+    the given (tail, head) arcs: a label per node (Kosaraju, iterative,
+    so any depth fits)."""
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u].append(v)
+        pred[v].append(u)
+    seen = [False] * n
+    finished = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, heads = stack[-1]
+            for w in heads:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    label = [None] * n
+    for root in reversed(finished):
+        if label[root] is None:
+            label[root] = root
+            queue = [root]
+            for v in queue:
+                for w in pred[v]:
+                    if label[w] is None:
+                        label[w] = root
+                        queue.append(w)
+    return label
+
+
 def validate_spec(spec):
     """Audit a parsed spec; returns report facts or raises a typed error.
 
     Structure is already guaranteed by parse_spec.  This checks the
     semantics: spine genera and face counts against the pieces, glued
     perimeters against each other, and heights against the build.  When
-    perimeters cannot match, the forced-zero probe tells a length that
-    is impossible to satisfy apart from one that is merely mismatched.
-    The probe runs only when the perimeters are the one fault, so every
-    other fault reads as it does in the other commands.
+    perimeters cannot match, forced_zero_lengths tells a length that is
+    impossible to satisfy apart from one that is merely mismatched.  It
+    runs only when the perimeters are the one fault, so every other
+    fault reads as it does in the other commands.
     """
     try:
         q = spec.build()

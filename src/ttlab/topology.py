@@ -6,10 +6,10 @@ boundary slots, and which pairs of slots are glued along each curve.
 There is no embedded-curve bookkeeping; two configurations are the same
 exactly when they are combinatorially isomorphic.
 
-The module also holds the one graph search of the package, a
-breadth-first spanning forest (`_spanning_forest`): validation runs it
-on the pieces, `ribbon` two-colours faces with it, and the double cover
-takes its trees and cotrees from it.
+The module also holds the one undirected graph search of the package,
+a breadth-first spanning forest (`_spanning_forest`): validation runs
+it on the pieces, `ribbon` two-colours faces with it, and the double
+cover takes its trees and cotrees from it.
 """
 
 from __future__ import annotations

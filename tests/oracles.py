@@ -3,8 +3,8 @@
 Each function here recomputes something `ttlab` computes another way,
 or exposes a dense view the package never needs: the boundary matrices
 of the double cover, the intersection form, an isomorphism test for
-surfaces, rank over GF(2) by plain elimination.  None of it is reached
-from the commands or the library API.
+surfaces, rank over GF(2) by plain elimination, a phase-one simplex.
+None of it is reached from the commands or the library API.
 """
 
 import functools
@@ -65,6 +65,73 @@ def rank_gf2(matrix):
                 rows[i] ^= rows[rank_]
         rank_ += 1
     return rank_
+
+
+def ref_feasible_nonneg(matrix, rhs, ncols=None):
+    """A nonnegative solution x of A x = b, or None when none exists.
+
+    Phase-one simplex with Bland's rule throughout, on a tableau of
+    Fractions, so it terminates on every input and never misjudges
+    feasibility by rounding.  `ncols` is only needed when the system
+    has no rows.
+    """
+    if not matrix:
+        if ncols is None:
+            raise ValueError("ncols required for an empty system")
+        return [Fraction(0)] * ncols
+    n = len(matrix[0])
+    m = len(matrix)
+    # tableau columns: the n unknowns, m artificials, right-hand side
+    tab = []
+    basis = []
+    for i in range(m):
+        row = [Fraction(x) for x in matrix[i]]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        row.append(b)
+        tab.append(row)
+        basis.append(n + i)
+    # reduced costs for minimizing the artificial sum; the last entry
+    # tracks the negated objective value
+    obj = [Fraction(0)] * (n + m + 1)
+    for row in tab:
+        for j, v in enumerate(row):
+            obj[j] -= v
+    for i in range(m):
+        obj[n + i] = Fraction(0)
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])):
+                    best = ratio
+                    leave = i
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        pivot_row = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_row)]
+        f = obj[enter]
+        obj = [a - f * b for a, b in zip(obj, pivot_row)]
+        basis[leave] = enter
+    if obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][-1]
+    return x
 
 
 # -- ribbon graphs and surfaces --------------------------------------------------

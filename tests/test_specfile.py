@@ -11,12 +11,12 @@ from ttlab.errors import (
     ParseError,
     ZeroLengthForced,
 )
-from ttlab.linalg import feasible_nonneg
 from ttlab.rng import CounterRandom
 from ttlab.ribbon import SpineAssignment, boundary_cycles, pants_spine
 from ttlab.specfile import (
     TorusSpecFile,
     _rational,
+    _strong_components,
     forced_zero_lengths,
     parse_spec,
     spec_from_surface,
@@ -25,9 +25,9 @@ from ttlab.specfile import (
 )
 from ttlab.surface import EXACT, NUMERIC, geodesic_flow, horocycle_flow
 
-from oracles import unit_area
+from oracles import ref_feasible_nonneg, unit_area
 from test_acceptance import random_pants_cfg
-from test_classify import plumbing_pair
+from test_classify import plumbing_pair, plumbing_ring
 from test_saddle import origami_surface
 from test_topology import TWO_PANTS
 
@@ -240,7 +240,7 @@ def per_edge_forced_zero_lengths(cfg, sa):
     edges = []
     for key, col in index.items():
         probe = [int(j == col) for j in range(len(index))]
-        if feasible_nonneg(rows + [probe], [0] * len(rows) + [1]) is None:
+        if ref_feasible_nonneg(rows + [probe], [0] * len(rows) + [1]) is None:
             edges.append(key)
     curves = [c for c, (end, _) in enumerate(cfg.gluing)
               if set(face_edges(*end)) <= set(edges)]
@@ -285,6 +285,40 @@ def test_forced_zeros_match_the_per_edge_probes_on_random_pants():
         seen["forced" if result[1] else "free"] += 1
     # both outcomes occur, so the comparison is not vacuous
     assert min(seen.values()) > 0, seen
+
+
+def test_strong_components_match_the_per_edge_probes_on_bidirected_systems():
+    # edge e with ends (c1, s1), (c2, s2) is the column s1 e_c1 + s2 e_c2;
+    # node 2c + (s < 0) is the end (c, s), so node ^ 1 is (c, -s)
+    rng = CounterRandom(8, "bidirected")
+    seen = {"forced": 0, "free": 0}
+    for _ in range(3000):
+        n_curves, n_edges = rng.randint(1, 5), rng.randint(1, 8)
+        ends = [[(rng.randint(0, n_curves - 1), rng.choice((1, -1)))
+                 for _ in range(2)] for _ in range(n_edges)]
+        rows = [[0] * n_edges for _ in range(n_curves)]
+        arcs = []
+        for e, ((c1, s1), (c2, s2)) in enumerate(ends):
+            rows[c1][e] += s1
+            rows[c2][e] += s2
+            u, v = 2 * c1 + (s1 < 0), 2 * c2 + (s2 < 0)
+            arcs += [(u ^ 1, v), (v ^ 1, u)]
+        component = _strong_components(2 * n_curves, arcs)
+        for e in range(n_edges):
+            u, v = arcs[2 * e]
+            probe = [int(j == e) for j in range(n_edges)]
+            x = ref_feasible_nonneg(rows + [probe], [0] * n_curves + [1])
+            assert (component[u] != component[v]) == (x is None), ends
+            seen["forced" if x is None else "free"] += 1
+    # both outcomes occur, so the comparison is not vacuous
+    assert min(seen.values()) > 1000, seen
+
+
+def test_forced_zeros_need_no_recursion():
+    # 1,500 pieces: a recursive search would nest past the limit
+    cfg, sa = plumbing_ring(1500)
+    assert 2 * cfg.n_curves > sys.getrecursionlimit()
+    assert forced_zero_lengths(cfg, sa) == ([], [])
 
 
 # --- parse errors ---------------------------------------------------------------
