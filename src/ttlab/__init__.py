@@ -50,7 +50,6 @@ from .probe import ProbeReport, ks_distance, run_probe
 from .ribbon import (
     MetricRibbonGraph,
     SpineAssignment,
-    boundary_cycles,
     co_orientable,
     cone_orders,
     jointly_orientable,

@@ -14,12 +14,14 @@ around a vertex composes to the identity sheet exactly when the valence
 is even, so the branch set is the set of odd-valence vertices.
 
 The builder runs on flat integer tables.  Half-edges are numbered
-across pieces (piece offset plus h), each with its flip bit, its
-sigma-successor and its letter; corner 2x + s is the corner before
-half-edge x on sheet s, and the corner orbits fill one list indexed by
-corner.  A letter (2k, sign, sheet_bit) names base 1-cell k, the
-direction it is crossed in, and which of its lifts the step uses, so
-every cell of the cover is read off by integer indexing.
+across pieces (piece offset plus h), each with its flip bit and its
+letter; corner 2x + s is the corner before half-edge x on sheet s, and
+the corner transitions form one permutation of the corners, whose
+orbits `ribbon._orbits` (the routine behind the spine's vertices and
+faces) reads off: the corner orbits fill one list indexed by corner.
+A letter (2k, sign, sheet_bit) names base 1-cell k, the direction it
+is crossed in, and which of its lifts the step uses, so every cell of
+the cover is read off by integer indexing.
 
 The cover is built from combinatorics alone.  Each 2-cell's boundary
 word is read off the two face cycles glued along its curve
@@ -52,7 +54,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import BadPartition, CrossCheckFailed, NonLiftable
-from .ribbon import co_orientable
+from .ribbon import _orbits, co_orientable
 from .topology import _spanning_forest
 
 
@@ -85,10 +87,11 @@ class BranchedDoubleCover:
         cfg, graphs = q.cfg, q.sa.graphs
 
         # -- base complex, on global half-edges ----------------------------
-        # per half-edge: the flip bit of its edge, sigma, and its letter,
-        # of sign +1 on the smaller half-edge of the edge
+        # per half-edge: the flip bit of its edge and its letter, of sign
+        # +1 on the smaller half-edge of the edge; per corner 2x + s, the
+        # corner 2 sigma(x) + (s ^ flip) it moves to
         self._offset = []
-        flip, succ, letter = [], [], []
+        flip, letter, corner = [], [], []
         spine = []  # the two half-edges of spine edge k, smaller first
         v_base = 0
         for p, graph in enumerate(graphs):
@@ -96,13 +99,15 @@ class BranchedDoubleCover:
             self._offset.append(off)
             flip += [0] * graph.n_half_edges
             letter += [None] * graph.n_half_edges
-            succ += [off + t for t in graph.sigma]
             for h, ih in graph.edges():
                 bit = q.edge_flip(p, h)
                 flip[off + h] = flip[off + ih] = bit
                 letter[off + h] = (2 * len(spine), 1, 0)
                 letter[off + ih] = (2 * len(spine), -1, bit)
                 spine.append((off + h, off + ih))
+            for t, bit in zip(graph.sigma, flip[off:]):
+                c = 2 * (off + t) + bit
+                corner += (c, c ^ 1)
             v_base += len(graph.vertices())
         self._letter = letter
 
@@ -128,19 +133,10 @@ class BranchedDoubleCover:
         _require(self.base_euler == 2 - 2 * cfg.genus, "base Euler number")
 
         # -- corner orbits = cover vertices --------------------------------
-        self._orbit = orbit = [-1] * (2 * len(flip))
-        self.cover_vertices = []
-        for first in range(len(orbit)):
-            if orbit[first] >= 0:
-                continue
-            vid = len(self.cover_vertices)
-            self.cover_vertices.append(first)
-            c = first
-            while orbit[c] < 0:
-                orbit[c] = vid
-                x = c >> 1
-                c = 2 * succ[x] + ((c & 1) ^ flip[x])
-            _require(orbit[c] == vid, "open corner orbit")
+        # the corner map is a bijection, so every orbit closes
+        cycles, orbit = _orbits(corner)
+        self._orbit = orbit
+        self.cover_vertices = [cycle[0] for cycle in cycles]
 
         self.branch_set = []
         for p, graph in enumerate(graphs):

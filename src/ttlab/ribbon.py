@@ -40,8 +40,9 @@ class MetricRibbonGraph:
         self.lengths = _keyed(iota, lengths)
         self._check()
         self._check_lengths()
-        self._vertices, self._vertex_index = _orbits(sigma)
-        if not self._connected():
+        vertices, index = self._vertices, self._vertex_index = _orbits(sigma)
+        adjacent = [[(None, index[iota[h]]) for h in v] for v in vertices]
+        if len(_spanning_forest(adjacent)) < len(vertices) - 1:
             raise MalformedGraph("graph is not connected")
         self._faces, self._face_index = _orbits([sigma[k] for k in iota])
         self._set_perimeters()
@@ -95,25 +96,6 @@ class MetricRibbonGraph:
         for e, val in self.lengths.items():
             if val.numerator <= 0:
                 raise NonPositiveLength(f"edge {e} has length {_spell(val)}")
-
-    def _connected(self):
-        """Whether the edges join every vertex to vertex 0.
-
-        A direct walk over the vertex orbits rather than topology's
-        spanning forest: it runs on every graph built, and needs no
-        adjacency lists."""
-        vertices, index, iota = self._vertices, self._vertex_index, self.iota
-        if not vertices:
-            return True
-        reached = [True] + [False] * (len(vertices) - 1)
-        stack = [0]
-        while stack:
-            for h in vertices[stack.pop()]:
-                w = index[iota[h]]
-                if not reached[w]:
-                    reached[w] = True
-                    stack.append(w)
-        return all(reached)
 
     # --- basic structure -------------------------------------------------
 
@@ -178,7 +160,9 @@ def _keyed(iota, lengths):
 def _orbits(perm):
     """Cycles of a permutation, as tuples starting from the least element,
     and the index of each element's cycle, both as tuples: with_lengths
-    hands them to every graph of the same shape."""
+    hands them to every graph of the same shape.  The one orbit routine
+    of the package: a graph's vertices and faces, and the cover's corner
+    orbits."""
     index = [None] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -193,11 +177,6 @@ def _orbits(perm):
             h = perm[h]
         out.append(tuple(cyc))
     return tuple(out), tuple(index)
-
-
-def boundary_cycles(graph):
-    """Faces with their perimeters: list of (cycle tuple, Fraction)."""
-    return list(zip(graph.faces(), graph.perimeters()))
 
 
 def cone_orders(graph):
@@ -243,29 +222,27 @@ def _two_colouring(n, pairs):
 def ribbon_isomorphisms(g1, g2):
     """Half-edge bijections g1 -> g2 commuting with sigma and iota, as
     dicts, by increasing image of half-edge 0; lengths are not compared.
-    Connectedness makes each one determined by that image."""
+
+    Connectedness makes each one determined by that image: one spanning
+    tree of g1's half-edges under sigma and iota carries it to every
+    half-edge, and a candidate counts when it is a bijection that
+    commutes with both."""
     n = g1.n_half_edges
     if n != g2.n_half_edges:
         return
+    sigma1, iota1, sigma2, iota2 = g1.sigma, g1.iota, g2.sigma, g2.iota
+    # forward steps reach every half-edge, sigma and iota being
+    # permutations; each tree edge names the permutation of g2 that
+    # moves its parent's image
+    tree = _spanning_forest([[(sigma2, s), (iota2, i)] for s, i in zip(sigma1, iota1)])
     for start in range(n):
-        image = {0: start}
-        queue = [0]
-        ok = True
-        while queue and ok:
-            h = queue.pop()
-            for nxt, nxt_img in (
-                (g1.sigma[h], g2.sigma[image[h]]),
-                (g1.iota[h], g2.iota[image[h]]),
-            ):
-                if nxt in image:
-                    if image[nxt] != nxt_img:
-                        ok = False
-                        break
-                else:
-                    image[nxt] = nxt_img
-                    queue.append(nxt)
-        if ok and len(set(image.values())) == n:
-            yield image
+        image = [start] * n
+        for h, parent, perm in tree:
+            image[h] = perm[image[parent]]
+        if (len(set(image)) == n
+                and all(image[s] == sigma2[x] for s, x in zip(sigma1, image))
+                and all(image[i] == iota2[x] for i, x in zip(iota1, image))):
+            yield dict(enumerate(image))
 
 
 # --- spine assignments -------------------------------------------------------

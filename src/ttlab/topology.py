@@ -8,8 +8,9 @@ exactly when they are combinatorially isomorphic.
 
 The module also holds the one undirected graph search of the package,
 a breadth-first spanning forest (`_spanning_forest`): validation runs
-it on the pieces, `ribbon` two-colours faces with it, and the double
-cover takes its trees and cotrees from it.
+it on the pieces; `ribbon` checks with it that a graph is connected,
+two-colours faces with it, and carries an isomorphism along one of its
+trees; and the double cover takes its trees and cotrees from it.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ surfaces, rank over GF(2) by plain elimination, a phase-one simplex.
 None of it is reached from the commands or the library API.
 """
 
+import collections
 import functools
 from fractions import Fraction
 
@@ -323,6 +324,45 @@ def involution_vertices(cover):
     the image of a vertex holds the other sheet's copy of its first
     corner (corner 2x + s and corner 2x + 1 - s lie over one corner)."""
     return [cover._orbit[c ^ 1] for c in cover.cover_vertices]
+
+
+def corner_orbit_faults(cover):
+    """How the cover's vertex ids fail to be the corner orbits, as a
+    list of messages, empty when they are.
+
+    The corner map is recomputed here from the spines' rotations and
+    the surface's flip bits: corner 2x + s, before half-edge x (piece
+    offset plus h) on sheet s, goes to the corner before sigma(x) on
+    sheet s ^ flip(x).  Every corner must share its id with its image,
+    each id must be one orbit, and cover_vertices[v] must be the least
+    corner of id v, in ascending order."""
+    q, orbit = cover.surface, cover._orbit
+    image = []
+    for p, graph in enumerate(q.sa.graphs):
+        off = len(image) // 2
+        for h, t in enumerate(graph.sigma):
+            bit = q.edge_flip(p, h)
+            image += [2 * (off + t) + bit, 2 * (off + t) + 1 - bit]
+    if len(orbit) != len(image):
+        return [f"{len(orbit)} corner ids for {len(image)} corners"]
+    faults = [f"corner {c} has id {orbit[c]}, its image {d} has id {orbit[d]}"
+              for c, d in enumerate(image) if orbit[c] != orbit[d]]
+    least, sizes = {}, collections.Counter(orbit)
+    for c, v in enumerate(orbit):
+        least.setdefault(v, c)
+    if list(least) != list(range(len(least))):
+        faults.append(f"ids not numbered by their least corners: {list(least)}")
+    if list(cover.cover_vertices) != list(least.values()):
+        faults.append(f"cover_vertices {list(cover.cover_vertices)} are not "
+                      f"the least corners {list(least.values())}")
+    for v, first in least.items():
+        size, c = 1, image[first]
+        while c != first:
+            size, c = size + 1, image[c]
+        if size != sizes[v]:
+            faults.append(f"id {v} holds {sizes[v]} corners, "
+                          f"the orbit of corner {first} {size}")
+    return faults
 
 
 def piece_preimage_connected(cover, p):

@@ -60,7 +60,7 @@ from ttlab.topology import (
     validate_config,
 )
 
-from oracles import piece_preimage_connected, rank_gf2
+from oracles import corner_orbit_faults, piece_preimage_connected, rank_gf2
 from test_classify import (
     RING3,
     RING3_LENGTHS,
@@ -355,6 +355,11 @@ def test_criterion_03_orientability_equivalences(sweep):
             assert co_orientable(graph) == (
                 not piece_preimage_connected(inst.cover, p)
             ), f"{inst.name} piece {p}"
+    # the preimage route reads the cover's corner orbits, which come from
+    # the orbit routine behind the faces co_orientable colours: recompute
+    # them on every fourth surface
+    for inst in sweep.instances[::4]:
+        assert corner_orbit_faults(inst.cover) == [], inst.name
     pieces = sum(len(i.sa.graphs) for i in sweep.instances)
     note(
         3,

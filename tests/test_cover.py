@@ -26,6 +26,7 @@ from oracles import (
     anti_invariant_basis,
     boundary_1,
     boundary_2,
+    corner_orbit_faults,
     homology_cycle_basis,
     intersection_matrix,
     involution_on_edges,
@@ -277,6 +278,12 @@ def test_anti_invariant_basis_matches_nullspace_route():
         both = ref_rank(boundaries + ours + theirs)
         assert both == ref_rank(boundaries + ours), name
         assert both == ref_rank(boundaries + theirs), name
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_COVERS))
+def test_cover_vertices_are_the_corner_orbits(name):
+    _, cover = COORDINATE_COVERS[name]()
+    assert corner_orbit_faults(cover) == []
 
 
 @pytest.mark.parametrize("name", sorted(COORDINATE_COVERS))

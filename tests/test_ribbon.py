@@ -16,7 +16,6 @@ from ttlab.errors import (
 from ttlab.ribbon import (
     MetricRibbonGraph,
     SpineAssignment,
-    boundary_cycles,
     co_orientable,
     cone_orders,
     jointly_orientable,
@@ -56,7 +55,7 @@ def test_theta_face_perimeters_solve_boundary_system():
     assert sorted(solution) == [1, 2, 3]
     graph, order = pants_spine(3, 4, 5)
     assert sorted(graph.lengths.values()) == sorted(solution)
-    per = [p for _, p in boundary_cycles(graph)]
+    per = list(graph.perimeters())
     assert sorted(per) == [3, 4, 5]
     assert [per[order[k]] for k in range(3)] == [3, 4, 5]
 
@@ -73,13 +72,13 @@ def test_perimeter_sum_is_twice_length_sum():
                              4: rng.fraction()}),
     ]
     for graph in graphs:
-        total = sum(p for _, p in boundary_cycles(graph))
+        total = sum(graph.perimeters())
         assert total == 2 * total_length(graph)
 
 
 def test_four_valent_vertex_face_orbits():
     graph = single_vertex_graph([1, 0, 3, 2], {0: 3, 2: 2})
-    per = [p for _, p in boundary_cycles(graph)]
+    per = list(graph.perimeters())
     assert per == [5, 3, 2]
 
 
@@ -131,11 +130,11 @@ def test_plumbing_fixture_structure():
     assert theta.genus() == 0
     assert theta.n_boundaries() == 3
     assert sorted(theta.lengths.values()) == [1, 1, 1]
-    assert all(p == 2 for _, p in boundary_cycles(theta))
+    assert all(p == 2 for p in theta.perimeters())
 
     seven = plumbing_fixture(7, 2)
     assert seven.n_boundaries() == 7
-    assert all(p == 2 for _, p in boundary_cycles(seven))
+    assert all(p == 2 for p in seven.perimeters())
 
     for p in range(3, 9):
         assert co_orientable(plumbing_fixture(p, 2)) == (p % 2 == 0)
@@ -153,24 +152,24 @@ def test_pants_spine_trichotomy():
     nabla, order = pants_spine(5, 3, 2)
     assert len(nabla.vertices()) == 1
     assert sorted(nabla.lengths.values()) == [2, 3]
-    per = [p for _, p in boundary_cycles(nabla)]
+    per = list(nabla.perimeters())
     assert [per[order[k]] for k in range(3)] == [5, 3, 2]
 
     bell, order = pants_spine(10, 3, 2)
     assert len(bell.vertices()) == 2
     assert sorted(bell.lengths.values()) == [2, Fraction(5, 2), 3]
-    per = [p for _, p in boundary_cycles(bell)]
+    per = list(bell.perimeters())
     assert [per[order[k]] for k in range(3)] == [10, 3, 2]
 
 
 def test_pants_spine_handles_any_argument_order():
     for trip in itertools.permutations((10, 3, 2)):
         graph, order = pants_spine(*trip)
-        per = [p for _, p in boundary_cycles(graph)]
+        per = list(graph.perimeters())
         assert [per[order[k]] for k in range(3)] == list(trip)
     for trip in itertools.permutations((5, 3, 2)):
         graph, order = pants_spine(*trip)
-        per = [p for _, p in boundary_cycles(graph)]
+        per = list(graph.perimeters())
         assert [per[order[k]] for k in range(3)] == list(trip)
 
 
@@ -452,8 +451,11 @@ def test_joint_orientability_matches_exhaustive_search():
 
 def brute_isomorphisms(g1, g2):
     """Every bijection g1 -> g2 commuting with sigma and iota, by trying
-    all permutations of the half-edges."""
+    all permutations of the half-edges; none between graphs of different
+    sizes."""
     n = g1.n_half_edges
+    if n != g2.n_half_edges:
+        return []
     found = []
     for perm in itertools.permutations(range(n)):
         if all(perm[g1.sigma[h]] == g2.sigma[perm[h]]
@@ -462,15 +464,32 @@ def brute_isomorphisms(g1, g2):
     return found
 
 
+def spines(*trips):
+    """The pants spines of the given boundary triples."""
+    return tuple(pants_spine(*trip)[0] for trip in trips)
+
+
+ONE_VERTEX_4 = single_vertex_graph([2, 3, 0, 1], {0: 1, 1: 1})
+ONE_VERTEX_6 = single_vertex_graph([3, 4, 5, 0, 1, 2], {0: 1, 1: 1, 2: 1})
+
+
 @pytest.mark.parametrize("trips", [
-    ((3, 4, 5), (5, 4, 3)),   # theta, lengths differ
-    ((2, 1, 1), (1, 1, 2)),   # four-valent
-    ((5, 1, 1), (1, 7, 2)),   # dumbbell
-    ((3, 4, 5), (5, 1, 1)),   # theta against dumbbell: none
+    spines((3, 4, 5), (5, 4, 3)),   # theta, lengths differ
+    spines((2, 1, 1), (1, 1, 2)),   # four-valent
+    spines((5, 1, 1), (1, 7, 2)),   # dumbbell
+    spines((3, 4, 5), (5, 1, 1)),   # theta against dumbbell: none
+    # symmetric graphs, whose automorphisms start from every half-edge
+    pytest.param((plumbing_fixture(3, 2),) * 2, id="plumbing3"),
+    pytest.param((plumbing_fixture(4, 2),) * 2, id="plumbing4"),
+    pytest.param((ONE_VERTEX_4,) * 2, id="one_vertex4"),
+    pytest.param((ONE_VERTEX_6,) * 2, id="one_vertex6"),
+    # one vertex against two, where only sigma tells them apart: none
+    pytest.param((ONE_VERTEX_6, plumbing_fixture(3, 2)), id="one_vertex_vs_two"),
+    # 6 half-edges against 4: none
+    pytest.param((plumbing_fixture(3, 2), ONE_VERTEX_4), id="sizes_differ"),
 ])
 def test_ribbon_isomorphisms_match_the_brute_force(trips):
-    g1, _ = pants_spine(*trips[0])
-    g2, _ = pants_spine(*trips[1])
+    g1, g2 = trips
     isos = list(ribbon_isomorphisms(g1, g2))
     assert isos == brute_isomorphisms(g1, g2)
     assert [iso[0] for iso in isos] == sorted(iso[0] for iso in isos)

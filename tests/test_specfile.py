@@ -12,7 +12,7 @@ from ttlab.errors import (
     ZeroLengthForced,
 )
 from ttlab.rng import CounterRandom
-from ttlab.ribbon import SpineAssignment, boundary_cycles, pants_spine
+from ttlab.ribbon import SpineAssignment, pants_spine
 from ttlab.specfile import (
     TorusSpecFile,
     _rational,
@@ -226,7 +226,7 @@ def per_edge_forced_zero_lengths(cfg, sa):
             index[(p, h)] = len(index)
 
     def face_edges(p, s):
-        cycle, _ = boundary_cycles(sa.graphs[p])[sa.slot_to_face(p, s)]
+        cycle = sa.graphs[p].faces()[sa.slot_to_face(p, s)]
         return [(p, sa.graphs[p].edge_of(h)) for h in cycle]
 
     rows = []
