@@ -10,6 +10,9 @@ Each command is a function from its parsed arguments to its output
 text, and works on the surface its spec file describes (spec.build()),
 built once.  _load reads the file in the arithmetic the command needs,
 by the one rule stated beside _build_parser.
+The modules every command needs are imported with this one; a
+command's own (classify, cover, spin, probe) are imported when it runs,
+so a command loads only what it uses.
 main() is the one place that writes: the text goes to --out PATH,
 followed by a ``wrote = PATH`` line on stdout, or else to stdout.
 It is also the one place that refuses, with ``error.type`` and
@@ -30,14 +33,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .classify import _refine_pants_verdict, classify_orbit_closure
-from .cover import (
-    cover_genus,
-    h1_anti_invariant,
-    holonomy_double_cover,
-    rank_lower_bound,
-    relations_formula,
-)
 from .errors import (
     ModeMismatch,
     NoSpinStructure,
@@ -48,7 +43,6 @@ from .errors import (
     UsageError,
     _report,
 )
-from .probe import run_probe
 from .ribbon import (
     SpineAssignment,
     pants_assignment,
@@ -62,7 +56,6 @@ from .specfile import (
     validate_spec,
     write_spec,
 )
-from .spin import spin_parity
 from .surface import (
     EXACT,
     NUMERIC,
@@ -147,6 +140,7 @@ def cmd_validate(args):
 
 
 def cmd_classify(args):
+    from .classify import _refine_pants_verdict, classify_orbit_closure
     q = _load(args).build()
     # parse_spec validated the configuration, so the checks below skip it.
     verdict = classify_orbit_closure(q)
@@ -278,6 +272,8 @@ def cmd_twist(args):
 
 
 def cmd_rank(args):
+    from .cover import (cover_genus, h1_anti_invariant, holonomy_double_cover,
+                        rank_lower_bound, relations_formula)
     q = _load(args).build()
     cover = holonomy_double_cover(q)
     span = rank_lower_bound(cover, q.cfg)
@@ -300,11 +296,13 @@ def cmd_rank(args):
 
 
 def cmd_probe(args):
+    from .probe import run_probe
     return run_probe(_load(args).build(), args.times, args.samples, args.seed,
                      args.radius).text()
 
 
 def cmd_spin(args):
+    from .spin import spin_parity
     q = _load(args).build()
     try:
         parity = spin_parity(q)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from ttlab import cli, ribbon, topology
+from ttlab import cli, cover, ribbon, topology
 from ttlab.cli import main
 from ttlab.errors import _spell
 from ttlab.ribbon import pants_assignment
@@ -433,14 +433,15 @@ def test_rank_refuses_a_disconnected_cover_with_wrong_genera(
     # the check lives in cover_genus; the command reports its failure
     sa = nabla_assignment(TWO_PANTS, (0, 0))
     path = write_fixture(tmp_path, TWO_PANTS, sa)
-    build = cli.holonomy_double_cover
+    build = cover.holonomy_double_cover
 
     def tampered(q):
-        cover = build(q)
-        cover.__dict__["_genera"] = (2, 3)
-        return cover
+        double = build(q)
+        double.__dict__["_genera"] = (2, 3)
+        return double
 
-    monkeypatch.setattr(cli, "holonomy_double_cover", tampered)
+    # cmd_rank imports it when it runs, so it reads the patched name
+    monkeypatch.setattr(cover, "holonomy_double_cover", tampered)
     code, out, err = run(capsys, "rank", path)
     assert (code, out) == (2, "")
     assert "error.type = CrossCheckFailed" in err

@@ -1,7 +1,9 @@
 """The package holds only what its commands and its library API use.
 
 A module-level function or class of `src/ttlab` must be referenced
-somewhere else in the package or be exported by `ttlab/__init__.py`.
+somewhere else in the package or be exported by `ttlab/__init__.py`
+(named in its table `_EXPORTS`); that file's own `__getattr__` and
+`__dir__` are the module protocol, which Python calls.
 Code that only the tests reach belongs in `tests/oracles.py`.
 
 The README names, as library API, exactly the exported names that no
@@ -28,12 +30,18 @@ def package_trees():
 
 
 def exported_names(init):
-    return {
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """The names of the export table `_EXPORTS` of `ttlab/__init__.py`,
+    which maps each module to the names the package exports from it."""
+    table = next(node.value for node in init.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_EXPORTS"])
+    return {name.value for names in table.values for name in ast.walk(names)
+            if isinstance(name, ast.Constant)}
+
+
+# the module protocol of `ttlab/__init__.py` (PEP 562): Python calls
+# these itself, so no node of the package names them
+MODULE_PROTOCOL = {"__getattr__", "__dir__"}
 
 
 def module_bindings(tree, modules):
@@ -78,13 +86,13 @@ def unreferenced_definitions(trees):
     """(module, name) of each module-level def or class that no other
     node of the package uses (see used_names) and `ttlab/__init__.py`
     does not export."""
-    exported = exported_names(trees["__init__"])
-    uses = used_names(trees)
+    kept = exported_names(trees["__init__"]) | used_names(trees)
     found = []
     for module, tree in trees.items():
+        known = kept | MODULE_PROTOCOL if module == "__init__" else kept
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name not in exported and node.name not in uses:
+                if node.name not in known:
                     found.append((module, node.name))
     return found
 
@@ -97,6 +105,20 @@ def test_the_scan_sees_an_unused_definition():
     trees = package_trees()
     trees["linalg"].body.append(ast.parse("def only_for_tests():\n    pass\n").body[0])
     assert ("linalg", "only_for_tests") in unreferenced_definitions(trees)
+
+
+def test_the_scan_sees_a_definition_dropped_from_the_export_table():
+    trees = package_trees()
+    for node in ast.walk(trees["__init__"]):
+        if isinstance(node, ast.Constant) and node.value == "classify_pants_torus":
+            node.value = "not_a_definition"
+    assert ("classify", "classify_pants_torus") in unreferenced_definitions(trees)
+
+
+def test_the_scan_sees_an_unused_definition_in_the_package_init():
+    trees = package_trees()
+    trees["__init__"].body.append(ast.parse("def __helper__():\n    pass\n").body[0])
+    assert unreferenced_definitions(trees) == [("__init__", "__helper__")]
 
 
 def test_the_scan_does_not_count_a_method_call():
